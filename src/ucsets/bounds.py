@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ContradictionError, DomainError
-from .family import SetFamily, element_frequencies, frankl_witnesses
+from .family import SetFamily, family_profile, frankl_witnesses
 from .witnesses import falgas_ravry_chain
 
 TOLERANCE = 1e-9
@@ -192,7 +192,7 @@ def lemma_bound(f: SetFamily) -> bool:
             raise ContradictionError("chain entries are not pairwise distinct")
         if any(not entry >> top & 1 for entry in w.chain):
             raise ContradictionError("top element missing from a chain entry")
-        if element_frequencies(f)[top] < m:
+        if family_profile(f).freq[top] < m:
             raise ContradictionError("top element frequency fell below m")
     return ok
 

@@ -10,9 +10,11 @@ error, 2 precondition or domain violation, 3 verification failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
-from typing import Any
+from typing import Any, Iterator
 
 from .bounds import applicability, bound_report
 from .errors import (
@@ -62,10 +64,14 @@ from .witnesses import (
 )
 
 
-def _read_source(path: str) -> str:
+def _open_source(path: str):
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+        return contextlib.nullcontext(sys.stdin)
+    return open(path, "r", encoding="utf-8")
+
+
+def _read_source(path: str) -> str:
+    with _open_source(path) as fh:
         return fh.read()
 
 
@@ -289,24 +295,40 @@ def cmd_random(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_corpus(path: str) -> Iterator[SetFamily]:
+    """Families of a family file or an NDJSON corpus, read as they are needed.
+
+    Content whose first non-blank character is "{" is NDJSON, one family
+    per line; anything else is a single family in the text form.
+    """
+    with _open_source(path) as fh:
+        head = ""
+        for raw in fh:
+            head += raw
+            if head.strip():
+                break
+        if not head.lstrip().startswith("{"):
+            yield family_from_masks(set(parse_members_text(head + fh.read())))
+            return
+        # splitlines() on each read line keeps the line numbers of the
+        # whole-text split, which also breaks at form feeds and the like.
+        lines = (line for raw in itertools.chain([head], fh)
+                 for line in raw.splitlines())
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FamilyParseError(
+                    f"invalid JSON: {exc.msg}", line=lineno) from None
+            yield family_from_json_dict(doc)
+
+
 def _verify_corpus_from_args(args: argparse.Namespace):
     if args.input is not None:
-        text = _read_source(args.input)
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            fams = []
-            for lineno, line in enumerate(text.splitlines(), start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise FamilyParseError(
-                        f"invalid JSON: {exc.msg}", line=lineno) from None
-                fams.append(family_from_json_dict(doc))
-            return fams
-        return [family_from_masks(set(parse_members_text(text)))]
+        return _read_corpus(args.input)
     if args.random:
         return (random_family(args.m, args.generators, args.seed + i)
                 for i in range(args.count))
@@ -336,6 +358,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"REJECTED: {label}: {reason}")
         print("ok" if rep.ok else "FAILURES FOUND")
     return 0 if rep.ok else 3
+
+
+def _count(text: str) -> int:
+    """argparse type for counts and sizes: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="threshold calculus for a universe size")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_count, default=None,
                    help="member count; adds an applicability verdict")
     add_format(p)
     p.set_defaults(func=cmd_bounds)
@@ -383,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="exhaustive")
     p.add_argument("--filter", choices=("all", "validated", "separating"),
                    default="separating")
-    p.add_argument("--max-generators", type=int, default=None)
+    p.add_argument("--max-generators", type=_count, default=None)
     add_format(p)
     p.set_defaults(func=cmd_enumerate)
 
@@ -391,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--generators", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1,
+    p.add_argument("--count", type=_count, default=1,
                    help="emit this many families, seeds seed..seed+count-1")
     add_format(p)
     p.set_defaults(func=cmd_random)
@@ -404,12 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default="exhaustive")
     p.add_argument("--filter", choices=("all", "validated", "separating"),
                    default="separating")
-    p.add_argument("--max-generators", type=int, default=None)
+    p.add_argument("--max-generators", type=_count, default=None)
     p.add_argument("--random", action="store_true",
                    help="verify seeded random families instead of enumerating")
     p.add_argument("--generators", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_count, default=1)
     add_format(p)
     p.set_defaults(func=cmd_verify)
 

@@ -8,7 +8,9 @@ and all operations below are plain integer arithmetic.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DomainError
@@ -137,9 +139,32 @@ def is_union_closed(f: SetFamily) -> bool:
 
 
 def find_union_gap(f: SetFamily) -> tuple[int, int] | None:
-    """First pair of members (in canonical order) whose union is missing."""
+    """First pair of members (in canonical order) whose union is missing.
+
+    F is union-closed iff a | j is a member for every member a and every
+    join-irreducible j (a member that is not the union of the members
+    strictly below it): every other non-empty member is a union of
+    irreducibles, and absorbing them one at a time keeps a | b inside F.
+    Members are walked in ascending order, so every member below b comes
+    before b; b is irreducible exactly when it is not yet in the union
+    closure of the irreducibles found so far, and is then joined to that
+    closure, whose members must all stay in F.  This costs n lookups per
+    irreducible.  Only a family that fails gets the pairwise scan, which
+    names the first missing pair in canonical order.
+    """
     members = f.members
     present = set(members)
+    closed: set[int] = set()
+    for b in members:
+        if b in closed:
+            continue
+        grown = {b | c for c in closed}
+        if not grown <= present:
+            break
+        closed |= grown
+        closed.add(b)
+    else:
+        return None
     for i, a in enumerate(members):
         for b in members[i + 1:]:
             if a | b not in present:
@@ -167,15 +192,97 @@ def union_closure(f: SetFamily) -> SetFamily:
     return SetFamily(f.universe_size, tuple(closure_of_masks(f.members)))
 
 
+# _BIT_DIGITS[b] maps a byte to the ASCII digit of its bit b: bytes 0..255
+# run through bit b as 2**b zeros, 2**b ones, and so on.
+_BIT_DIGITS = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
+
+
+def _bit_columns(members: tuple[int, ...], universe_size: int) -> tuple[int, ...]:
+    """Transpose members into one n-bit column per element.
+
+    Bit i of column x is set when member i contains x.  Members are packed
+    as 8 little-endian bytes each, so byte plane k (byte k of every member,
+    last member first) holds elements 8k..8k+7; translating the plane to
+    the ASCII digits of one bit and reading them in base 2 yields a whole
+    column without a Python loop over the incidences.
+    """
+    if not members:
+        return (0,) * universe_size
+    packed = struct.pack(f"<{len(members)}Q", *members)
+    columns = []
+    for k in range((universe_size + 7) // 8):
+        plane = packed[k::8][::-1]
+        for b in range(min(8, universe_size - 8 * k)):
+            columns.append(int(plane.translate(_BIT_DIGITS[b]), 2))
+    return tuple(columns)
+
+
+@dataclass(frozen=True, eq=False)
+class FamilyProfile:
+    """Derived data of one family, each part computed once from its columns.
+
+    columns[x] has bit i set when member i contains element x.  The other
+    parts are computed on first use, so a caller that only needs the
+    columns pays for nothing else.
+    """
+
+    n: int
+    columns: tuple[int, ...]
+
+    @cached_property
+    def freq(self) -> tuple[int, ...]:
+        """Number of members containing each element (column popcounts)."""
+        return tuple(col.bit_count() for col in self.columns)
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """Elements sorted by frequency, ties broken by lower id first."""
+        freq = self.freq
+        return tuple(sorted(range(len(freq)), key=lambda x: (freq[x], x)))
+
+    @cached_property
+    def rank(self) -> tuple[int, ...]:
+        """Position of each element in order."""
+        rank = [0] * len(self.columns)
+        for r, x in enumerate(self.order):
+            rank[x] = r
+        return tuple(rank)
+
+    @cached_property
+    def tops(self) -> tuple[int, ...]:
+        """Index mask of the members whose highest-ranked element is x."""
+        tops = [0] * len(self.columns)
+        untopped = (1 << self.n) - 1
+        for x in reversed(self.order):
+            tops[x] = self.columns[x] & untopped
+            untopped &= ~self.columns[x]
+        return tuple(tops)
+
+    @cached_property
+    def m_sets(self) -> tuple[int, ...]:
+        """Per rank r in 1..m, the union of the members omitting the element
+        order[r-1]; entry 0 is the covered elements.
+
+        The members omitting x cover y iff y's column is not inside x's.
+        """
+        out = [sum(1 << y for y, col in enumerate(self.columns) if col)]
+        for x in self.order:
+            outside = ~self.columns[x]
+            out.append(sum(1 << y for y, col in enumerate(self.columns)
+                           if col & outside))
+        return tuple(out)
+
+
+@lru_cache(maxsize=1)
+def family_profile(f: SetFamily) -> FamilyProfile:
+    """The profile of f.  Only the most recent family's profile is kept, so a
+    sweep that holds many families does not hold their profiles too."""
+    return FamilyProfile(f.n, _bit_columns(f.members, f.universe_size))
+
+
 def element_frequencies(f: SetFamily) -> list[int]:
     """Number of members containing each element, indexed by element id."""
-    counts = [0] * f.universe_size
-    for mask in f.members:
-        while mask:
-            low = mask & -mask
-            counts[low.bit_length() - 1] += 1
-            mask ^= low
-    return counts
+    return list(family_profile(f).freq)
 
 
 @dataclass(frozen=True)
@@ -191,9 +298,8 @@ class FrequencyProfile:
 
 
 def frequency_profile(f: SetFamily) -> FrequencyProfile:
-    counts = element_frequencies(f)
-    order = tuple(sorted(range(f.universe_size), key=lambda x: (counts[x], x)))
-    return FrequencyProfile(dict(enumerate(counts)), order)
+    prof = family_profile(f)
+    return FrequencyProfile(dict(enumerate(prof.freq)), prof.order)
 
 
 def frankl_witnesses(f: SetFamily) -> list[int]:
@@ -204,20 +310,13 @@ def frankl_witnesses(f: SetFamily) -> list[int]:
     """
     if f.n == 0:
         raise DomainError("empty family has no witnesses")
-    counts = element_frequencies(f)
+    counts = family_profile(f).freq
     return [x for x in range(f.universe_size) if 2 * counts[x] >= f.n]
 
 
 def column_signatures(f: SetFamily) -> list[int]:
     """Per element, the set of member indices containing it, as a bit mask."""
-    sigs = [0] * f.universe_size
-    for idx, mask in enumerate(f.members):
-        bit = 1 << idx
-        while mask:
-            low = mask & -mask
-            sigs[low.bit_length() - 1] |= bit
-            mask ^= low
-    return sigs
+    return list(family_profile(f).columns)
 
 
 def is_separating(f: SetFamily) -> bool:
@@ -228,7 +327,7 @@ def is_separating(f: SetFamily) -> bool:
 def find_unseparated_pair(f: SetFamily) -> tuple[int, int] | None:
     """First pair of elements whose membership columns coincide."""
     seen: dict[int, int] = {}
-    for x, sig in enumerate(column_signatures(f)):
+    for x, sig in enumerate(family_profile(f).columns):
         if sig in seen:
             return seen[sig], x
         seen[sig] = x
@@ -247,7 +346,7 @@ def separating_quotient(f: SetFamily) -> tuple[SetFamily, tuple[tuple[int, ...],
     Returns the quotient family and the class partition, where class j of
     the partition is the preimage of the new element j.
     """
-    sigs = column_signatures(f)
+    sigs = family_profile(f).columns
     groups: dict[int, list[int]] = {}
     for x in range(f.universe_size):
         if sigs[x]:
@@ -270,7 +369,7 @@ def relabel_by_frequency(f: SetFamily) -> tuple[SetFamily, tuple[int, ...]]:
     Applying the operation twice yields the identity permutation the second
     time, because the first pass already sorted the ids.
     """
-    order = frequency_profile(f).order
+    order = family_profile(f).order
     perm = [0] * f.universe_size
     for new, old in enumerate(order):
         perm[old] = new

@@ -20,9 +20,9 @@ from .errors import CapacityError, DomainError
 from .family import (
     SetFamily,
     closure_of_masks,
-    element_frequencies,
     elements_of,
     family_label,
+    family_profile,
     find_union_gap,
     frankl_witnesses,
     is_separating,
@@ -243,22 +243,23 @@ def corpus_verify(corpus: Iterable[SetFamily]) -> CorpusReport:
     checks the witness set (skipped for families with an empty universe,
     where there is no element to find), chain and transversal invariants,
     the counting audit bullets and inequality, the n <= 2m mechanism, and
-    the coverage cross-check.  Failures are data, not exceptions.
+    the coverage cross-check.  Failures are data, not exceptions.  Labels
+    are rendered only for the families that get reported: rendering a large
+    family costs more than checking it.
     """
     rep = CorpusReport()
     for f in corpus:
         rep.total_families += 1
-        label = family_label(f)
         if not f.covers_universe:
             missing = elements_of(f.universe_mask & ~f.covered_mask)
-            rep.rejections.append(
-                (label, f"not validated: element ids {missing} occur in no member"))
+            rep.rejections.append((family_label(f),
+                                   f"not validated: element ids {missing} occur in no member"))
             continue
         gap = find_union_gap(f)
         if gap is not None:
             a, b = (set(elements_of(g)) or "{}" for g in gap)
-            rep.rejections.append(
-                (label, f"not union-closed: the union of {a} and {b} is missing"))
+            rep.rejections.append((family_label(f),
+                                   f"not union-closed: the union of {a} and {b} is missing"))
             continue
         rep.union_closed_count += 1
         if not is_separating(f):
@@ -266,31 +267,32 @@ def corpus_verify(corpus: Iterable[SetFamily]) -> CorpusReport:
         rep.separating_count += 1
 
         if f.n >= 1 and f.universe_size >= 1 and not frankl_witnesses(f):
-            rep.frankl_violations.append(label)
+            rep.frankl_violations.append(family_label(f))
 
         if f.n >= 1:
             w = falgas_ravry_chain(f)
             for issue in verify_chain_witness(f, w):
-                rep.invariant_failures.append((label, "chain: " + issue))
+                rep.invariant_failures.append((family_label(f), "chain: " + issue))
 
         tr = minimal_transversal(f)
         for issue in verify_transversal(f, tr):
-            rep.invariant_failures.append((label, "transversal: " + issue))
+            rep.invariant_failures.append((family_label(f), "transversal: " + issue))
 
         audit = counting_audit(f)
         for name, passed in audit.bullets_ok.items():
             if not passed:
-                rep.audit_failures.append((label, name))
+                rep.audit_failures.append((family_label(f), name))
         if not audit.inequality_holds:
-            rep.audit_failures.append((label, "inequality"))
+            rep.audit_failures.append((family_label(f), "inequality"))
 
         if lemma_bound(f) and f.n >= 1 and f.universe_size >= 1:
-            top = falgas_ravry_chain(f).order[-1]
-            if 2 * element_frequencies(f)[top] < f.n:
-                rep.invariant_failures.append(
-                    (label, "lemma: top element below half frequency despite n <= 2m"))
+            if 2 * family_profile(f).freq[w.order[-1]] < f.n:
+                rep.invariant_failures.append((
+                    family_label(f),
+                    "lemma: top element below half frequency despite n <= 2m"))
 
         verdict_report = applicability(f)
         if verdict_report.alarm:
-            rep.invariant_failures.append((label, "applicability: " + verdict_report.alarm))
+            rep.invariant_failures.append(
+                (family_label(f), "applicability: " + verdict_report.alarm))
     return rep

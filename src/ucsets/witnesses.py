@@ -3,9 +3,10 @@
 Everything is phrased against the increasing-frequency labeling: rank r in
 1..m denotes the element order[r-1] of the family's frequency profile (ties
 broken by lower id), so rank m belongs to a most frequent element.  The
-constructions recompute this labeling internally, so inputs do not have to
-be pre-relabeled.  All tie-breaking is deterministic (smallest mask value,
-lowest element id) and reports come out bit-identical across runs.
+constructions read this labeling from the family's profile, so inputs do
+not have to be pre-relabeled.  All tie-breaking is deterministic (smallest
+mask value, lowest element id) and reports come out bit-identical across
+runs.
 """
 
 from __future__ import annotations
@@ -13,34 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContradictionError, PreconditionError
-from .family import (
-    SetFamily,
-    element_frequencies,
-    elements_of,
-    frequency_profile,
-)
+from .family import SetFamily, elements_of, family_profile
 
 
-def _labeling(f: SetFamily) -> tuple[tuple[int, ...], list[int]]:
-    order = frequency_profile(f).order
-    rank = [0] * f.universe_size
-    for r, x in enumerate(order):
-        rank[x] = r
-    return order, rank
+def _meeting(columns: tuple[int, ...], mask: int) -> int:
+    """Index mask of the members that meet mask (the OR of its columns)."""
+    out = 0
+    for x in elements_of(mask):
+        out |= columns[x]
+    return out
 
 
-def _top_element(mask: int, rank: list[int]) -> int:
-    """The element of a non-empty mask with the highest frequency rank."""
-    best_x = -1
-    best_r = -1
-    while mask:
-        low = mask & -mask
-        x = low.bit_length() - 1
-        if rank[x] > best_r:
-            best_r = rank[x]
-            best_x = x
-        mask ^= low
-    return best_x
+def _first_member(members: tuple[int, ...], indices: int) -> int:
+    """The smallest member among the non-empty index mask `indices`."""
+    return members[(indices & -indices).bit_length() - 1]
 
 
 @dataclass(frozen=True)
@@ -72,15 +59,7 @@ def m_sets(f: SetFamily) -> tuple[int, ...]:
     members themselves, although in a separating union-closed family every
     entry up to rank m-1 is a non-empty member.
     """
-    order, _ = _labeling(f)
-    out = [f.covered_mask]
-    for x in order:
-        u = 0
-        for mask in f.members:
-            if not mask >> x & 1:
-                u |= mask
-        out.append(u)
-    return tuple(out)
+    return family_profile(f).m_sets
 
 
 def falgas_ravry_chain(f: SetFamily) -> ChainWitness:
@@ -95,20 +74,22 @@ def falgas_ravry_chain(f: SetFamily) -> ChainWitness:
     """
     if f.n < 1:
         raise PreconditionError("family has no members")
-    order, _ = _labeling(f)
+    prof = family_profile(f)
+    order, columns = prof.order, prof.columns
     m = f.universe_size
     members = f.members
     pair_witnesses: dict[tuple[int, int], int] = {}
     for i in range(1, m + 1):
         xi = order[i - 1]
+        avoiding = ~columns[xi]
         for j in range(i + 1, m + 1):
             xj = order[j - 1]
-            w = next((a for a in members if not a >> xi & 1 and a >> xj & 1), None)
-            if w is None:
+            hits = columns[xj] & avoiding
+            if not hits:
                 raise PreconditionError(
                     f"elements {xi} and {xj} are not separated: every member "
                     f"containing {xj} also contains {xi}")
-            pair_witnesses[(i, j)] = w
+            pair_witnesses[(i, j)] = _first_member(members, hits)
     chain: list[int] = []
     if m >= 1:
         chain.append(f.covered_mask)
@@ -121,7 +102,7 @@ def falgas_ravry_chain(f: SetFamily) -> ChainWitness:
         order=order,
         chain=tuple(chain),
         pair_witnesses=pair_witnesses,
-        m_sets=m_sets(f),
+        m_sets=prof.m_sets,
         empty_set_member=bool(members and members[0] == 0),
     )
 
@@ -132,7 +113,8 @@ def verify_chain_witness(f: SetFamily, w: ChainWitness) -> list[str]:
     m = f.universe_size
     members = set(f.members)
     order = w.order
-    if order != frequency_profile(f).order:
+    prof = family_profile(f)
+    if order != prof.order:
         issues.append("order does not match the frequency labeling")
         return issues
     suffix = [0] * (m + 1)
@@ -183,7 +165,7 @@ def verify_chain_witness(f: SetFamily, w: ChainWitness) -> list[str]:
 
     if m >= 1 and f.n >= 1:
         top = order[-1]
-        if element_frequencies(f)[top] < m:
+        if prof.freq[top] < m:
             issues.append(
                 f"top element {top} has frequency below the universe size {m}")
     return issues
@@ -217,11 +199,10 @@ class TransversalReport:
 
 def max_index_elements(f: SetFamily) -> int:
     """Mask of elements that are the top-ranked element of some member."""
-    _, rank = _labeling(f)
     tilde = 0
-    for mask in f.members:
-        if mask:
-            tilde |= 1 << _top_element(mask, rank)
+    for x, topped in enumerate(family_profile(f).tops):
+        if topped:
+            tilde |= 1 << x
     return tilde
 
 
@@ -231,13 +212,9 @@ def a_sets(f: SetFamily) -> dict[int, int]:
     Keys are element ids (ascending); each key element belongs to its own
     union, and members topped by rank i avoid all ranks above i.
     """
-    _, rank = _labeling(f)
-    acc: dict[int, int] = {}
-    for mask in f.members:
-        if mask:
-            x = _top_element(mask, rank)
-            acc[x] = acc.get(x, 0) | mask
-    return {x: acc[x] for x in sorted(acc)}
+    prof = family_profile(f)
+    return {x: sum(1 << y for y, col in enumerate(prof.columns) if col & topped)
+            for x, topped in enumerate(prof.tops) if topped}
 
 
 def minimal_transversal(f: SetFamily) -> TransversalReport:
@@ -249,30 +226,31 @@ def minimal_transversal(f: SetFamily) -> TransversalReport:
     disjoint from the top-element set cannot exist (its own top element is
     in there), so hitting that case raises ContradictionError.
     """
-    order, rank = _labeling(f)
+    prof = family_profile(f)
+    columns = prof.columns
     members = f.members
-    nonempty = [a for a in members if a]
+    empty_member = bool(members and members[0] == 0)
+    nonempty = ((1 << f.n) - 1) & ~int(empty_member)
     tilde = max_index_elements(f)
-    for a in nonempty:
-        if not a & tilde:
-            raise ContradictionError(
-                f"member {a:#x} avoids every top-ranked element")
+    missed = nonempty & ~_meeting(columns, tilde)
+    if missed:
+        a = _first_member(members, missed)
+        raise ContradictionError(f"member {a:#x} avoids every top-ranked element")
     u_hat = tilde
     for x in elements_of(tilde):
         cand = u_hat & ~(1 << x)
-        if all(a & cand for a in nonempty):
+        if _meeting(columns, cand) == nonempty:
             u_hat = cand
     k = u_hat.bit_count()
 
     witnesses: dict[int, int] = {}
     for x in elements_of(u_hat):
-        bit = 1 << x
-        w = next((a for a in members if a & u_hat == bit), None)
-        if w is None:
+        exact = columns[x] & ~_meeting(columns, u_hat & ~(1 << x))
+        if not exact:
             raise ContradictionError(
                 f"no member meets the transversal exactly in element {x}; "
                 "the transversal is not inclusion-minimal")
-        witnesses[x] = w
+        witnesses[x] = _first_member(members, exact)
 
     xs = elements_of(u_hat)
     pb: dict[int, int] = {}
@@ -288,13 +266,12 @@ def minimal_transversal(f: SetFamily) -> TransversalReport:
             p |= witnesses[x]
         pb[b] = p
 
-    empty_member = bool(members and members[0] == 0)
     chosen = set(pb.values())
     if empty_member:
         chosen.add(0)
     full_extra = sum(1 for a in members if a & u_hat == u_hat and a not in chosen)
     return TransversalReport(
-        order=order,
+        order=prof.order,
         tilde_u=tilde,
         a_sets=a_sets(f),
         u_hat=u_hat,
@@ -311,14 +288,12 @@ def verify_transversal(f: SetFamily, tr: TransversalReport) -> list[str]:
     issues: list[str] = []
     members = set(f.members)
     nonempty = [a for a in f.members if a]
-    order = tr.order
-    if order != frequency_profile(f).order:
+    prof = family_profile(f)
+    if tr.order != prof.order:
         issues.append("order does not match the frequency labeling")
         return issues
     m = f.universe_size
-    rank = [0] * m
-    for r, x in enumerate(order):
-        rank[x] = r
+    rank = prof.rank
 
     if tr.u_hat & ~tr.tilde_u:
         issues.append("transversal is not a subset of the top-element set")
@@ -368,7 +343,7 @@ def verify_transversal(f: SetFamily, tr: TransversalReport) -> list[str]:
     if full_extra != tr.full_sets_not_in_p:
         issues.append(f"full-set count {tr.full_sets_not_in_p} != recomputed {full_extra}")
 
-    ms = m_sets(f)
+    ms = prof.m_sets
     if sorted(tr.a_sets) != elements_of(tr.tilde_u):
         issues.append("a_sets keys differ from the top-element set")
     for x, ax in tr.a_sets.items():
@@ -421,7 +396,7 @@ def counting_audit(f: SetFamily) -> CountingAudit:
     """
     tr = minimal_transversal(f)
     m, n, k = f.universe_size, f.n, tr.k
-    counts = element_frequencies(f)
+    counts = family_profile(f).freq
     c = (max(counts) - m) if m >= 1 else 0
 
     u_hat_elems = elements_of(tr.u_hat)

@@ -327,6 +327,15 @@ class TestVerify:
         assert code == 0
         assert "total_families: 5" in out.splitlines()
 
+    def test_bad_ndjson_line_exits_one_without_report(self, capsys, tmp_path):
+        _, ndjson, _ = run(capsys, "enumerate", "--m", "1", "--format", "json")
+        p = tmp_path / "corpus.ndjson"
+        p.write_text(ndjson + "\n{not json\n" + ndjson)
+        code, out, err = run(capsys, "verify", "--input", str(p))
+        assert code == 1
+        assert out == ""
+        assert f"line {len(ndjson.splitlines()) + 2}:" in err
+
     def test_needs_source(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 2
@@ -357,3 +366,19 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["enumerate"])  # --m is required
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--m", "13", "--n", "-5"],
+        ["random", "--m", "8", "--count", "-1"],
+        ["verify", "--random", "--m", "8", "--count", "-3"],
+        ["enumerate", "--mode", "generators", "--m", "3", "--max-generators", "-1"],
+        ["verify", "--mode", "generators", "--m", "3", "--max-generators", "-1"],
+    ], ids=["bounds-n", "random-count", "verify-count",
+            "enumerate-max-generators", "verify-max-generators"])
+    def test_negative_count_rejected_by_argparse(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be non-negative" in captured.err

@@ -1,0 +1,193 @@
+"""Fast family kernels against naive reference versions.
+
+The package derives frequencies, separation, m-sets and witnesses from
+bit-sliced columns and checks union-closure through join-irreducibles.  The
+loops below are the direct definitions; property tests check that both
+agree on random families with up to 8 elements, union-closed or not.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ucsets import (
+    column_signatures,
+    corpus_verify,
+    element_frequencies,
+    family_from_masks,
+    find_union_gap,
+    find_unseparated_pair,
+    frequency_profile,
+    is_separating,
+    is_union_closed,
+    make_family,
+    separating_quotient,
+    union_closure,
+)
+from ucsets.family import family_profile
+from ucsets.witnesses import (
+    a_sets,
+    falgas_ravry_chain,
+    m_sets,
+    max_index_elements,
+)
+
+# -- naive reference versions ----------------------------------------------
+
+
+def naive_union_gap(f):
+    """Every pair of members in canonical order; the first missing union."""
+    members = f.members
+    present = set(members)
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
+            if a | b not in present:
+                return a, b
+    return None
+
+
+def naive_frequencies(f):
+    """Per member, count each element it contains."""
+    counts = [0] * f.universe_size
+    for mask in f.members:
+        for x in range(f.universe_size):
+            if mask >> x & 1:
+                counts[x] += 1
+    return counts
+
+
+def naive_columns(f):
+    """Per member, set its index bit in the column of each element it contains."""
+    sigs = [0] * f.universe_size
+    for idx, mask in enumerate(f.members):
+        for x in range(f.universe_size):
+            if mask >> x & 1:
+                sigs[x] |= 1 << idx
+    return sigs
+
+
+def naive_unseparated_pair(f):
+    sigs = naive_columns(f)
+    for y in range(f.universe_size):
+        for x in range(y):
+            if sigs[x] == sigs[y]:
+                return x, y
+    return None
+
+
+def naive_order(f):
+    counts = naive_frequencies(f)
+    return tuple(sorted(range(f.universe_size), key=lambda x: (counts[x], x)))
+
+
+def naive_top(mask, order):
+    return max((x for x in order if mask >> x & 1), key=order.index)
+
+
+def naive_m_sets(f):
+    out = [f.covered_mask]
+    for x in naive_order(f):
+        u = 0
+        for mask in f.members:
+            if not mask >> x & 1:
+                u |= mask
+        out.append(u)
+    return tuple(out)
+
+
+def naive_a_sets(f):
+    order = naive_order(f)
+    acc = {}
+    for mask in f.members:
+        if mask:
+            x = naive_top(mask, order)
+            acc[x] = acc.get(x, 0) | mask
+    return dict(sorted(acc.items()))
+
+
+def naive_pair_witnesses(f):
+    order = naive_order(f)
+    m = f.universe_size
+    return {(i, j): next(a for a in f.members
+                         if not a >> order[i - 1] & 1 and a >> order[j - 1] & 1)
+            for i in range(1, m + 1) for j in range(i + 1, m + 1)}
+
+
+# -- strategies ------------------------------------------------------------
+
+
+@st.composite
+def families(draw, max_m=8):
+    """Random families over m <= max_m elements, unused ids allowed; half of
+    them are closed under union first."""
+    m = draw(st.integers(0, max_m))
+    masks = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=24))
+    f = family_from_masks(masks, universe_size=m, padded=True)
+    return union_closure(f) if draw(st.booleans()) else f
+
+
+def separating_union_closed(f):
+    q, _ = separating_quotient(union_closure(f))
+    return q
+
+
+# -- properties ------------------------------------------------------------
+
+SETTINGS = settings(max_examples=300, deadline=None)
+
+
+@SETTINGS
+@given(families())
+def test_union_gap_matches_pairwise_scan(f):
+    expected = naive_union_gap(f)
+    assert find_union_gap(f) == expected
+    assert is_union_closed(f) == (expected is None)
+
+
+@SETTINGS
+@given(families())
+def test_frequencies_and_columns_match_member_loops(f):
+    assert element_frequencies(f) == naive_frequencies(f)
+    assert column_signatures(f) == naive_columns(f)
+    assert find_unseparated_pair(f) == naive_unseparated_pair(f)
+    assert is_separating(f) == (naive_unseparated_pair(f) is None)
+    prof = frequency_profile(f)
+    assert prof.freq == dict(enumerate(naive_frequencies(f)))
+    assert prof.order == naive_order(f)
+
+
+@SETTINGS
+@given(families())
+def test_m_sets_and_top_elements_match_member_loops(f):
+    assert m_sets(f) == naive_m_sets(f)
+    expected = naive_a_sets(f)
+    assert a_sets(f) == expected
+    assert max_index_elements(f) == sum(1 << x for x in expected)
+
+
+@SETTINGS
+@given(families(max_m=6))
+def test_pair_witnesses_match_first_member_scan(f):
+    g = separating_union_closed(f)
+    if g.n >= 1:
+        assert falgas_ravry_chain(g).pair_witnesses == naive_pair_witnesses(g)
+
+
+def test_consecutive_families_keep_their_own_profiles():
+    # Same universe and member count, different members: a profile carried
+    # over from one family would give the other wrong frequencies.
+    f = make_family([set(), {0}, {0, 1}, {0, 1, 2}])
+    g = make_family([set(), {2}, {1, 2}, {0, 1, 2}])
+    for first, second in ((f, g), (g, f)):
+        assert element_frequencies(first) == naive_frequencies(first)
+        assert element_frequencies(second) == naive_frequencies(second)
+        assert m_sets(second) == naive_m_sets(second)
+        assert a_sets(second) == naive_a_sets(second)
+    assert family_profile(f) is not family_profile(g)
+    assert corpus_verify([f, g]).ok
+    broken = make_family([{0}, {1}, {0, 1, 2}])
+    rep = corpus_verify([f, broken, g])
+    assert rep.rejections == [("{{0},{1},{0,1,2}}",
+                               "not union-closed: the union of {0} and {1} is missing")]
+    assert rep.separating_count == 2
+    # the profile is kept beside the family, never on it
+    assert set(vars(f)) == {"universe_size", "members"}
