@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ContradictionError, DomainError
-from .family import SetFamily, family_profile, frankl_witnesses
-from .witnesses import falgas_ravry_chain
+from .family import SetFamily, frankl_witnesses
+from .witnesses import falgas_ravry_chain, verify_chain_witness
 
 TOLERANCE = 1e-9
 
@@ -180,20 +180,15 @@ def lemma_bound(f: SetFamily) -> bool:
     When the bound holds for a non-degenerate separating union-closed
     family, the chain witness yields m pairwise distinct members all
     containing the top-frequency element, so its frequency is at least
-    m >= n/2 and the witness property follows.  A failure of that mechanism
-    is a contradiction, not report data.
+    m >= n/2 and the witness property follows.  A chain that fails
+    verify_chain_witness is a contradiction, not report data.
     """
     m, n = f.universe_size, f.n
     ok = n <= 2 * m
     if ok and n >= 1 and m >= 1:
-        w = falgas_ravry_chain(f)
-        top = w.order[-1]
-        if len(set(w.chain)) != len(w.chain):
-            raise ContradictionError("chain entries are not pairwise distinct")
-        if any(not entry >> top & 1 for entry in w.chain):
-            raise ContradictionError("top element missing from a chain entry")
-        if family_profile(f).freq[top] < m:
-            raise ContradictionError("top element frequency fell below m")
+        issues = verify_chain_witness(f, falgas_ravry_chain(f))
+        if issues:
+            raise ContradictionError(issues[0])
     return ok
 
 

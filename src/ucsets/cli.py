@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import sys
 from typing import Any, Iterator
 
@@ -44,10 +43,12 @@ from .formats import (
     bounds_to_json,
     chain_to_json,
     corpus_to_json,
+    decode_json,
     family_from_json_dict,
     family_to_json_dict,
     family_to_text,
     parse_family_json,
+    parse_family_text,
     parse_members_text,
     to_json,
     transversal_to_json,
@@ -95,7 +96,7 @@ def load_family(path: str) -> SetFamily:
         dupes = len(masks) - len(set(masks))
         if dupes:
             _warn(f"{dupes} duplicate member line(s) collapsed")
-        fam = family_from_masks(set(masks))
+        fam = family_from_masks(masks)
     if not fam.covers_universe:
         fam, kept = drop_unused_elements(fam)
         _warn(f"unused element ids dropped; {len(kept)} of the declared "
@@ -234,7 +235,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         print(f"empty_set_member: {str(tr.empty_set_member).lower()}")
         print(f"full_sets_not_in_p: {tr.full_sets_not_in_p}")
         return 0
-    audit = counting_audit(f)
+    audit = counting_audit(f, minimal_transversal(f))
     if args.format == "json":
         print(to_json(audit_to_json(audit)))
         return 0
@@ -308,7 +309,7 @@ def _read_corpus(path: str) -> Iterator[SetFamily]:
             if head.strip():
                 break
         if not head.lstrip().startswith("{"):
-            yield family_from_masks(set(parse_members_text(head + fh.read())))
+            yield parse_family_text(head + fh.read())
             return
         # splitlines() on each read line keeps the line numbers of the
         # whole-text split, which also breaks at form feeds and the like.
@@ -318,12 +319,7 @@ def _read_corpus(path: str) -> Iterator[SetFamily]:
             line = line.strip()
             if not line:
                 continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FamilyParseError(
-                    f"invalid JSON: {exc.msg}", line=lineno) from None
-            yield family_from_json_dict(doc)
+            yield family_from_json_dict(decode_json(line, lineno))
 
 
 def _verify_corpus_from_args(args: argparse.Namespace):

@@ -16,6 +16,9 @@ from typing import Iterable, Iterator, Sequence
 from .errors import CapacityError, DomainError
 
 MAX_UNIVERSE = 64
+# Member budget of a union closure: folding in one generator at most
+# doubles the closure, so the check runs before the set grows.
+MAX_MEMBERS = 1 << 20
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -177,11 +180,16 @@ def closure_of_masks(masks: Iterable[int]) -> list[int]:
 
     Incremental: if C is already union-closed, then C + g closes as
     C | {g} | {g|c for c in C}, so one pass over the generators suffices.
+    Raises CapacityError before a fold could take the closure past
+    MAX_MEMBERS members.
     """
     closed: set[int] = set()
     for g in masks:
         if g in closed:
             continue
+        if 2 * len(closed) + 1 > MAX_MEMBERS:
+            raise CapacityError(
+                f"union closure could exceed the {MAX_MEMBERS}-member budget")
         closed |= {g | c for c in closed}
         closed.add(g)
     return sorted(closed)

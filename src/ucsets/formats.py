@@ -16,7 +16,7 @@ import json
 from typing import Any
 
 from .bounds import BoundReport
-from .errors import CapacityError, FamilyParseError
+from .errors import CapacityError, DomainError, FamilyParseError
 from .family import (
     MAX_UNIVERSE,
     SetFamily,
@@ -101,25 +101,42 @@ def family_from_json_dict(doc: Any) -> SetFamily:
         if not isinstance(ids, list) or any(
                 not isinstance(x, int) or isinstance(x, bool) for x in ids):
             raise FamilyParseError(f"members[{i}] must be an array of integers")
-        if any(x < 0 for x in ids):
-            raise FamilyParseError(f"members[{i}] contains a negative element id")
-        if any(x >= MAX_UNIVERSE for x in ids):
+        try:
+            masks.append(mask_of(ids))
+        except DomainError:
             raise FamilyParseError(
-                f"members[{i}] exceeds the {MAX_UNIVERSE}-element capacity")
-        masks.append(mask_of(ids))
-    masks = sorted(set(masks))
+                f"members[{i}] contains a negative element id") from None
+        except CapacityError:
+            raise FamilyParseError(
+                f"members[{i}] exceeds the {MAX_UNIVERSE}-element capacity") from None
     try:
         return family_from_masks(masks, m, padded=True)
     except (ValueError, CapacityError) as exc:
         raise FamilyParseError(str(exc)) from None
 
 
-def parse_family_json(text: str) -> SetFamily:
+def decode_json(text: str, line: int | None = None) -> Any:
+    """json.loads with every decoding failure raised as FamilyParseError.
+
+    line, when given, is the input line the text came from (NDJSON);
+    otherwise the decoder's own line number is reported.  Nesting too deep
+    for the decoder's recursion and integers past Python's digit limit are
+    parse errors as well.
+    """
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FamilyParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
-    return family_from_json_dict(doc)
+        if line is None:
+            raise FamilyParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
+        raise FamilyParseError(f"invalid JSON: {exc.msg}", line=line) from None
+    except RecursionError:
+        raise FamilyParseError("invalid JSON: nested too deeply", line=line) from None
+    except ValueError as exc:
+        raise FamilyParseError(f"invalid JSON: {exc}", line=line) from None
+
+
+def parse_family_json(text: str) -> SetFamily:
+    return family_from_json_dict(decode_json(text))
 
 
 def round12(x: float) -> float:

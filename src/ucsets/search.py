@@ -15,11 +15,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .bounds import applicability, lemma_bound
+from .bounds import applicability
 from .errors import CapacityError, DomainError
 from .family import (
     SetFamily,
     closure_of_masks,
+    drop_unused_elements,
     elements_of,
     family_label,
     family_profile,
@@ -44,27 +45,13 @@ CANONICAL_LIMIT = 8
 FILTERS = ("all", "validated", "separating")
 
 
-def _compress_masks(masks: list[int]) -> SetFamily:
-    covered = 0
-    for a in masks:
-        covered |= a
-    pos = [-1] * covered.bit_length()
-    new = 0
-    rest = covered
-    while rest:
-        low = rest & -rest
-        pos[low.bit_length() - 1] = new
-        new += 1
-        rest ^= low
-    members = tuple(sorted(relabel_mask(a, pos) for a in masks))
-    return SetFamily(new, members)
-
-
-def _passes(fam: SetFamily, covered: int, ambient_full: int, family_filter: str) -> bool:
+def _passes(fam: SetFamily, m: int, family_filter: str) -> bool:
+    """Filter a compressed family; it covered the ambient universe exactly
+    when compression kept all m elements."""
     if family_filter == "all":
         return True
     if family_filter == "validated":
-        return covered == ambient_full
+        return fam.universe_size == m
     if family_filter == "separating":
         return is_separating(fam)
     raise DomainError(f"unknown filter {family_filter!r}; expected one of {FILTERS}")
@@ -110,7 +97,6 @@ def enumerate_union_closed(m: int, mode: str = "exhaustive", *,
 
 def _enumerate_exhaustive(m: int, family_filter: str) -> Iterator[SetFamily]:
     p = 1 << m
-    ambient_full = (1 << m) - 1
     for code in range(1 << p):
         masks = [i for i in range(p) if code >> i & 1]
         ok = True
@@ -123,28 +109,20 @@ def _enumerate_exhaustive(m: int, family_filter: str) -> Iterator[SetFamily]:
                 break
         if not ok:
             continue
-        covered = 0
-        for a in masks:
-            covered |= a
-        fam = _compress_masks(masks)
-        if _passes(fam, covered, ambient_full, family_filter):
+        fam, _ = drop_unused_elements(SetFamily(m, tuple(masks)))
+        if _passes(fam, m, family_filter):
             yield fam
 
 
 def _enumerate_generators(m: int, family_filter: str,
                           max_generators: int | None) -> Iterator[SetFamily]:
     p = 1 << m
-    ambient_full = (1 << m) - 1
     top = p if max_generators is None else min(max_generators, p)
     seen: set[SetFamily] = set()
     for size in range(top + 1):
         for combo in itertools.combinations(range(p), size):
-            closure = closure_of_masks(combo)
-            covered = 0
-            for a in closure:
-                covered |= a
-            fam = _compress_masks(closure)
-            if not _passes(fam, covered, ambient_full, family_filter):
+            fam, _ = drop_unused_elements(SetFamily(m, tuple(closure_of_masks(combo))))
+            if not _passes(fam, m, family_filter):
                 continue
             canon = canonical_form(fam)
             if canon not in seen:
@@ -195,9 +173,10 @@ def random_family(m: int, generators: int, seed: int) -> SetFamily:
 
     Draws `generators` non-empty subsets of an m-element universe from the
     splitmix64 stream (each draw takes the low m bits of the next output,
-    redrawing zero), closes them under union, compresses to the covered
-    elements, and collapses duplicate membership columns.  The same
-    (m, generators, seed) triple yields a bit-identical family everywhere.
+    redrawing zero), closes them under union, and takes the separating
+    quotient, which drops unused elements and collapses duplicate
+    membership columns.  The same (m, generators, seed) triple yields a
+    bit-identical family everywhere.
     """
     if not 1 <= m <= 64:
         raise CapacityError(f"m must be in 1..64, got {m}")
@@ -210,9 +189,7 @@ def random_family(m: int, generators: int, seed: int) -> SetFamily:
         v = next(stream) & full
         if v:
             drawn.append(v)
-    closed = closure_of_masks(drawn)
-    fam = _compress_masks(closed)
-    quotient, _ = separating_quotient(fam)
+    quotient, _ = separating_quotient(SetFamily(m, tuple(closure_of_masks(drawn))))
     return quotient
 
 
@@ -278,14 +255,14 @@ def corpus_verify(corpus: Iterable[SetFamily]) -> CorpusReport:
         for issue in verify_transversal(f, tr):
             rep.invariant_failures.append((family_label(f), "transversal: " + issue))
 
-        audit = counting_audit(f)
+        audit = counting_audit(f, tr)
         for name, passed in audit.bullets_ok.items():
             if not passed:
                 rep.audit_failures.append((family_label(f), name))
         if not audit.inequality_holds:
             rep.audit_failures.append((family_label(f), "inequality"))
 
-        if lemma_bound(f) and f.n >= 1 and f.universe_size >= 1:
+        if 1 <= f.n <= 2 * f.universe_size:
             if 2 * family_profile(f).freq[w.order[-1]] < f.n:
                 rep.invariant_failures.append((
                     family_label(f),

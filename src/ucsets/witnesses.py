@@ -388,13 +388,13 @@ class CountingAudit:
     inequality_holds: bool
 
 
-def counting_audit(f: SetFamily) -> CountingAudit:
-    """Run the member-count audit against the transversal structure.
+def counting_audit(f: SetFamily, tr: TransversalReport) -> CountingAudit:
+    """Run the member-count audit against the transversal structure tr.
 
-    pre: f union-closed, separating, validated.  Never raises on a violated
-    summary claim; those become False bullets and inequality_holds=False.
+    pre: f union-closed, separating, validated, and tr its minimal
+    transversal.  Never raises on a violated summary claim; those become
+    False bullets and inequality_holds=False.
     """
-    tr = minimal_transversal(f)
     m, n, k = f.universe_size, f.n, tr.k
     counts = family_profile(f).freq
     c = (max(counts) - m) if m >= 1 else 0
@@ -406,21 +406,16 @@ def counting_audit(f: SetFamily) -> CountingAudit:
     p_family_size = (1 << k) - 1 + (1 if tr.empty_set_member else 0)
 
     chosen = set(tr.pb_family.values())
-    if tr.empty_set_member:
-        chosen.add(0)
     full_extra = tr.full_sets_not_in_p
-    other_nonempty = sum(
-        1 for a in f.members
-        if a and a not in chosen and a & tr.u_hat != tr.u_hat)
+    others = [a for a in f.members
+              if a and a not in chosen and a & tr.u_hat != tr.u_hat]
 
     rhs = k * (m + c) + ((1 << k) - k * (1 << k >> 1)) + (m - k) * (1 - k)
     bullets = {
         "frequency_cap": all(counts[x] <= m + c for x in u_hat_elems),
         "p_family_incidences": p_incidences == k * (1 << k >> 1),
         "full_sets": full_extra >= m - k,
-        "remaining_touch": all(
-            a & tr.u_hat for a in f.members
-            if a and a not in chosen and a & tr.u_hat != tr.u_hat),
+        "remaining_touch": all(a & tr.u_hat for a in others),
     }
     return CountingAudit(
         m=m, n=n, k=k, c=c,
@@ -429,7 +424,7 @@ def counting_audit(f: SetFamily) -> CountingAudit:
         p_incidences=p_incidences,
         p_family_size=p_family_size,
         full_extra=full_extra,
-        other_nonempty=other_nonempty,
+        other_nonempty=len(others),
         rhs=rhs,
         bullets_ok=bullets,
         inequality_holds=n <= rhs,

@@ -109,7 +109,7 @@ def test_criterion_4_counting_inequality(separating_corpora, random_corpus):
     failures = []
     for corpus in list(separating_corpora.values()) + [random_corpus]:
         for f in corpus:
-            audit = counting_audit(f)
+            audit = counting_audit(f, minimal_transversal(f))
             if not audit.inequality_holds:
                 failures.append(
                     f"{f.members}: n={audit.n} exceeds rhs={audit.rhs}")

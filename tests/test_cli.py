@@ -6,6 +6,7 @@ import json
 import jsonschema
 import pytest
 
+from ucsets import family
 from ucsets.cli import main
 from ucsets.formats import load_schema
 
@@ -343,6 +344,25 @@ class TestVerify:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("command", [["analyze"], ["verify", "--input"]],
+                             ids=["analyze", "verify"])
+    def test_deeply_nested_json_exits_one(self, capsys, tmp_path, command):
+        depth = 200_000
+        p = tmp_path / "deep.json"
+        p.write_text('{"universe_size": 1, "members": '
+                     + "[" * depth + "]" * depth + "}\n")
+        code, out, err = run(capsys, *command, str(p))
+        assert code == 1
+        assert out == ""
+        assert "nested too deeply" in err
+
+    def test_member_budget_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(family, "MAX_MEMBERS", 1 << 12)
+        code, out, err = run(capsys, "random", "--m", "64", "--generators", "40")
+        assert code == 2
+        assert out == ""
+        assert "member budget" in err
+
     def test_parse_error_exit_one(self, capsys, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("0\nx\n")

@@ -23,6 +23,8 @@ from ucsets import (
     separating_quotient,
     union_closure,
 )
+from ucsets import family
+from ucsets.family import closure_of_masks
 
 CHAIN = make_family([{2}, {1, 2}, {0, 1, 2}])
 TRI = make_family([{0}, {1}, {0, 1}])
@@ -231,3 +233,16 @@ def test_drop_unused_elements():
 def test_iteration_and_len():
     assert list(TRI) == [0b01, 0b10, 0b11]
     assert len(TRI) == 3
+
+
+def test_closure_member_budget(monkeypatch):
+    # Six singletons close to 2**6 - 1 members; the budget is checked before
+    # each fold, against the largest size that fold could reach.
+    singletons = [1 << x for x in range(6)]
+    monkeypatch.setattr(family, "MAX_MEMBERS", 63)
+    assert len(closure_of_masks(singletons)) == 63
+    monkeypatch.setattr(family, "MAX_MEMBERS", 62)
+    with pytest.raises(CapacityError, match="62-member budget"):
+        closure_of_masks(singletons)
+    with pytest.raises(CapacityError):
+        union_closure(make_family([{x} for x in range(6)]))

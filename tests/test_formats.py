@@ -180,7 +180,7 @@ class TestReportSerialization:
         assert doc["k"] == len(doc["u_hat"])
 
     def test_audit_document(self):
-        doc = audit_to_json(counting_audit(TRI))
+        doc = audit_to_json(counting_audit(TRI, minimal_transversal(TRI)))
         assert doc["m"] == 2 and doc["n"] == 3
         assert doc["rhs"] == 4
         assert doc["inequality_holds"] is True
@@ -245,7 +245,7 @@ class TestBundledSchemas:
         cases = [
             ("chain", chain_to_json(falgas_ravry_chain(TRI))),
             ("transversal", transversal_to_json(minimal_transversal(TRI))),
-            ("audit", audit_to_json(counting_audit(TRI))),
+            ("audit", audit_to_json(counting_audit(TRI, minimal_transversal(TRI)))),
             ("bounds", bounds_to_json(bound_report(13, 40))),
             ("bounds", bounds_to_json(bound_report(0))),
             ("corpus", corpus_to_json(corpus_verify([TRI]))),
@@ -259,5 +259,5 @@ class TestBundledSchemas:
                             load_schema("chain"))
         jsonschema.validate(transversal_to_json(minimal_transversal(f)),
                             load_schema("transversal"))
-        jsonschema.validate(audit_to_json(counting_audit(f)),
+        jsonschema.validate(audit_to_json(counting_audit(f, minimal_transversal(f))),
                             load_schema("audit"))

@@ -1,9 +1,12 @@
 """Enumeration, canonical forms, the seeded generator, corpus verification."""
 
+from dataclasses import replace
+
 import pytest
 
 from ucsets import (
     CapacityError,
+    ContradictionError,
     DomainError,
     canonical_form,
     corpus_verify,
@@ -11,10 +14,12 @@ from ucsets import (
     family_from_masks,
     find_union_gap,
     is_separating,
+    lemma_bound,
     make_family,
     random_family,
     splitmix64,
 )
+from ucsets import bounds, search, witnesses
 from ucsets.family import closure_of_masks
 from ucsets.search import (
     CANONICAL_LIMIT,
@@ -256,3 +261,49 @@ class TestCorpusVerify:
         corpus = [canonical_form(f) for f in enumerate_union_closed(2)]
         rep = corpus_verify(corpus)
         assert rep.ok
+
+
+class TestOnePass:
+    """corpus_verify builds each witness once and checks each claim once."""
+
+    def test_one_chain_and_one_transversal_per_family(self, monkeypatch,
+                                                       separating_corpora):
+        calls = {"falgas_ravry_chain": 0, "minimal_transversal": 0}
+
+        def counting(name):
+            original = getattr(witnesses, name)
+
+            def wrapper(f):
+                calls[name] += 1
+                return original(f)
+            return wrapper
+
+        for name in calls:
+            wrapper = counting(name)
+            for module in (search, witnesses, bounds):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        for m in range(4):
+            for f in separating_corpora[m]:
+                for name in calls:
+                    calls[name] = 0
+                rep = corpus_verify([f])
+                assert rep.ok and rep.separating_count == 1
+                assert calls["falgas_ravry_chain"] <= 1, f
+                assert calls["minimal_transversal"] == 1, f
+
+    def test_broken_chain_is_still_caught(self, monkeypatch):
+        real = witnesses.falgas_ravry_chain
+
+        def duplicated(f):
+            w = real(f)
+            return replace(w, chain=(w.chain[0],) * len(w.chain))
+
+        tri = make_family([{0}, {1}, {0, 1}])
+        monkeypatch.setattr(bounds, "falgas_ravry_chain", duplicated)
+        with pytest.raises(ContradictionError):
+            lemma_bound(tri)
+        monkeypatch.setattr(search, "falgas_ravry_chain", duplicated)
+        rep = corpus_verify([tri])
+        assert ("{{0},{1},{0,1}}", "chain: chain entries are not pairwise distinct") \
+            in rep.invariant_failures

@@ -174,7 +174,7 @@ class TestTransversal:
 
 class TestCountingAudit:
     def test_tri_family(self):
-        a = counting_audit(TRI)
+        a = counting_audit(TRI, minimal_transversal(TRI))
         assert (a.m, a.n, a.k, a.c) == (2, 3, 2, 0)
         assert a.rhs == 4
         assert a.incidence_total == 4
@@ -185,32 +185,32 @@ class TestCountingAudit:
         assert all(a.bullets_ok.values())
 
     def test_chain_family(self):
-        a = counting_audit(CHAIN)
+        a = counting_audit(CHAIN, minimal_transversal(CHAIN))
         assert (a.k, a.c, a.rhs, a.n) == (1, 0, 4, 3)
         assert a.inequality_holds
 
     def test_single_member(self):
-        a = counting_audit(SINGLE)
+        a = counting_audit(SINGLE, minimal_transversal(SINGLE))
         assert (a.m, a.n, a.k, a.c, a.rhs) == (1, 1, 1, 0, 2)
         assert a.inequality_holds
 
     def test_accounting_identity(self):
         for f in (CHAIN, TRI, SINGLE, make_family([set(), {0}]),
                   union_closure(make_family([{0}, {1}, {2}]))):
-            a = counting_audit(f)
+            a = counting_audit(f, minimal_transversal(f))
             assert a.n == a.p_family_size + a.full_extra + a.other_nonempty
             assert a.incidence_total <= a.incidence_upper
 
     def test_empty_set_member_counted(self):
         f = make_family([set(), {0}])
-        a = counting_audit(f)
+        a = counting_audit(f, minimal_transversal(f))
         assert a.p_family_size == 2  # singleton pattern plus the empty set
         assert a.n == 2
 
     def test_degenerate_families(self):
-        a = counting_audit(make_family([]))
+        a = counting_audit(make_family([]), minimal_transversal(make_family([])))
         assert (a.n, a.k, a.rhs) == (0, 0, 1)
         assert a.inequality_holds
-        a = counting_audit(make_family([set()]))
+        a = counting_audit(make_family([set()]), minimal_transversal(make_family([set()])))
         assert (a.n, a.k, a.rhs) == (1, 0, 1)
         assert a.inequality_holds
