@@ -27,6 +27,9 @@ VERDICT_THEOREM = "covered-by-theorem"
 VERDICT_NOT_COVERED = "not-covered"
 
 SMALL_M_LIMIT = 12
+# Every calculus value is at most about 4m, so up to this m all of them are
+# finite floats; somewhat past 2^1022 the conversions overflow.
+CALCULUS_M_LIMIT = 1 << 1000
 
 
 def f_m(m: int, k: int) -> float:

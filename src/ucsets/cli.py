@@ -15,7 +15,7 @@ import itertools
 import sys
 from typing import Any, Iterator
 
-from .bounds import applicability, bound_report
+from .bounds import CALCULUS_M_LIMIT, applicability, bound_report
 from .errors import (
     CapacityError,
     ContradictionError,
@@ -54,6 +54,7 @@ from .formats import (
     transversal_to_json,
 )
 from .search import (
+    FILTERS,
     corpus_verify,
     enumerate_union_closed,
     random_family,
@@ -253,6 +254,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.m < 2:
         raise DomainError(
             f"threshold calculus needs m >= 2 (log2 log2 m undefined), got {args.m}")
+    if args.m > CALCULUS_M_LIMIT:
+        raise CapacityError(
+            "threshold calculus supports m <= 2^1000, where every value is a finite "
+            f"float; got a {args.m.bit_length()}-bit m")
     rep = bound_report(args.m, args.n)
     doc = bounds_to_json(rep)
     if args.format == "json":
@@ -410,8 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "generators"),
                    default="exhaustive")
-    p.add_argument("--filter", choices=("all", "validated", "separating"),
-                   default="separating")
+    p.add_argument("--filter", choices=FILTERS, default="separating")
     p.add_argument("--max-generators", type=_count, default=None)
     add_format(p)
     p.set_defaults(func=cmd_enumerate)
@@ -431,8 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--mode", choices=("exhaustive", "generators"),
                    default="exhaustive")
-    p.add_argument("--filter", choices=("all", "validated", "separating"),
-                   default="separating")
+    p.add_argument("--filter", choices=FILTERS, default="separating")
     p.add_argument("--max-generators", type=_count, default=None)
     p.add_argument("--random", action="store_true",
                    help="verify seeded random families instead of enumerating")

@@ -22,9 +22,11 @@ MAX_MEMBERS = 1 << 20
 
 
 def mask_of(elements: Iterable[int]) -> int:
-    """Pack element ids into a bit mask."""
+    """Pack element ids into a bit mask; ids must be of type int exactly."""
     mask = 0
     for x in elements:
+        if type(x) is not int:
+            raise TypeError(f"element ids must be integers, got {x!r}")
         if x < 0:
             raise DomainError(f"element ids must be non-negative, got {x}")
         if x >= MAX_UNIVERSE:
@@ -98,9 +100,7 @@ def make_family(sets: Iterable[Iterable[int]]) -> SetFamily:
     and the universe size is one past the largest element id used (zero when
     no elements occur at all).
     """
-    masks = sorted({mask_of(s) for s in sets})
-    size = masks[-1].bit_length() if masks else 0
-    return SetFamily(size, tuple(masks))
+    return family_from_masks(mask_of(s) for s in sets)
 
 
 def family_from_masks(masks: Iterable[int],
@@ -354,18 +354,14 @@ def separating_quotient(f: SetFamily) -> tuple[SetFamily, tuple[tuple[int, ...],
     Returns the quotient family and the class partition, where class j of
     the partition is the preimage of the new element j.
     """
-    sigs = family_profile(f).columns
     groups: dict[int, list[int]] = {}
-    for x in range(f.universe_size):
-        if sigs[x]:
-            groups.setdefault(sigs[x], []).append(x)
+    for x, sig in enumerate(family_profile(f).columns):
+        if sig:
+            groups.setdefault(sig, []).append(x)
     classes = sorted(groups.values())
-    reps = [cls[0] for cls in classes]
-    new_members = sorted(
-        sum(1 << j for j, rep in enumerate(reps) if mask >> rep & 1)
-        for mask in f.members
-    )
-    fam = SetFamily(len(classes), tuple(new_members))
+    reps = sum(1 << cls[0] for cls in classes)
+    projected = tuple(sorted(mask & reps for mask in f.members))
+    fam, _ = drop_unused_elements(SetFamily(f.universe_size, projected))
     return fam, tuple(tuple(cls) for cls in classes)
 
 

@@ -98,11 +98,12 @@ def family_from_json_dict(doc: Any) -> SetFamily:
         raise FamilyParseError("members must be an array of arrays")
     masks = []
     for i, ids in enumerate(members):
-        if not isinstance(ids, list) or any(
-                not isinstance(x, int) or isinstance(x, bool) for x in ids):
+        if not isinstance(ids, list):
             raise FamilyParseError(f"members[{i}] must be an array of integers")
         try:
             masks.append(mask_of(ids))
+        except TypeError:
+            raise FamilyParseError(f"members[{i}] must be an array of integers") from None
         except DomainError:
             raise FamilyParseError(
                 f"members[{i}] contains a negative element id") from None
@@ -144,23 +145,19 @@ def round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _ids(mask: int) -> list[int]:
-    return elements_of(mask)
-
-
 def _id_key_map(d: dict[int, int]) -> dict[str, list[int]]:
-    return {str(x): _ids(mask) for x, mask in sorted(d.items())}
+    return {str(x): elements_of(mask) for x, mask in sorted(d.items())}
 
 
 def chain_to_json(w: ChainWitness) -> dict[str, Any]:
     return {
         "order": list(w.order),
-        "chain": [_ids(entry) for entry in w.chain],
+        "chain": [elements_of(entry) for entry in w.chain],
         "pair_witnesses": {
-            f"{i},{j}": _ids(mask)
+            f"{i},{j}": elements_of(mask)
             for (i, j), mask in sorted(w.pair_witnesses.items())
         },
-        "m_sets": [_ids(entry) for entry in w.m_sets],
+        "m_sets": [elements_of(entry) for entry in w.m_sets],
         "m_sets_definition": M_SETS_DEFINITION,
         "empty_set_member": w.empty_set_member,
     }
@@ -169,13 +166,13 @@ def chain_to_json(w: ChainWitness) -> dict[str, Any]:
 def transversal_to_json(tr: TransversalReport) -> dict[str, Any]:
     return {
         "order": list(tr.order),
-        "tilde_u": _ids(tr.tilde_u),
+        "tilde_u": elements_of(tr.tilde_u),
         "a_sets": _id_key_map(tr.a_sets),
-        "u_hat": _ids(tr.u_hat),
+        "u_hat": elements_of(tr.u_hat),
         "k": tr.k,
         "singleton_witnesses": _id_key_map(tr.singleton_witnesses),
         "pb_family": {
-            ",".join(str(x) for x in _ids(b)): _ids(p)
+            ",".join(str(x) for x in elements_of(b)): elements_of(p)
             for b, p in sorted(tr.pb_family.items())
         },
         "empty_set_member": tr.empty_set_member,

@@ -1,17 +1,20 @@
-"""Corpus generation: exhaustive scans, canonical forms, seeded random families.
+"""Corpus generation: exhaustive enumeration, canonical forms, seeded random families.
 
-Exhaustive enumeration walks every subfamily of the power set of an
-m-element ambient universe (2^(2^m) candidates, so m <= 4) and keeps the
-union-closed ones.  Yielded families are compressed to the elements they
-actually cover, which is what the downstream analyses expect.  Everything
-is deterministic: streams come in a fixed order and the random generator is
-a fixed integer recipe, so corpora are bit-identical across runs and
-platforms.
+Exhaustive enumeration builds every union-closed subfamily of the power
+set of an m-element ambient universe (m <= 4) by extension: it decides the
+masks from the top down and adds x to a union-closed F only when each
+union x | a with a in F is x itself or already in F, so it visits only
+union-closed families.
+Yielded families are compressed to the elements they actually cover, which
+is what the downstream analyses expect.  Everything is deterministic:
+streams come in a fixed order and the random generator is a fixed integer
+recipe, so corpora are bit-identical across runs and platforms.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -40,6 +43,7 @@ from .witnesses import (
 
 EXHAUSTIVE_LIMIT = 4
 GENERATOR_LIMIT = 6
+GENERATOR_SUBSET_LIMIT = 1 << 15
 CANONICAL_LIMIT = 8
 
 FILTERS = ("all", "validated", "separating")
@@ -52,9 +56,7 @@ def _passes(fam: SetFamily, m: int, family_filter: str) -> bool:
         return True
     if family_filter == "validated":
         return fam.universe_size == m
-    if family_filter == "separating":
-        return is_separating(fam)
-    raise DomainError(f"unknown filter {family_filter!r}; expected one of {FILTERS}")
+    return is_separating(fam)
 
 
 def enumerate_union_closed(m: int, mode: str = "exhaustive", *,
@@ -63,12 +65,14 @@ def enumerate_union_closed(m: int, mode: str = "exhaustive", *,
                            ) -> Iterator[SetFamily]:
     """Stream union-closed families over an m-element ambient universe.
 
-    Exhaustive mode scans all 2^(2^m) subfamilies of the power set (m <= 4),
-    including the empty family, and yields the union-closed ones in
-    subfamily-code order.  Generator mode (m <= 6) instead closes every
-    subset of at most max_generators power-set masks and yields one canonical
-    representative per isomorphism class, so at m <= 3 with unbounded
-    generators the two modes produce the same canonical forms.
+    Exhaustive mode (m <= 4) yields every union-closed subfamily of the
+    power set, the empty family included, in increasing subfamily-code order
+    (the code of a family sets bit x for each member mask x).  Generator mode
+    (m <= 6) instead closes every subset of at most max_generators power-set
+    masks and yields one canonical representative per isomorphism class, so
+    at m <= 3 with unbounded generators the two modes produce the same
+    canonical forms.  Generator mode closes at most GENERATOR_SUBSET_LIMIT
+    subsets; a larger walk is refused before it starts.
 
     family_filter: "all" keeps every union-closed subfamily, "validated"
     only those covering the full ambient universe, and "separating" (the
@@ -87,40 +91,36 @@ def enumerate_union_closed(m: int, mode: str = "exhaustive", *,
         if not 0 <= m <= GENERATOR_LIMIT:
             raise CapacityError(
                 f"generator enumeration supports m <= {GENERATOR_LIMIT}, got {m}")
-        if max_generators is None and m > 3:
+        p = 1 << m
+        top = p if max_generators is None else min(max_generators, p)
+        walk = sum(math.comb(p, s) for s in range(top + 1))
+        if walk > GENERATOR_SUBSET_LIMIT:
             raise CapacityError(
-                "generator mode needs max_generators for m > 3; the unbounded "
-                "subset walk is only feasible up to m = 3")
-        return _enumerate_generators(m, family_filter, max_generators)
+                f"generator mode would close {walk} generator subsets, above the "
+                f"{GENERATOR_SUBSET_LIMIT} budget; lower max_generators")
+        return _enumerate_generators(m, family_filter, top)
     raise DomainError(f"unknown mode {mode!r}; expected exhaustive or generators")
 
 
 def _enumerate_exhaustive(m: int, family_filter: str) -> Iterator[SetFamily]:
-    p = 1 << m
-    for code in range(1 << p):
-        masks = [i for i in range(p) if code >> i & 1]
-        ok = True
-        for pos_a, a in enumerate(masks):
-            for b in masks[pos_a + 1:]:
-                if not code >> (a | b) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        fam, _ = drop_unused_elements(SetFamily(m, tuple(masks)))
-        if _passes(fam, m, family_filter):
-            yield fam
+    def extend(x: int, chosen: tuple[int, ...], code: int) -> Iterator[SetFamily]:
+        # Masks above x are decided; chosen is union-closed and ascending.
+        if x < 0:
+            fam, _ = drop_unused_elements(SetFamily(m, chosen))
+            if _passes(fam, m, family_filter):
+                yield fam
+            return
+        yield from extend(x - 1, chosen, code)
+        code |= 1 << x
+        if all(code >> (x | a) & 1 for a in chosen):
+            yield from extend(x - 1, (x,) + chosen, code)
+    return extend((1 << m) - 1, (), 0)
 
 
-def _enumerate_generators(m: int, family_filter: str,
-                          max_generators: int | None) -> Iterator[SetFamily]:
-    p = 1 << m
-    top = p if max_generators is None else min(max_generators, p)
+def _enumerate_generators(m: int, family_filter: str, top: int) -> Iterator[SetFamily]:
     seen: set[SetFamily] = set()
     for size in range(top + 1):
-        for combo in itertools.combinations(range(p), size):
+        for combo in itertools.combinations(range(1 << m), size):
             fam, _ = drop_unused_elements(SetFamily(m, tuple(closure_of_masks(combo))))
             if not _passes(fam, m, family_filter):
                 continue

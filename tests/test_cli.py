@@ -6,7 +6,7 @@ import json
 import jsonschema
 import pytest
 
-from ucsets import family
+from ucsets import family, search
 from ucsets.cli import main
 from ucsets.formats import load_schema
 
@@ -234,6 +234,25 @@ class TestBounds:
         assert code == 2
         assert "m >= 2" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_huge_m_rejected(self, capsys, fmt):
+        code, out, err = run(capsys, "bounds", "--m", "1" + "0" * 320, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "m <= 2^1000" in err
+
+    def test_largest_m_is_finite(self, capsys):
+        m = str(2 ** 1000)
+        code, out, _ = run(capsys, "bounds", "--m", m, "--n", m, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("bounds"))
+        assert "inf" not in out and doc["verdict"] == "covered-by-lemma"
+        code, out, _ = run(capsys, "bounds", "--m", m)
+        assert code == 0 and "inf" not in out
+        code, _, _ = run(capsys, "bounds", "--m", str(2 ** 1000 + 1))
+        assert code == 2
+
 
 class TestEnumerate:
     def test_text_labels(self, capsys):
@@ -262,6 +281,17 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--m", "5")
         assert code == 2
         assert "m <= 4" in err
+
+    def test_generator_budget_exit(self, capsys, monkeypatch):
+        # A walk that starts would run for ~2^64 subsets; fail at once instead.
+        def started(masks):
+            raise AssertionError("generator walk started")
+        monkeypatch.setattr(search, "closure_of_masks", started)
+        code, out, err = run(capsys, "enumerate", "--mode", "generators", "--m", "6",
+                             "--max-generators", "64")
+        assert code == 2
+        assert out == ""
+        assert "generator subsets" in err
 
 
 class TestRandom:

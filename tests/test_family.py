@@ -37,6 +37,12 @@ def test_mask_helpers_round_trip():
     assert elements_of(0) == []
 
 
+def test_mask_of_takes_only_ints():
+    for bad in (True, 1.0, "1", None):
+        with pytest.raises(TypeError, match="element ids must be integers"):
+            mask_of([0, bad])
+
+
 def test_make_family_basic():
     f = make_family([{0}, {1}, {0, 1}])
     assert f.universe_size == 2

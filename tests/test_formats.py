@@ -129,6 +129,9 @@ class TestJsonFamilies:
             family_from_json_dict({"universe_size": 1, "members": 3})
         with pytest.raises(FamilyParseError, match=r"members\[1\] must be an array"):
             family_from_json_dict({"universe_size": 1, "members": [[0], [True]]})
+        for bad in ([0.0], ["0"], [None], [[0]], "0", {"0": 1}):
+            with pytest.raises(FamilyParseError, match=r"members\[0\] must be an array"):
+                family_from_json_dict({"universe_size": 1, "members": [bad]})
         with pytest.raises(FamilyParseError, match="negative element id"):
             family_from_json_dict({"universe_size": 1, "members": [[-2]]})
         with pytest.raises(FamilyParseError, match="64-element capacity"):

@@ -1,18 +1,26 @@
 """Fast family kernels against naive reference versions.
 
 The package derives frequencies, separation, m-sets and witnesses from
-bit-sliced columns and checks union-closure through join-irreducibles.  The
-loops below are the direct definitions; property tests check that both
-agree on random families with up to 8 elements, union-closed or not.
+bit-sliced columns, checks union-closure through join-irreducibles and
+builds the exhaustive corpus by extension.  The loops below are the direct
+definitions; property tests check that both agree on random families with
+up to 8 elements, union-closed or not, and the exhaustive streams are
+compared with a scan over every subfamily code for m <= 4.
 """
 
+from functools import lru_cache
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucsets import (
+    SetFamily,
     column_signatures,
     corpus_verify,
+    drop_unused_elements,
     element_frequencies,
+    enumerate_union_closed,
     family_from_masks,
     find_union_gap,
     find_unseparated_pair,
@@ -112,6 +120,41 @@ def naive_pair_witnesses(f):
             for i in range(1, m + 1) for j in range(i + 1, m + 1)}
 
 
+def naive_quotient(f):
+    """Group elements by column; rebuild each member over the class
+    representatives, classes numbered by lowest id."""
+    sigs = naive_columns(f)
+    groups = {}
+    for x in range(f.universe_size):
+        if sigs[x]:
+            groups.setdefault(sigs[x], []).append(x)
+    classes = sorted(groups.values())
+    members = sorted(
+        sum(1 << j for j, cls in enumerate(classes) if mask >> cls[0] & 1)
+        for mask in f.members)
+    return SetFamily(len(classes), tuple(members)), tuple(map(tuple, classes))
+
+
+@lru_cache(maxsize=None)
+def naive_exhaustive(m):
+    """Every subfamily code of P([m]) in increasing order, kept when all
+    pairwise unions are members; compressed as the package yields them."""
+    p = 1 << m
+    out = []
+    for code in range(1 << p):
+        masks = [i for i in range(p) if code >> i & 1]
+        if all(code >> (a | b) & 1 for i, a in enumerate(masks) for b in masks[i + 1:]):
+            out.append(drop_unused_elements(SetFamily(m, tuple(masks)))[0])
+    return out
+
+
+NAIVE_FILTERS = {
+    "all": lambda f, m: True,
+    "validated": lambda f, m: f.universe_size == m,
+    "separating": lambda f, m: naive_unseparated_pair(f) is None,
+}
+
+
 # -- strategies ------------------------------------------------------------
 
 
@@ -191,3 +234,19 @@ def test_consecutive_families_keep_their_own_profiles():
     assert rep.separating_count == 2
     # the profile is kept beside the family, never on it
     assert set(vars(f)) == {"universe_size", "members"}
+
+
+@SETTINGS
+@given(families())
+def test_separating_quotient_matches_member_rebuild(f):
+    assert separating_quotient(f) == naive_quotient(f)
+
+
+@pytest.mark.parametrize("family_filter", sorted(NAIVE_FILTERS))
+@pytest.mark.parametrize("m", range(5))
+def test_exhaustive_stream_matches_code_scan(m, family_filter):
+    keep = NAIVE_FILTERS[family_filter]
+    expected = [f for f in naive_exhaustive(m) if keep(f, m)]
+    got = list(enumerate_union_closed(m, family_filter=family_filter))
+    assert [f.members for f in got] == [f.members for f in expected]
+    assert got == expected

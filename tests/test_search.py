@@ -116,6 +116,15 @@ class TestGeneratorEnumeration:
         with pytest.raises(CapacityError, match="max_generators"):
             list(enumerate_union_closed(4, mode="generators"))
 
+    def test_subset_budget_checked_at_call(self):
+        # Not iterated: a walk over ~2^64 generator subsets never ends.
+        with pytest.raises(CapacityError, match="generator subsets"):
+            enumerate_union_closed(6, mode="generators", max_generators=64)
+        with pytest.raises(CapacityError, match="lower max_generators"):
+            enumerate_union_closed(4, mode="generators", max_generators=8)
+        # 1 + 16 + ... + C(16, 7) = 26 333 subsets fit in the budget
+        enumerate_union_closed(4, mode="generators", max_generators=7)
+
 
 class TestCanonicalForm:
     def test_examples(self):
