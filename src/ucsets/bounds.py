@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
-from .errors import ContradictionError, DomainError
+from .errors import CapacityError, ContradictionError, DomainError
 from .family import SetFamily, frankl_witnesses
 from .witnesses import falgas_ravry_chain, verify_chain_witness
 
@@ -32,10 +33,18 @@ SMALL_M_LIMIT = 12
 CALCULUS_M_LIMIT = 1 << 1000
 
 
+def _check_calculus_m(m: int) -> None:
+    if m > CALCULUS_M_LIMIT:
+        raise CapacityError(
+            "threshold calculus supports m <= 2^1000, where every value is a finite "
+            f"float; got a {m.bit_length()}-bit m")
+
+
 def f_m(m: int, k: int) -> float:
-    """Evaluate 2^(k-1) + m/(k-2) - k - 3; defined for k >= 3, m >= 1."""
+    """Evaluate 2^(k-1) + m/(k-2) - k - 3; defined for k >= 3, 1 <= m <= 2^1000."""
     if m < 1:
         raise DomainError(f"m must be at least 1, got {m}")
+    _check_calculus_m(m)
     if k <= 2:
         raise DomainError(f"f(m, k) has a pole at k = 2; got k = {k}")
     return float(1 << (k - 1)) + m / (k - 2) - k - 3
@@ -81,6 +90,7 @@ def closed_form_threshold(m: int) -> float:
     """
     if m <= 1:
         raise DomainError(f"threshold undefined for m <= 1, got {m}")
+    _check_calculus_m(m)
     lg = math.log2(m)
     denom = lg - math.log2(lg)
     return 2.0 * (m + m / denom)
@@ -90,6 +100,7 @@ def k_prime(m: int) -> float:
     """The analysis point k' = log2 m - log2 log2 m + 2."""
     if m <= 1:
         raise DomainError(f"k' undefined for m <= 1, got {m}")
+    _check_calculus_m(m)
     lg = math.log2(m)
     return lg - math.log2(lg) + 2.0
 
@@ -223,22 +234,20 @@ def verdict_for(m: int, n: int) -> str:
     return VERDICT_NOT_COVERED
 
 
-def bound_report(m: int, n: int | None = None) -> BoundReport:
-    """Assemble the full calculus for universe size m.
+@lru_cache(maxsize=256)
+def _calculus(m: int) -> tuple:
+    """The fields of bound_report(m, n) that depend on m alone.
 
-    Total for every m >= 0: fields whose formulas degenerate (m <= 1) come
-    back None with an explanatory note, so callers classifying degenerate
-    families still get a report.
+    f_values is kept as a tuple of (k, value) pairs so that no report
+    shares a mutable dict with the cache or with another report.
     """
-    if m < 0:
-        raise DomainError(f"m must be non-negative, got {m}")
     notes: list[str] = []
     if m >= 1:
-        f_values = {k: f_m(m, k) for k in k_scan_range(m)}
+        f_values = tuple((k, f_m(m, k)) for k in k_scan_range(m))
         k_star, fmin = min_f(m)
         ieq1 = 2.0 * (m + fmin)
     else:
-        f_values, k_star, fmin, ieq1 = {}, None, None, None
+        f_values, k_star, fmin, ieq1 = (), None, None, None
         notes.append("universe is empty; threshold calculus skipped")
     if m >= 2:
         kp = k_prime(m)
@@ -249,10 +258,25 @@ def bound_report(m: int, n: int | None = None) -> BoundReport:
         kp = closed = None
         if m == 1:
             notes.append("closed-form threshold undefined for m <= 1")
+    return f_values, k_star, fmin, ieq1, kp, closed, tuple(notes)
+
+
+def bound_report(m: int, n: int | None = None) -> BoundReport:
+    """Assemble the full calculus for universe size m.
+
+    Total for every 0 <= m <= 2^1000: fields whose formulas degenerate
+    (m <= 1) come back None with an explanatory note, so callers
+    classifying degenerate families still get a report.  Past 2^1000 the
+    floats would overflow, and CapacityError is raised.
+    """
+    if m < 0:
+        raise DomainError(f"m must be non-negative, got {m}")
+    _check_calculus_m(m)
+    f_values, k_star, fmin, ieq1, kp, closed, notes = _calculus(m)
     verdict = verdict_for(m, n) if n is not None else None
     return BoundReport(
         m=m, n=n,
-        f_values=f_values,
+        f_values=dict(f_values),
         k_star=k_star,
         min_f=fmin,
         ieq1_threshold=ieq1,
@@ -260,7 +284,7 @@ def bound_report(m: int, n: int | None = None) -> BoundReport:
         closed_form_threshold=closed,
         verdict=verdict,
         alarm=None,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 
@@ -269,12 +293,12 @@ def applicability(f: SetFamily) -> BoundReport:
 
     pre: f union-closed, separating, validated.  Whenever the verdict says
     the family is covered, its witness set must be non-empty; an empty one
-    would be a potential counterexample and is flagged as an alarm.
+    would be a potential counterexample and is flagged as an alarm.  Only
+    that alarm, which no correct family raises, costs a second report.
     """
     m, n = f.universe_size, f.n
     rep = bound_report(m, n)
-    alarm = None
-    if rep.verdict != VERDICT_NOT_COVERED and n >= 1 and m >= 1:
-        if not frankl_witnesses(f):
-            alarm = "covered family has an empty witness set (potential counterexample)"
-    return replace(rep, alarm=alarm)
+    if rep.verdict == VERDICT_NOT_COVERED or n < 1 or m < 1 or frankl_witnesses(f):
+        return rep
+    return replace(
+        rep, alarm="covered family has an empty witness set (potential counterexample)")

@@ -15,7 +15,7 @@ import itertools
 import sys
 from typing import Any, Iterator
 
-from .bounds import CALCULUS_M_LIMIT, applicability, bound_report
+from .bounds import applicability, bound_report
 from .errors import (
     CapacityError,
     ContradictionError,
@@ -26,7 +26,7 @@ from .errors import (
 from .family import (
     SetFamily,
     drop_unused_elements,
-    elements_of,
+    elements_text,
     family_from_masks,
     family_label,
     find_union_gap,
@@ -46,6 +46,7 @@ from .formats import (
     decode_json,
     family_from_json_dict,
     family_to_json_dict,
+    family_to_ndjson,
     family_to_text,
     parse_family_json,
     parse_family_text,
@@ -106,7 +107,7 @@ def load_family(path: str) -> SetFamily:
 
 
 def _set_str(mask: int) -> str:
-    return "{" + ",".join(str(x) for x in elements_of(mask)) + "}"
+    return "{" + elements_text(mask) + "}"
 
 
 def _emit_family(f: SetFamily, fmt: str) -> None:
@@ -254,10 +255,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.m < 2:
         raise DomainError(
             f"threshold calculus needs m >= 2 (log2 log2 m undefined), got {args.m}")
-    if args.m > CALCULUS_M_LIMIT:
-        raise CapacityError(
-            "threshold calculus supports m <= 2^1000, where every value is a finite "
-            f"float; got a {args.m.bit_length()}-bit m")
     rep = bound_report(args.m, args.n)
     doc = bounds_to_json(rep)
     if args.format == "json":
@@ -283,7 +280,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     )
     for fam in stream:
         if args.format == "json":
-            print(to_json(family_to_json_dict(fam), compact=True))
+            print(family_to_ndjson(fam))
         else:
             print(family_label(fam))
     return 0
@@ -293,7 +290,7 @@ def cmd_random(args: argparse.Namespace) -> int:
     for i in range(args.count):
         fam = random_family(args.m, args.generators, args.seed + i)
         if args.format == "json":
-            print(to_json(family_to_json_dict(fam), compact=True))
+            print(family_to_ndjson(fam))
         else:
             sys.stdout.write(family_to_text(fam))
             if args.count > 1 and i + 1 < args.count:

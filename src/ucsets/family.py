@@ -36,14 +36,67 @@ def mask_of(elements: Iterable[int]) -> int:
     return mask
 
 
+# Both byte tables are built on first use: building them at import made
+# a fresh `import ucsets.cli` about 3 ms slower.
+@lru_cache(maxsize=1)
+def _byte_ids() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Table [k][b]: the ascending ids 8k..8k+7 set in byte value b.
+
+    Built by doubling: appending id x to each of the first 2^(x-8k)
+    entries gives the next 2^(x-8k) entries.
+    """
+    tables = []
+    for k in range(MAX_UNIVERSE // 8):
+        table: list[tuple[int, ...]] = [()]
+        for x in range(8 * k, 8 * k + 8):
+            table += [ids + (x,) for ids in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+@lru_cache(maxsize=1)
+def _byte_text() -> tuple[tuple[str, ...], ...]:
+    """Table [k][b]: the ids of _byte_ids()[k][b] as comma-joined text."""
+    return tuple(tuple(",".join(map(str, ids)) for ids in table) for table in _byte_ids())
+
+
 def elements_of(mask: int) -> list[int]:
-    """Unpack a bit mask into an ascending list of element ids."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    """Unpack a non-negative bit mask into an ascending list of element ids.
+
+    The low 64 bits are unpacked a byte at a time, lowest byte first, from
+    a table of the ids each byte value holds (Warren, Hacker's Delight,
+    ch. 5), stopping once no set bit is left.  Higher bits, which no family
+    member has, are unpacked the same way 64 bits at a time, so every mask
+    gets the exact answer.
+    """
+    out: list[int] = []
+    for ids in _byte_ids():
+        if not mask:
+            return out
+        out += ids[mask & 0xFF]
+        mask >>= 8
+    if mask:
+        out += [x + MAX_UNIVERSE for x in elements_of(mask)]
     return out
+
+
+def elements_text(mask: int) -> str:
+    """The ascending element ids of a mask, comma-joined: "0,3,9" ("" for 0).
+
+    Equal to ",".join(map(str, elements_of(mask))), built from one text
+    fragment per non-zero byte.
+    """
+    parts = []
+    for text in _byte_text():
+        if not mask:
+            break
+        byte = mask & 0xFF
+        if byte:
+            parts.append(text[byte])
+        mask >>= 8
+    if mask:
+        parts += [str(x + MAX_UNIVERSE) for x in elements_of(mask)]
+    return ",".join(parts)
 
 
 @dataclass(frozen=True)
@@ -132,8 +185,7 @@ def family_from_masks(masks: Iterable[int],
 
 def family_label(f: SetFamily) -> str:
     """Compact one-line rendering, e.g. ``{{2},{1,2},{0,1,2}}``."""
-    parts = ("{" + ",".join(map(str, elements_of(mask))) + "}" for mask in f.members)
-    return "{" + ",".join(parts) + "}"
+    return "{" + ",".join(["{" + elements_text(mask) + "}" for mask in f.members]) + "}"
 
 
 def is_union_closed(f: SetFamily) -> bool:

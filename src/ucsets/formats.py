@@ -5,9 +5,10 @@ ids separated by commas or whitespace, a lone "-" for the empty set, "#"
 comments, blank lines ignored.  JSON: {"universe_size": m, "members":
 [[ids], ...]}.  Serialization always emits members in canonical ascending
 mask order with element ids sorted, so output is bit-identical across
-platforms.  Reports serialize with their field names intact; masks become
-sorted id arrays, map keys become strings, and real values are rounded to
-12 significant digits before encoding.
+platforms; NDJSON corpus lines come from family_to_ndjson alone.  Reports
+serialize with their field names intact; masks become sorted id arrays,
+map keys become strings, and real values are rounded to 12 significant
+digits before encoding.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .family import (
     MAX_UNIVERSE,
     SetFamily,
     elements_of,
+    elements_text,
     family_from_masks,
     mask_of,
 )
@@ -70,10 +72,7 @@ def parse_family_text(text: str) -> SetFamily:
 
 def family_to_text(f: SetFamily) -> str:
     """Render the text format; padding is not representable and is dropped."""
-    lines = []
-    for mask in f.members:
-        lines.append(",".join(str(x) for x in elements_of(mask)) if mask else "-")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join([(elements_text(mask) or "-") + "\n" for mask in f.members])
 
 
 def family_to_json_dict(f: SetFamily) -> dict[str, Any]:
@@ -81,6 +80,17 @@ def family_to_json_dict(f: SetFamily) -> dict[str, Any]:
         "universe_size": f.universe_size,
         "members": [elements_of(mask) for mask in f.members],
     }
+
+
+def family_to_ndjson(f: SetFamily) -> str:
+    """The family as one compact JSON line, sorted keys and no spaces.
+
+    Byte-identical to the compact sorted-key JSON encoding of
+    family_to_json_dict(f), but written straight from the per-byte id text
+    of each member instead of through the json module.
+    """
+    members = ",".join(["[" + elements_text(mask) + "]" for mask in f.members])
+    return f'{{"members":[{members}],"universe_size":{f.universe_size}}}'
 
 
 def family_from_json_dict(doc: Any) -> SetFamily:
@@ -172,7 +182,7 @@ def transversal_to_json(tr: TransversalReport) -> dict[str, Any]:
         "k": tr.k,
         "singleton_witnesses": _id_key_map(tr.singleton_witnesses),
         "pb_family": {
-            ",".join(str(x) for x in elements_of(b)): elements_of(p)
+            elements_text(b): elements_of(p)
             for b, p in sorted(tr.pb_family.items())
         },
         "empty_set_member": tr.empty_set_member,

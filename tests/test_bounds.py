@@ -4,8 +4,10 @@ import math
 
 import pytest
 
+from ucsets import bounds
 from ucsets import (
     BoundReport,
+    CapacityError,
     ContradictionError,
     DomainError,
     applicability,
@@ -252,6 +254,48 @@ class TestBoundReport:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             bound_report(-1)
+
+    def test_largest_m_is_finite(self):
+        m = 2 ** 1000
+        rep = bound_report(m, m)
+        values = [rep.min_f, rep.ieq1_threshold, rep.k_prime,
+                  rep.closed_form_threshold, *rep.f_values.values()]
+        assert all(math.isfinite(v) for v in values)
+        assert rep.verdict == VERDICT_LEMMA
+
+    @pytest.mark.parametrize("m", [2 ** 1000 + 1, 1 << 1023, 1 << 1030],
+                             ids=["2^1000+1", "2^1023", "2^1030"])
+    def test_past_the_limit_is_a_capacity_error(self, m):
+        # Past about 2^1022 these overflow float conversion; the limit is
+        # checked in the library, not only by the bounds command.
+        for call in (lambda: bound_report(m, 5), lambda: bound_report(m),
+                     lambda: ieq1_threshold(m), lambda: f_m(m, 3),
+                     lambda: min_f(m), lambda: closed_form_threshold(m),
+                     lambda: k_prime(m), lambda: kprime_check(m),
+                     lambda: maxmin_check(m)):
+            with pytest.raises(CapacityError, match=r"m <= 2\^1000"):
+                call()
+
+    def test_calculus_computed_once_per_m(self, monkeypatch):
+        bounds._calculus.cache_clear()
+        calls = []
+        real = bounds.f_m
+        monkeypatch.setattr(bounds, "f_m", lambda m, k: calls.append(m) or real(m, k))
+        first = bound_report(97, 300)
+        evaluated = len(calls)
+        assert evaluated > 0
+        second = bound_report(97, 150)
+        assert len(calls) == evaluated
+        assert first.f_values == second.f_values
+        assert (first.verdict, second.verdict) == (VERDICT_NOT_COVERED, VERDICT_LEMMA)
+
+    def test_reports_share_no_mutable_state(self):
+        first = bound_report(13, 40)
+        first.f_values[4] = -1.0
+        first.f_values.clear()
+        second = bound_report(13, 40)
+        assert second.f_values == {k: f_m(13, k) for k in (3, 4, 5, 6)}
+        assert applicability(CHAIN).f_values is not applicability(CHAIN).f_values
 
 
 class TestApplicability:

@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in-process via main(argv)."""
 
+import hashlib
 import io
 import json
 
@@ -316,6 +317,35 @@ class TestRandom:
                            "--count", "2", "--seed", "1")
         assert code == 0
         assert "\n\n" in out  # blank line between the two family blocks
+
+
+# sha256 of corpus bytes.  The first three are the corpus pins of the
+# benchmark (bench/run.py, seed 7); the m = 64 corpus is its two banded
+# seeds, 7 then 9, appended.
+CORPUS_PINS = [
+    ([["enumerate", "--m", "4", "--format", "json"]],
+     "6fdfee0d159d424238f7fb3c14786922a707cca1ae19d18fe58c85ed9bd0d901"),
+    ([["random", "--m", "16", "--generators", "10", "--seed", "7", "--count", "300",
+       "--format", "json"]],
+     "44f2c1ec5e26882e80f68438a2ba5081670d9dca90029149409352c3ec4c0415"),
+    ([["random", "--m", "64", "--generators", "20", "--seed", seed, "--format", "json"]
+      for seed in ("7", "9")],
+     "3e6456ac2d8a772edf6b32d52c4f595548504e4308acfc4ce0c3ccd5148186b1"),
+    ([["random", "--m", "16", "--generators", "10", "--seed", "7", "--count", "300",
+       "--format", "text"]],
+     "94fd9823ac365845a772c29c719d13dd636783f8370bf853ddc77dafd8e35eeb"),
+]
+
+
+@pytest.mark.parametrize("commands, digest", CORPUS_PINS,
+                         ids=["enumerate-m4", "random-m16", "random-m64", "random-m16-text"])
+def test_corpus_bytes_pinned(capsys, commands, digest):
+    h = hashlib.sha256()
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        h.update(out.encode("utf-8"))
+    assert h.hexdigest() == digest
 
 
 class TestVerify:

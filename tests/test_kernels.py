@@ -5,7 +5,10 @@ bit-sliced columns, checks union-closure through join-irreducibles and
 builds the exhaustive corpus by extension.  The loops below are the direct
 definitions; property tests check that both agree on random families with
 up to 8 elements, union-closed or not, and the exhaustive streams are
-compared with a scan over every subfamily code for m <= 4.
+compared with a scan over every subfamily code for m <= 4.  Member masks
+are unpacked and written a byte at a time; the per-bit loop and the
+per-id joins are their references, on masks of up to 130 bits and
+families over up to 64 elements.
 """
 
 from functools import lru_cache
@@ -31,7 +34,8 @@ from ucsets import (
     separating_quotient,
     union_closure,
 )
-from ucsets.family import family_profile
+from ucsets.family import elements_of, elements_text, family_label, family_profile
+from ucsets.formats import family_to_json_dict, family_to_ndjson, family_to_text, to_json
 from ucsets.witnesses import (
     a_sets,
     falgas_ravry_chain,
@@ -155,6 +159,31 @@ NAIVE_FILTERS = {
 }
 
 
+def naive_elements(mask):
+    """Isolate the lowest set bit, one bit at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def naive_text(mask):
+    return ",".join(str(x) for x in naive_elements(mask))
+
+
+def naive_family_text(f):
+    lines = [naive_text(mask) if mask else "-" for mask in f.members]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def naive_ndjson(f):
+    doc = {"universe_size": f.universe_size,
+           "members": [naive_elements(mask) for mask in f.members]}
+    return to_json(doc, compact=True)
+
+
 # -- strategies ------------------------------------------------------------
 
 
@@ -166,6 +195,14 @@ def families(draw, max_m=8):
     masks = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=24))
     f = family_from_masks(masks, universe_size=m, padded=True)
     return union_closure(f) if draw(st.booleans()) else f
+
+
+@st.composite
+def wide_families(draw):
+    """Families over m <= 64 elements, not closed, unused ids allowed."""
+    m = draw(st.integers(0, 64))
+    masks = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=24))
+    return family_from_masks(masks, universe_size=m, padded=True)
 
 
 def separating_union_closed(f):
@@ -250,3 +287,50 @@ def test_exhaustive_stream_matches_code_scan(m, family_filter):
     got = list(enumerate_union_closed(m, family_filter=family_filter))
     assert [f.members for f in got] == [f.members for f in expected]
     assert got == expected
+
+
+FULL_64 = (1 << 64) - 1
+CODEC_EDGES = [
+    SetFamily(0, ()),
+    family_from_masks([0]),
+    family_from_masks([0, 1, FULL_64]),
+    family_from_masks([FULL_64]),
+    family_from_masks([1 << 63, 0xFF << 56, 0x0101010101010101]),
+    family_from_masks([1], 3, padded=True),
+    family_from_masks([], 5, padded=True),
+]
+
+
+@SETTINGS
+@given(st.integers(0, (1 << 130) - 1))
+def test_elements_match_per_bit_loop(mask):
+    assert elements_of(mask) == naive_elements(mask)
+    assert elements_text(mask) == naive_text(mask)
+
+
+@pytest.mark.parametrize("mask", [0, 1, 0xFF, 1 << 63, FULL_64, 1 << 64,
+                                  FULL_64 << 1, (1 << 130) - 1, 1 << 129])
+def test_elements_match_per_bit_loop_at_byte_and_word_edges(mask):
+    assert elements_of(mask) == naive_elements(mask)
+    assert elements_text(mask) == naive_text(mask)
+
+
+def check_codec(f):
+    line = family_to_ndjson(f)
+    assert line == naive_ndjson(f) == to_json(family_to_json_dict(f), compact=True)
+    assert family_to_text(f) == naive_family_text(f)
+    assert family_label(f) == "{" + ",".join(
+        "{" + naive_text(mask) + "}" for mask in f.members) + "}"
+
+
+@SETTINGS
+@given(wide_families())
+def test_writers_match_per_id_joins(f):
+    check_codec(f)
+
+
+@pytest.mark.parametrize("f", CODEC_EDGES, ids=[
+    "empty-family", "empty-member", "empty-and-full-64", "full-64",
+    "top-bytes", "padded-3", "padded-empty"])
+def test_writers_match_per_id_joins_on_edge_families(f):
+    check_codec(f)
