@@ -26,7 +26,6 @@ from .errors import (
 from .family import (
     SetFamily,
     drop_unused_elements,
-    elements_text,
     family_from_masks,
     family_label,
     find_union_gap,
@@ -36,6 +35,7 @@ from .family import (
     is_separating,
     is_union_closed,
     separating_quotient,
+    set_label,
     union_closure,
 )
 from .formats import (
@@ -106,10 +106,6 @@ def load_family(path: str) -> SetFamily:
     return fam
 
 
-def _set_str(mask: int) -> str:
-    return "{" + elements_text(mask) + "}"
-
-
 def _emit_family(f: SetFamily, fmt: str) -> None:
     if fmt == "json":
         print(to_json(family_to_json_dict(f)))
@@ -174,8 +170,8 @@ def _require_union_closed(f: SetFamily) -> None:
     gap = find_union_gap(f)
     if gap is not None:
         raise PreconditionError(
-            f"family is not union-closed: {_set_str(gap[0])} ∪ {_set_str(gap[1])} "
-            f"= {_set_str(gap[0] | gap[1])} is not a member; "
+            f"family is not union-closed: {set_label(gap[0])} ∪ {set_label(gap[1])} "
+            f"= {set_label(gap[0] | gap[1])} is not a member; "
             "run the closure command first")
 
 
@@ -214,9 +210,9 @@ def cmd_witness(args: argparse.Namespace) -> int:
             return 0
         print("order: " + " ".join(str(x) for x in w.order))
         for i, entry in enumerate(w.chain):
-            print(f"X_{i} = {_set_str(entry)}")
+            print(f"X_{i} = {set_label(entry)}")
         for i, entry in enumerate(w.m_sets):
-            print(f"M_{i} = {_set_str(entry)}")
+            print(f"M_{i} = {set_label(entry)}")
         print(f"empty_set_member: {str(w.empty_set_member).lower()}")
         return 0
     if args.which == "transversal":
@@ -225,15 +221,15 @@ def cmd_witness(args: argparse.Namespace) -> int:
             print(to_json(transversal_to_json(tr)))
             return 0
         print("order: " + " ".join(str(x) for x in tr.order))
-        print(f"tilde_u = {_set_str(tr.tilde_u)}")
-        print(f"u_hat = {_set_str(tr.u_hat)}")
+        print(f"tilde_u = {set_label(tr.tilde_u)}")
+        print(f"u_hat = {set_label(tr.u_hat)}")
         print(f"k: {tr.k}")
         for x, a in sorted(tr.a_sets.items()):
-            print(f"A[{x}] = {_set_str(a)}")
+            print(f"A[{x}] = {set_label(a)}")
         for x, wmask in sorted(tr.singleton_witnesses.items()):
-            print(f"witness[{x}] = {_set_str(wmask)}")
+            print(f"witness[{x}] = {set_label(wmask)}")
         for b, p in sorted(tr.pb_family.items()):
-            print(f"P[{_set_str(b)}] = {_set_str(p)}")
+            print(f"P[{set_label(b)}] = {set_label(p)}")
         print(f"empty_set_member: {str(tr.empty_set_member).lower()}")
         print(f"full_sets_not_in_p: {tr.full_sets_not_in_p}")
         return 0
@@ -379,6 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format (default: text)")
 
+    def add_enumeration(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--mode", choices=("exhaustive", "generators"),
+                       default="exhaustive")
+        p.add_argument("--filter", choices=FILTERS, default="separating")
+        p.add_argument("--max-generators", type=_count, default=None,
+                       help="generator mode: at most this many join-irreducible members")
+
     p = sub.add_parser("analyze", help="basic structure, frequencies, verdict")
     p.add_argument("path", help="family file, or - for stdin")
     add_format(p)
@@ -410,10 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream union-closed families")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--mode", choices=("exhaustive", "generators"),
-                   default="exhaustive")
-    p.add_argument("--filter", choices=FILTERS, default="separating")
-    p.add_argument("--max-generators", type=_count, default=None)
+    add_enumeration(p)
     add_format(p)
     p.set_defaults(func=cmd_enumerate)
 
@@ -430,10 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None,
                    help="family file or NDJSON corpus; - for stdin")
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--mode", choices=("exhaustive", "generators"),
-                   default="exhaustive")
-    p.add_argument("--filter", choices=FILTERS, default="separating")
-    p.add_argument("--max-generators", type=_count, default=None)
+    add_enumeration(p)
     p.add_argument("--random", action="store_true",
                    help="verify seeded random families instead of enumerating")
     p.add_argument("--generators", type=int, default=10)

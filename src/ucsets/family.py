@@ -183,9 +183,14 @@ def family_from_masks(masks: Iterable[int],
     return SetFamily(universe_size, tuple(ms))
 
 
+def set_label(mask: int) -> str:
+    """One member as a label: ``{0,1}``, and ``{}`` for the empty set."""
+    return "{" + elements_text(mask) + "}"
+
+
 def family_label(f: SetFamily) -> str:
     """Compact one-line rendering, e.g. ``{{2},{1,2},{0,1,2}}``."""
-    return "{" + ",".join(["{" + elements_text(mask) + "}" for mask in f.members]) + "}"
+    return "{" + ",".join(map(set_label, f.members)) + "}"
 
 
 def is_union_closed(f: SetFamily) -> bool:
@@ -193,33 +198,43 @@ def is_union_closed(f: SetFamily) -> bool:
     return find_union_gap(f) is None
 
 
-def find_union_gap(f: SetFamily) -> tuple[int, int] | None:
-    """First pair of members (in canonical order) whose union is missing.
+def join_irreducibles(f: SetFamily) -> list[int] | None:
+    """The join-irreducible members of f in ascending order, or None once
+    a union falls outside f.
 
-    F is union-closed iff a | j is a member for every member a and every
-    join-irreducible j (a member that is not the union of the members
-    strictly below it): every other non-empty member is a union of
-    irreducibles, and absorbing them one at a time keeps a | b inside F.
-    Members are walked in ascending order, so every member below b comes
-    before b; b is irreducible exactly when it is not yet in the union
-    closure of the irreducibles found so far, and is then joined to that
-    closure, whose members must all stay in F.  This costs n lookups per
-    irreducible.  Only a family that fails gets the pairwise scan, which
-    names the first missing pair in canonical order.
+    A member is irreducible when it is not the union of the members strictly
+    below it; a member empty set counts as one, as it does among generators,
+    so a union-closed f is the closure of at most g masks iff it has at most
+    g irreducibles.  In ascending order every member below b comes before b,
+    so b is irreducible iff it is not yet in the union closure of the
+    irreducibles found so far; it is then joined to that closure, which must
+    stay inside f.  That holds throughout iff f is union-closed, since every
+    member is a union of irreducibles.  Cost: n lookups per irreducible.
     """
-    members = f.members
-    present = set(members)
+    present = set(f.members)
     closed: set[int] = set()
-    for b in members:
+    irreducibles = []
+    for b in f.members:
         if b in closed:
             continue
         grown = {b | c for c in closed}
         if not grown <= present:
-            break
+            return None
         closed |= grown
         closed.add(b)
-    else:
+        irreducibles.append(b)
+    return irreducibles
+
+
+def find_union_gap(f: SetFamily) -> tuple[int, int] | None:
+    """First pair of members (in canonical order) whose union is missing.
+
+    join_irreducibles decides; only a family that fails gets the pairwise scan.
+    """
+    if join_irreducibles(f) is not None:
         return None
+    members = f.members
+    present = set(members)
     for i, a in enumerate(members):
         for b in members[i + 1:]:
             if a | b not in present:

@@ -1,10 +1,10 @@
 """Corpus generation: exhaustive enumeration, canonical forms, seeded random families.
 
-Exhaustive enumeration builds every union-closed subfamily of the power
-set of an m-element ambient universe (m <= 4) by extension: it decides the
-masks from the top down and adds x to a union-closed F only when each
-union x | a with a in F is x itself or already in F, so it visits only
-union-closed families.
+Both enumeration modes run one extension search over the power set of an
+m-element ambient universe (m <= 4): it decides the masks from the top down
+and adds x to a union-closed F only when each union x | a with a in F is x
+itself or already in F, so it visits only union-closed families.  Generator
+mode keeps those with at most g join-irreducible members, one per class.
 Yielded families are compressed to the elements they actually cover, which
 is what the downstream analyses expect.  Everything is deterministic:
 streams come in a fixed order and the random generator is a fixed integer
@@ -14,7 +14,6 @@ recipe, so corpora are bit-identical across runs and platforms.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -30,8 +29,10 @@ from .family import (
     find_union_gap,
     frankl_witnesses,
     is_separating,
+    join_irreducibles,
     relabel_mask,
     separating_quotient,
+    set_label,
 )
 from .witnesses import (
     counting_audit,
@@ -42,8 +43,6 @@ from .witnesses import (
 )
 
 EXHAUSTIVE_LIMIT = 4
-GENERATOR_LIMIT = 6
-GENERATOR_SUBSET_LIMIT = 1 << 15
 CANONICAL_LIMIT = 8
 
 FILTERS = ("all", "validated", "separating")
@@ -63,16 +62,16 @@ def enumerate_union_closed(m: int, mode: str = "exhaustive", *,
                            family_filter: str = "separating",
                            max_generators: int | None = None,
                            ) -> Iterator[SetFamily]:
-    """Stream union-closed families over an m-element ambient universe.
+    """Stream union-closed families over an m-element ambient universe (m <= 4).
 
-    Exhaustive mode (m <= 4) yields every union-closed subfamily of the
-    power set, the empty family included, in increasing subfamily-code order
-    (the code of a family sets bit x for each member mask x).  Generator mode
-    (m <= 6) instead closes every subset of at most max_generators power-set
-    masks and yields one canonical representative per isomorphism class, so
-    at m <= 3 with unbounded generators the two modes produce the same
-    canonical forms.  Generator mode closes at most GENERATOR_SUBSET_LIMIT
-    subsets; a larger walk is refused before it starts.
+    Exhaustive mode yields every union-closed subfamily of the power set,
+    the empty family included, in increasing subfamily-code order (the code
+    of a family sets bit x for each member mask x).  Generator mode keeps
+    the families of that stream with at most max_generators join-irreducible
+    members (all of them when None), that is the union closures of at most
+    max_generators masks, and yields the canonical form of each in order of
+    first appearance, once per isomorphism class.  Capacity is checked at
+    the call, before any family is built.
 
     family_filter: "all" keeps every union-closed subfamily, "validated"
     only those covering the full ambient universe, and "separating" (the
@@ -82,24 +81,12 @@ def enumerate_union_closed(m: int, mode: str = "exhaustive", *,
     """
     if family_filter not in FILTERS:
         raise DomainError(f"unknown filter {family_filter!r}; expected one of {FILTERS}")
-    if mode == "exhaustive":
-        if not 0 <= m <= EXHAUSTIVE_LIMIT:
-            raise CapacityError(
-                f"exhaustive enumeration supports m <= {EXHAUSTIVE_LIMIT}, got {m}")
-        return _enumerate_exhaustive(m, family_filter)
-    if mode == "generators":
-        if not 0 <= m <= GENERATOR_LIMIT:
-            raise CapacityError(
-                f"generator enumeration supports m <= {GENERATOR_LIMIT}, got {m}")
-        p = 1 << m
-        top = p if max_generators is None else min(max_generators, p)
-        walk = sum(math.comb(p, s) for s in range(top + 1))
-        if walk > GENERATOR_SUBSET_LIMIT:
-            raise CapacityError(
-                f"generator mode would close {walk} generator subsets, above the "
-                f"{GENERATOR_SUBSET_LIMIT} budget; lower max_generators")
-        return _enumerate_generators(m, family_filter, top)
-    raise DomainError(f"unknown mode {mode!r}; expected exhaustive or generators")
+    if mode not in ("exhaustive", "generators"):
+        raise DomainError(f"unknown mode {mode!r}; expected exhaustive or generators")
+    if not 0 <= m <= EXHAUSTIVE_LIMIT:
+        raise CapacityError(f"{mode} enumeration supports m <= {EXHAUSTIVE_LIMIT}, got {m}")
+    stream = _enumerate_exhaustive(m, family_filter)
+    return stream if mode == "exhaustive" else _generated_classes(stream, max_generators)
 
 
 def _enumerate_exhaustive(m: int, family_filter: str) -> Iterator[SetFamily]:
@@ -117,17 +104,16 @@ def _enumerate_exhaustive(m: int, family_filter: str) -> Iterator[SetFamily]:
     return extend((1 << m) - 1, (), 0)
 
 
-def _enumerate_generators(m: int, family_filter: str, top: int) -> Iterator[SetFamily]:
+def _generated_classes(stream: Iterable[SetFamily], max_generators: int | None,
+                       ) -> Iterator[SetFamily]:
     seen: set[SetFamily] = set()
-    for size in range(top + 1):
-        for combo in itertools.combinations(range(1 << m), size):
-            fam, _ = drop_unused_elements(SetFamily(m, tuple(closure_of_masks(combo))))
-            if not _passes(fam, m, family_filter):
-                continue
-            canon = canonical_form(fam)
-            if canon not in seen:
-                seen.add(canon)
-                yield canon
+    for fam in stream:
+        if max_generators is not None and len(join_irreducibles(fam)) > max_generators:
+            continue
+        canon = canonical_form(fam)
+        if canon not in seen:
+            seen.add(canon)
+            yield canon
 
 
 def canonical_form(f: SetFamily) -> SetFamily:
@@ -234,9 +220,9 @@ def corpus_verify(corpus: Iterable[SetFamily]) -> CorpusReport:
             continue
         gap = find_union_gap(f)
         if gap is not None:
-            a, b = (set(elements_of(g)) or "{}" for g in gap)
             rep.rejections.append((family_label(f),
-                                   f"not union-closed: the union of {a} and {b} is missing"))
+                                   f"not union-closed: the union of {set_label(gap[0])} "
+                                   f"and {set_label(gap[1])} is missing"))
             continue
         rep.union_closed_count += 1
         if not is_separating(f):

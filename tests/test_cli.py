@@ -284,15 +284,15 @@ class TestEnumerate:
         assert "m <= 4" in err
 
     def test_generator_budget_exit(self, capsys, monkeypatch):
-        # A walk that starts would run for ~2^64 subsets; fail at once instead.
-        def started(masks):
-            raise AssertionError("generator walk started")
-        monkeypatch.setattr(search, "closure_of_masks", started)
+        # Refused at the call: fail at once if a stream starts instead.
+        def started(m, family_filter):
+            raise AssertionError("enumeration stream started")
+        monkeypatch.setattr(search, "_enumerate_exhaustive", started)
         code, out, err = run(capsys, "enumerate", "--mode", "generators", "--m", "6",
                              "--max-generators", "64")
         assert code == 2
         assert out == ""
-        assert "generator subsets" in err
+        assert "m <= 4" in err
 
 
 class TestRandom:
@@ -334,11 +334,15 @@ CORPUS_PINS = [
     ([["random", "--m", "16", "--generators", "10", "--seed", "7", "--count", "300",
        "--format", "text"]],
      "94fd9823ac365845a772c29c719d13dd636783f8370bf853ddc77dafd8e35eeb"),
+    # the 304 separating classes at m = 4 in order of first appearance
+    ([["enumerate", "--mode", "generators", "--m", "4", "--format", "json"]],
+     "a1e1d601a7f0f4ef57cdccd48e4fb02637f00a5b672a712db3ee455941d05596"),
 ]
 
 
 @pytest.mark.parametrize("commands, digest", CORPUS_PINS,
-                         ids=["enumerate-m4", "random-m16", "random-m64", "random-m16-text"])
+                         ids=["enumerate-m4", "random-m16", "random-m64", "random-m16-text",
+                              "generators-m4"])
 def test_corpus_bytes_pinned(capsys, commands, digest):
     h = hashlib.sha256()
     for argv in commands:
@@ -362,6 +366,26 @@ class TestVerify:
         doc = json.loads(out)
         jsonschema.validate(doc, load_schema("corpus"))
         assert doc["ok"] is True and doc["total_families"] == 12
+
+    def test_generator_classes_ok(self, capsys):
+        code, out, _ = run(capsys, "verify", "--mode", "generators", "--m", "4",
+                           "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["ok"] is True
+        assert doc["total_families"] == doc["union_closed_count"] \
+            == doc["separating_count"] == 304
+
+    def test_union_gap_members_rendered_as_labels(self, capsys, tmp_path):
+        p = tmp_path / "gap.json"
+        p.write_text('{"members":[[0,1],[2]],"universe_size":3}')
+        reason = "not union-closed: the union of {0,1} and {2} is missing"
+        code, out, _ = run(capsys, "verify", "--input", str(p))
+        assert code == 3
+        assert f"REJECTED: {{{{0,1}},{{2}}}}: {reason}" in out.splitlines()
+        code, out, _ = run(capsys, "verify", "--input", str(p), "--format", "json")
+        assert code == 3
+        assert json.loads(out)["rejections"] == [["{{0,1},{2}}", reason]]
 
     def test_rejects_bad_family_file(self, capsys, nonuc_file):
         code, out, _ = run(capsys, "verify", "--input", nonuc_file)

@@ -5,12 +5,14 @@ bit-sliced columns, checks union-closure through join-irreducibles and
 builds the exhaustive corpus by extension.  The loops below are the direct
 definitions; property tests check that both agree on random families with
 up to 8 elements, union-closed or not, and the exhaustive streams are
-compared with a scan over every subfamily code for m <= 4.  Member masks
-are unpacked and written a byte at a time; the per-bit loop and the
-per-id joins are their references, on masks of up to 130 bits and
-families over up to 64 elements.
+compared with a scan over every subfamily code for m <= 4.  Generator mode
+filters that stream by join-irreducible count; its reference closes every
+small set of masks.  Member masks are unpacked and written a byte at a
+time; the per-bit loop and the per-id joins are their references, on masks
+of up to 130 bits and families over up to 64 elements.
 """
 
+import itertools
 from functools import lru_cache
 
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from ucsets import (
     SetFamily,
+    canonical_form,
     column_signatures,
     corpus_verify,
     drop_unused_elements,
@@ -34,7 +37,14 @@ from ucsets import (
     separating_quotient,
     union_closure,
 )
-from ucsets.family import elements_of, elements_text, family_label, family_profile
+from ucsets.family import (
+    closure_of_masks,
+    elements_of,
+    elements_text,
+    family_label,
+    family_profile,
+    join_irreducibles,
+)
 from ucsets.formats import family_to_json_dict, family_to_ndjson, family_to_text, to_json
 from ucsets.witnesses import (
     a_sets,
@@ -55,6 +65,20 @@ def naive_union_gap(f):
             if a | b not in present:
                 return a, b
     return None
+
+
+def naive_join_irreducibles(f):
+    """Members that are not the union of the members strictly below them;
+    a member with nothing below it, the empty set included, is one."""
+    out = []
+    for b in f.members:
+        below = 0
+        for a in f.members:
+            if a != b and a | b == b:
+                below |= a
+        if below != b or b == 0:
+            out.append(b)
+    return out
 
 
 def naive_frequencies(f):
@@ -221,6 +245,11 @@ def test_union_gap_matches_pairwise_scan(f):
     expected = naive_union_gap(f)
     assert find_union_gap(f) == expected
     assert is_union_closed(f) == (expected is None)
+    irreducibles = join_irreducibles(f)
+    if expected is None:
+        assert irreducibles == naive_join_irreducibles(f)
+    else:
+        assert irreducibles is None
 
 
 @SETTINGS
@@ -287,6 +316,35 @@ def test_exhaustive_stream_matches_code_scan(m, family_filter):
     got = list(enumerate_union_closed(m, family_filter=family_filter))
     assert [f.members for f in got] == [f.members for f in expected]
     assert got == expected
+
+
+@lru_cache(maxsize=None)
+def naive_generators(m, family_filter, max_generators):
+    """Close every set of at most max_generators masks of P([m]) (all of
+    them when None), compress, filter, canonicalise and deduplicate."""
+    keep = NAIVE_FILTERS[family_filter]
+    p = 1 << m
+    top = p if max_generators is None else min(max_generators, p)
+    out = set()
+    for size in range(top + 1):
+        for combo in itertools.combinations(range(p), size):
+            fam, _ = drop_unused_elements(SetFamily(m, tuple(closure_of_masks(combo))))
+            if keep(fam, m):
+                out.add(canonical_form(fam))
+    return out
+
+
+GENERATOR_CASES = ([(m, g) for m in range(4) for g in [*range((1 << m) + 2), None]]
+                   + [(4, g) for g in range(5)])
+
+
+@pytest.mark.parametrize("family_filter", sorted(NAIVE_FILTERS))
+def test_generator_classes_match_closed_mask_sets(family_filter):
+    for m, g in GENERATOR_CASES:
+        got = list(enumerate_union_closed(m, mode="generators", family_filter=family_filter,
+                                          max_generators=g))
+        assert len(got) == len(set(got))
+        assert set(got) == naive_generators(m, family_filter, g), (m, g)
 
 
 FULL_64 = (1 << 64) - 1

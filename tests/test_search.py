@@ -25,7 +25,6 @@ from ucsets.search import (
     CANONICAL_LIMIT,
     EXHAUSTIVE_LIMIT,
     FILTERS,
-    GENERATOR_LIMIT,
 )
 
 # union-closed subfamily counts of the m-element power set, by filter
@@ -38,8 +37,18 @@ EXPECTED_COUNTS = {
     4: (4960, 4542, 4404),
 }
 
-# distinct relabeling classes among the separating families
-EXPECTED_CLASSES = {0: 2, 1: 4, 2: 8, 3: 28}
+# relabeling classes of union-closed subfamilies of the m-element power
+# set, by filter, from a Burnside count over every subfamily code (one
+# permutation per cycle type of S_m, weighted by class size) that never
+# calls canonical_form
+EXPECTED_CLASSES = {
+    #  m: (all, validated, separating)
+    0: (2, 2, 2),
+    1: (4, 2, 4),
+    2: (10, 6, 8),
+    3: (38, 28, 28),
+    4: (368, 330, 304),
+}
 
 
 class TestExhaustiveEnumeration:
@@ -93,12 +102,21 @@ class TestGeneratorEnumeration:
                                                 family_filter="separating")
             }
             assert generated == exhaustive
-            assert len(exhaustive) == EXPECTED_CLASSES[m]
+            assert len(exhaustive) == EXPECTED_CLASSES[m][2]
+
+    @pytest.mark.parametrize("m", sorted(EXPECTED_CLASSES))
+    def test_burnside_class_counts(self, m):
+        got = tuple(
+            sum(1 for _ in enumerate_union_closed(m, mode="generators",
+                                                  family_filter=filt))
+            for filt in FILTERS
+        )
+        assert got == EXPECTED_CLASSES[m]
 
     def test_yields_canonical_without_duplicates(self):
         out = [f.members for f in
                enumerate_union_closed(3, mode="generators")]
-        assert len(out) == len(set(out)) == EXPECTED_CLASSES[3]
+        assert len(out) == len(set(out)) == EXPECTED_CLASSES[3][2]
 
     def test_bounded_generators(self):
         out = list(enumerate_union_closed(4, mode="generators",
@@ -110,20 +128,22 @@ class TestGeneratorEnumeration:
             assert f.covers_universe
 
     def test_capacity(self):
-        with pytest.raises(CapacityError, match="m <= 6"):
-            list(enumerate_union_closed(GENERATOR_LIMIT + 1, mode="generators",
-                                        max_generators=2))
-        with pytest.raises(CapacityError, match="max_generators"):
-            list(enumerate_union_closed(4, mode="generators"))
+        for g in (2, None):
+            with pytest.raises(CapacityError, match="m <= 4"):
+                list(enumerate_union_closed(EXHAUSTIVE_LIMIT + 1, mode="generators",
+                                            max_generators=g))
+        # At most 8 of the 16 masks of P([4]) are join-irreducible in one
+        # family, so g = 8 already yields every class.
+        assert sum(1 for _ in enumerate_union_closed(
+            4, mode="generators", max_generators=7)) == 300
+        assert sum(1 for _ in enumerate_union_closed(
+            4, mode="generators", max_generators=8)) == 304
 
-    def test_subset_budget_checked_at_call(self):
-        # Not iterated: a walk over ~2^64 generator subsets never ends.
-        with pytest.raises(CapacityError, match="generator subsets"):
-            enumerate_union_closed(6, mode="generators", max_generators=64)
-        with pytest.raises(CapacityError, match="lower max_generators"):
-            enumerate_union_closed(4, mode="generators", max_generators=8)
-        # 1 + 16 + ... + C(16, 7) = 26 333 subsets fit in the budget
-        enumerate_union_closed(4, mode="generators", max_generators=7)
+    def test_capacity_checked_at_call(self):
+        # Not iterated: the refusal comes before any family is built.
+        for m, g in ((5, 3), (6, 2), (6, 64), (5, None)):
+            with pytest.raises(CapacityError, match="m <= 4"):
+                enumerate_union_closed(m, mode="generators", max_generators=g)
 
 
 class TestCanonicalForm:
@@ -239,10 +259,11 @@ class TestCorpusVerify:
         assert rep.union_closed_count == 0
 
     def test_rejects_union_gap(self):
-        rep = corpus_verify([make_family([{0}, {1}])])
+        rep = corpus_verify([make_family([{0}, {1}]), make_family([{0, 1}, {2}])])
         assert not rep.ok
         assert rep.rejections == [
-            ("{{0},{1}}", "not union-closed: the union of {0} and {1} is missing")]
+            ("{{0},{1}}", "not union-closed: the union of {0} and {1} is missing"),
+            ("{{0,1},{2}}", "not union-closed: the union of {0,1} and {2} is missing")]
 
     def test_tallies_non_separating(self):
         rep = corpus_verify([make_family([{0, 1}])])
