@@ -3,7 +3,7 @@
 One executable, eight subcommands: analyze, closure, quotient, witness,
 bounds, enumerate, random, verify.  Families are read from a file path or
 "-" for stdin; content starting with "{" is treated as the JSON form,
-anything else as the text form.  Exit codes: 0 success, 1 I/O or parse
+anything else as the text form; verify --input also reads NDJSON corpora.  Exit codes: 0 success, 1 I/O or parse
 error, 2 precondition or domain violation, 3 verification failures.
 """
 
@@ -13,7 +13,7 @@ import argparse
 import contextlib
 import itertools
 import sys
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from .bounds import applicability, bound_report
 from .errors import (
@@ -39,8 +39,6 @@ from .family import (
     union_closure,
 )
 from .formats import (
-    audit_to_json,
-    bounds_to_json,
     chain_to_json,
     corpus_to_json,
     decode_json,
@@ -51,16 +49,20 @@ from .formats import (
     parse_family_json,
     parse_family_text,
     parse_members_text,
+    report_to_json,
     to_json,
     transversal_to_json,
 )
 from .search import (
     FILTERS,
+    CorpusReport,
     corpus_verify,
     enumerate_union_closed,
     random_family,
 )
 from .witnesses import (
+    ChainWitness,
+    TransversalReport,
     counting_audit,
     falgas_ravry_chain,
     minimal_transversal,
@@ -113,6 +115,24 @@ def _emit_family(f: SetFamily, fmt: str) -> None:
         sys.stdout.write(family_to_text(f))
 
 
+def _emit_report(fmt: str, doc: Any, lines: Iterable[str], status: int = 0) -> int:
+    """Print doc as JSON or the report's text lines; return the exit status.
+
+    lines is consumed only for text output, so a generator of them costs
+    nothing when JSON is asked for.
+    """
+    if fmt == "json":
+        print(to_json(doc))
+    else:
+        for line in lines:
+            print(line)
+    return status
+
+
+def _flag(value: bool) -> str:
+    return str(value).lower()
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     f = load_family(args.path)
     if f.n == 0:
@@ -120,7 +140,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     uc = is_union_closed(f)
     sep = is_separating(f)
     prof = frequency_profile(f)
-    witnesses = frankl_witnesses(f) if f.n >= 1 else []
     doc: dict[str, Any] = {
         "m": f.universe_size,
         "n": f.n,
@@ -128,36 +147,29 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "separating": sep,
         "frequencies": {str(x): c for x, c in sorted(prof.freq.items())},
         "order": list(prof.order),
-        "frankl_witnesses": witnesses,
+        "frankl_witnesses": frankl_witnesses(f),
         "verdict": None,
         "alarm": None,
-        "notes": [],
+        "notes": ["verdict requires a union-closed separating family"],
     }
     if uc and sep:
         rep = applicability(f)
-        doc["verdict"] = rep.verdict
-        doc["alarm"] = rep.alarm
-        doc["notes"] = list(rep.notes)
-    else:
-        doc["notes"] = ["verdict requires a union-closed separating family"]
-    if args.format == "json":
-        print(to_json(doc))
-        return 0
-    print(f"m: {doc['m']}")
-    print(f"n: {doc['n']}")
-    print(f"union_closed: {str(uc).lower()}")
-    print(f"separating: {str(sep).lower()}")
-    freq_str = " ".join(f"{x}:{c}" for x, c in sorted(prof.freq.items()))
-    print(f"frequencies: {freq_str}")
-    print("order: " + " ".join(str(x) for x in prof.order))
-    print("frankl_witnesses: " + " ".join(str(x) for x in witnesses))
+        doc.update(verdict=rep.verdict, alarm=rep.alarm, notes=list(rep.notes))
+    lines = [
+        f"m: {doc['m']}",
+        f"n: {doc['n']}",
+        f"union_closed: {_flag(uc)}",
+        f"separating: {_flag(sep)}",
+        "frequencies: " + " ".join(f"{x}:{c}" for x, c in doc["frequencies"].items()),
+        "order: " + " ".join(map(str, doc["order"])),
+        "frankl_witnesses: " + " ".join(map(str, doc["frankl_witnesses"])),
+    ]
     if doc["verdict"] is not None:
-        print(f"verdict: {doc['verdict']}")
+        lines.append(f"verdict: {doc['verdict']}")
     if doc["alarm"]:
-        print(f"alarm: {doc['alarm']}")
-    for note in doc["notes"]:
-        print(f"note: {note}")
-    return 0
+        lines.append(f"alarm: {doc['alarm']}")
+    lines += [f"note: {note}" for note in doc["notes"]]
+    return _emit_report(args.format, doc, lines)
 
 
 def cmd_closure(args: argparse.Namespace) -> int:
@@ -199,73 +211,70 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     return 0
 
 
+def _chain_lines(w: ChainWitness) -> Iterator[str]:
+    yield "order: " + " ".join(map(str, w.order))
+    for i, entry in enumerate(w.chain):
+        yield f"X_{i} = {set_label(entry)}"
+    for i, entry in enumerate(w.m_sets):
+        yield f"M_{i} = {set_label(entry)}"
+    yield f"empty_set_member: {_flag(w.empty_set_member)}"
+
+
+def _transversal_lines(tr: TransversalReport) -> Iterator[str]:
+    yield "order: " + " ".join(map(str, tr.order))
+    yield f"tilde_u = {set_label(tr.tilde_u)}"
+    yield f"u_hat = {set_label(tr.u_hat)}"
+    yield f"k: {tr.k}"
+    for x, a in sorted(tr.a_sets.items()):
+        yield f"A[{x}] = {set_label(a)}"
+    for x, wmask in sorted(tr.singleton_witnesses.items()):
+        yield f"witness[{x}] = {set_label(wmask)}"
+    for b, p in sorted(tr.pb_family.items()):
+        yield f"P[{set_label(b)}] = {set_label(p)}"
+    yield f"empty_set_member: {_flag(tr.empty_set_member)}"
+    yield f"full_sets_not_in_p: {tr.full_sets_not_in_p}"
+
+
+def _audit_lines(doc: dict[str, Any]) -> Iterator[str]:
+    for name, value in doc.items():
+        if name == "bullets_ok":
+            for bullet, ok in value.items():
+                yield f"bullet {bullet}: {'ok' if ok else 'VIOLATED'}"
+        elif name == "inequality_holds":
+            yield "inequality holds" if value else "inequality FAILS"
+        else:
+            yield f"{name}: {value}"
+
+
 def cmd_witness(args: argparse.Namespace) -> int:
     f = load_family(args.path)
     _require_union_closed(f)
     _require_separating(f)
     if args.which == "chain":
         w = falgas_ravry_chain(f)
-        if args.format == "json":
-            print(to_json(chain_to_json(w)))
-            return 0
-        print("order: " + " ".join(str(x) for x in w.order))
-        for i, entry in enumerate(w.chain):
-            print(f"X_{i} = {set_label(entry)}")
-        for i, entry in enumerate(w.m_sets):
-            print(f"M_{i} = {set_label(entry)}")
-        print(f"empty_set_member: {str(w.empty_set_member).lower()}")
-        return 0
+        return _emit_report(args.format, chain_to_json(w), _chain_lines(w))
+    tr = minimal_transversal(f)
     if args.which == "transversal":
-        tr = minimal_transversal(f)
-        if args.format == "json":
-            print(to_json(transversal_to_json(tr)))
-            return 0
-        print("order: " + " ".join(str(x) for x in tr.order))
-        print(f"tilde_u = {set_label(tr.tilde_u)}")
-        print(f"u_hat = {set_label(tr.u_hat)}")
-        print(f"k: {tr.k}")
-        for x, a in sorted(tr.a_sets.items()):
-            print(f"A[{x}] = {set_label(a)}")
-        for x, wmask in sorted(tr.singleton_witnesses.items()):
-            print(f"witness[{x}] = {set_label(wmask)}")
-        for b, p in sorted(tr.pb_family.items()):
-            print(f"P[{set_label(b)}] = {set_label(p)}")
-        print(f"empty_set_member: {str(tr.empty_set_member).lower()}")
-        print(f"full_sets_not_in_p: {tr.full_sets_not_in_p}")
-        return 0
-    audit = counting_audit(f, minimal_transversal(f))
-    if args.format == "json":
-        print(to_json(audit_to_json(audit)))
-        return 0
-    for name in ("m", "n", "k", "c", "incidence_total", "incidence_upper",
-                 "p_incidences", "p_family_size", "full_extra",
-                 "other_nonempty", "rhs"):
-        print(f"{name}: {getattr(audit, name)}")
-    for name, ok in audit.bullets_ok.items():
-        print(f"bullet {name}: {'ok' if ok else 'VIOLATED'}")
-    print("inequality holds" if audit.inequality_holds else "inequality FAILS")
-    return 0
+        return _emit_report(args.format, transversal_to_json(tr), _transversal_lines(tr))
+    doc = report_to_json(counting_audit(f, tr))
+    return _emit_report(args.format, doc, _audit_lines(doc))
+
+
+def _bounds_lines(doc: dict[str, Any]) -> Iterator[str]:
+    for name, value in doc.items():
+        if value is not None and not isinstance(value, (dict, list)):
+            yield f"{name}: {value}"
+    yield "f_values: " + " ".join(f"{k}:{v}" for k, v in doc["f_values"].items())
+    for note in doc["notes"]:
+        yield f"note: {note}"
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.m < 2:
         raise DomainError(
             f"threshold calculus needs m >= 2 (log2 log2 m undefined), got {args.m}")
-    rep = bound_report(args.m, args.n)
-    doc = bounds_to_json(rep)
-    if args.format == "json":
-        print(to_json(doc))
-        return 0
-    for key in ("m", "n", "k_star", "min_f", "ieq1_threshold", "k_prime",
-                "closed_form_threshold", "verdict", "alarm"):
-        value = doc[key]
-        if value is not None:
-            print(f"{key}: {value}")
-    print("f_values: " + " ".join(
-        f"{k}:{v}" for k, v in sorted(doc["f_values"].items(), key=lambda kv: int(kv[0]))))
-    for note in doc["notes"]:
-        print(f"note: {note}")
-    return 0
+    doc = report_to_json(bound_report(args.m, args.n))
+    return _emit_report(args.format, doc, _bounds_lines(doc))
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -295,10 +304,13 @@ def cmd_random(args: argparse.Namespace) -> int:
 
 
 def _read_corpus(path: str) -> Iterator[SetFamily]:
-    """Families of a family file or an NDJSON corpus, read as they are needed.
+    """Families of a family file, a JSON document or an NDJSON corpus.
 
-    Content whose first non-blank character is "{" is NDJSON, one family
-    per line; anything else is a single family in the text form.
+    Content whose first non-blank character is not "{" is a single family
+    in the text form.  Otherwise, when the first non-blank line is a JSON
+    value on its own the input is NDJSON, one family per line, read as the
+    families are needed; when it is not, the whole input is one JSON
+    family document, such as the indented output of closure --format json.
     """
     with _open_source(path) as fh:
         head = ""
@@ -311,12 +323,18 @@ def _read_corpus(path: str) -> Iterator[SetFamily]:
             return
         # splitlines() on each read line keeps the line numbers of the
         # whole-text split, which also breaks at form feeds and the like.
-        lines = (line for raw in itertools.chain([head], fh)
+        lines = (line.strip() for raw in itertools.chain([head], fh)
                  for line in raw.splitlines())
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        numbered = ((lineno, line) for lineno, line in enumerate(lines, start=1) if line)
+        lineno, line = next(numbered)  # within head, which is not blank
+        try:
+            first = [decode_json(line, lineno)]
+        except FamilyParseError:
+            yield parse_family_json(head + fh.read())
+            return
+        # Popped, so that the decoded document does not outlive its family.
+        yield family_from_json_dict(first.pop())
+        for lineno, line in numbered:
             yield family_from_json_dict(decode_json(line, lineno))
 
 
@@ -331,27 +349,27 @@ def _verify_corpus_from_args(args: argparse.Namespace):
                                   max_generators=args.max_generators)
 
 
+def _corpus_lines(rep: CorpusReport) -> Iterator[str]:
+    yield f"total_families: {rep.total_families}"
+    yield f"union_closed_count: {rep.union_closed_count}"
+    yield f"separating_count: {rep.separating_count}"
+    for label in rep.frankl_violations:
+        yield f"FRANKL VIOLATION: {label}"
+    for label, name in rep.invariant_failures:
+        yield f"INVARIANT FAILURE: {label}: {name}"
+    for label, name in rep.audit_failures:
+        yield f"AUDIT FAILURE: {label}: {name}"
+    for label, reason in rep.rejections:
+        yield f"REJECTED: {label}: {reason}"
+    yield "ok" if rep.ok else "FAILURES FOUND"
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.input is None and args.m is None:
         raise DomainError("verify needs --input PATH or --m M")
     rep = corpus_verify(_verify_corpus_from_args(args))
-    doc = corpus_to_json(rep)
-    if args.format == "json":
-        print(to_json(doc))
-    else:
-        print(f"total_families: {rep.total_families}")
-        print(f"union_closed_count: {rep.union_closed_count}")
-        print(f"separating_count: {rep.separating_count}")
-        for label in rep.frankl_violations:
-            print(f"FRANKL VIOLATION: {label}")
-        for label, name in rep.invariant_failures:
-            print(f"INVARIANT FAILURE: {label}: {name}")
-        for label, name in rep.audit_failures:
-            print(f"AUDIT FAILURE: {label}: {name}")
-        for label, reason in rep.rejections:
-            print(f"REJECTED: {label}: {reason}")
-        print("ok" if rep.ok else "FAILURES FOUND")
-    return 0 if rep.ok else 3
+    return _emit_report(args.format, corpus_to_json(rep), _corpus_lines(rep),
+                        0 if rep.ok else 3)
 
 
 def _count(text: str) -> int:
@@ -428,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification battery")
     p.add_argument("--input", default=None,
-                   help="family file or NDJSON corpus; - for stdin")
+                   help="family file, JSON document or NDJSON corpus; - for stdin")
     p.add_argument("--m", type=int, default=None)
     add_enumeration(p)
     p.add_argument("--random", action="store_true",

@@ -28,7 +28,7 @@ def mask_of(elements: Iterable[int]) -> int:
         if type(x) is not int:
             raise TypeError(f"element ids must be integers, got {x!r}")
         if x < 0:
-            raise DomainError(f"element ids must be non-negative, got {x}")
+            raise DomainError(f"negative element id {x}")
         if x >= MAX_UNIVERSE:
             raise CapacityError(
                 f"element id {x} exceeds the {MAX_UNIVERSE}-element capacity")
@@ -430,27 +430,6 @@ def separating_quotient(f: SetFamily) -> tuple[SetFamily, tuple[tuple[int, ...],
     projected = tuple(sorted(mask & reps for mask in f.members))
     fam, _ = drop_unused_elements(SetFamily(f.universe_size, projected))
     return fam, tuple(tuple(cls) for cls in classes)
-
-
-def relabel_by_frequency(f: SetFamily) -> tuple[SetFamily, tuple[int, ...]]:
-    """Renumber elements so ids run in increasing-frequency order.
-
-    After relabeling, element m-1 is a most frequent element.  Returns the
-    relabeled family and the permutation as a tuple mapping old id to new.
-    Applying the operation twice yields the identity permutation the second
-    time, because the first pass already sorted the ids.
-    """
-    order = family_profile(f).order
-    perm = [0] * f.universe_size
-    for new, old in enumerate(order):
-        perm[old] = new
-    return apply_relabeling(f, perm), tuple(perm)
-
-
-def apply_relabeling(f: SetFamily, perm: Sequence[int]) -> SetFamily:
-    """Rename element ids through perm (old id -> new id)."""
-    members = sorted(relabel_mask(mask, perm) for mask in f.members)
-    return SetFamily(f.universe_size, tuple(members))
 
 
 def relabel_mask(mask: int, perm: Sequence[int]) -> int:

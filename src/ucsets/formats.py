@@ -14,9 +14,9 @@ digits before encoding.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from typing import Any
 
-from .bounds import BoundReport
 from .errors import CapacityError, DomainError, FamilyParseError
 from .family import (
     MAX_UNIVERSE,
@@ -27,7 +27,7 @@ from .family import (
     mask_of,
 )
 from .search import CorpusReport
-from .witnesses import ChainWitness, CountingAudit, TransversalReport
+from .witnesses import ChainWitness, TransversalReport
 
 M_SETS_DEFINITION = ("m_sets[i] is the union of all members NOT containing "
                      "the rank-i element; m_sets[0] is the universe")
@@ -47,23 +47,19 @@ def parse_members_text(text: str) -> list[int]:
         if line == "-":
             masks.append(0)
             continue
-        mask = 0
-        for token in line.replace(",", " ").split():
-            try:
-                x = int(token)
-            except ValueError:
-                raise FamilyParseError(
-                    f"invalid element id {token!r}", line=lineno) from None
-            if x < 0:
-                raise FamilyParseError(
-                    f"negative element id {x}", line=lineno)
-            if x >= MAX_UNIVERSE:
-                raise FamilyParseError(
-                    f"element id {x} exceeds the {MAX_UNIVERSE}-element capacity",
-                    line=lineno)
-            mask |= 1 << x
-        masks.append(mask)
+        try:
+            masks.append(mask_of(_element_id(token, lineno)
+                                 for token in line.replace(",", " ").split()))
+        except (DomainError, CapacityError) as exc:
+            raise FamilyParseError(str(exc), line=lineno) from None
     return masks
+
+
+def _element_id(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise FamilyParseError(f"invalid element id {token!r}", line=lineno) from None
 
 
 def parse_family_text(text: str) -> SetFamily:
@@ -190,55 +186,27 @@ def transversal_to_json(tr: TransversalReport) -> dict[str, Any]:
     }
 
 
-def audit_to_json(a: CountingAudit) -> dict[str, Any]:
-    return {
-        "m": a.m,
-        "n": a.n,
-        "k": a.k,
-        "c": a.c,
-        "incidence_total": a.incidence_total,
-        "incidence_upper": a.incidence_upper,
-        "p_incidences": a.p_incidences,
-        "p_family_size": a.p_family_size,
-        "full_extra": a.full_extra,
-        "other_nonempty": a.other_nonempty,
-        "rhs": a.rhs,
-        "bullets_ok": dict(a.bullets_ok),
-        "inequality_holds": a.inequality_holds,
-    }
+def _plain(value: Any) -> Any:
+    if type(value) is float:
+        return round12(value)
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
-def _opt12(x: float | None) -> float | None:
-    return None if x is None else round12(x)
+def report_to_json(rep: Any) -> dict[str, Any]:
+    """A report dataclass as a document keyed by its field names.
 
-
-def bounds_to_json(rep: BoundReport) -> dict[str, Any]:
-    return {
-        "m": rep.m,
-        "n": rep.n,
-        "f_values": {str(k): round12(v) for k, v in sorted(rep.f_values.items())},
-        "k_star": rep.k_star,
-        "min_f": _opt12(rep.min_f),
-        "ieq1_threshold": _opt12(rep.ieq1_threshold),
-        "k_prime": _opt12(rep.k_prime),
-        "closed_form_threshold": _opt12(rep.closed_form_threshold),
-        "verdict": rep.verdict,
-        "alarm": rep.alarm,
-        "notes": list(rep.notes),
-    }
+    Floats are rounded to 12 significant digits, map keys become strings
+    and tuples become arrays; everything else is kept as it is.
+    """
+    return {f.name: _plain(getattr(rep, f.name)) for f in fields(rep)}
 
 
 def corpus_to_json(rep: CorpusReport) -> dict[str, Any]:
-    return {
-        "total_families": rep.total_families,
-        "union_closed_count": rep.union_closed_count,
-        "separating_count": rep.separating_count,
-        "frankl_violations": list(rep.frankl_violations),
-        "invariant_failures": [list(t) for t in rep.invariant_failures],
-        "audit_failures": [list(t) for t in rep.audit_failures],
-        "rejections": [list(t) for t in rep.rejections],
-        "ok": rep.ok,
-    }
+    return {**report_to_json(rep), "ok": rep.ok}
 
 
 def to_json(doc: Any, *, compact: bool = False) -> str:

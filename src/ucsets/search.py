@@ -20,6 +20,7 @@ from typing import Iterable, Iterator
 from .bounds import applicability
 from .errors import CapacityError, DomainError
 from .family import (
+    MAX_UNIVERSE,
     SetFamily,
     closure_of_masks,
     drop_unused_elements,
@@ -106,14 +107,28 @@ def _enumerate_exhaustive(m: int, family_filter: str) -> Iterator[SetFamily]:
 
 def _generated_classes(stream: Iterable[SetFamily], max_generators: int | None,
                        ) -> Iterator[SetFamily]:
-    seen: set[SetFamily] = set()
+    """Each new class's canonical form; every labeling of it is then marked
+    seen, so the m! scan runs once per class, not once per family."""
+    seen: set[tuple[int, tuple[int, ...]]] = set()
     for fam in stream:
+        m = fam.universe_size
+        if (m, fam.members) in seen:
+            continue
         if max_generators is not None and len(join_irreducibles(fam)) > max_generators:
             continue
-        canon = canonical_form(fam)
-        if canon not in seen:
-            seen.add(canon)
-            yield canon
+        labelings = list(_relabelings(fam))
+        seen.update((m, members) for members in labelings)
+        yield SetFamily(m, min(labelings))
+
+
+def _relabelings(f: SetFamily) -> Iterator[tuple[int, ...]]:
+    """The sorted members of f under each of the m! element permutations."""
+    m = f.universe_size
+    if m > CANONICAL_LIMIT:
+        raise CapacityError(
+            f"canonical form scans m! relabelings; m <= {CANONICAL_LIMIT}, got {m}")
+    for perm in itertools.permutations(range(m)):
+        yield tuple(sorted(relabel_mask(mask, perm) for mask in f.members))
 
 
 def canonical_form(f: SetFamily) -> SetFamily:
@@ -122,16 +137,7 @@ def canonical_form(f: SetFamily) -> SetFamily:
     Scans all m! element permutations, so two families have equal canonical
     forms exactly when some relabeling carries one onto the other.
     """
-    m = f.universe_size
-    if m > CANONICAL_LIMIT:
-        raise CapacityError(
-            f"canonical form scans m! relabelings; m <= {CANONICAL_LIMIT}, got {m}")
-    best: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(m)):
-        relabeled = tuple(sorted(relabel_mask(mask, perm) for mask in f.members))
-        if best is None or relabeled < best:
-            best = relabeled
-    return SetFamily(m, best if best is not None else ())
+    return SetFamily(f.universe_size, min(_relabelings(f)))
 
 
 MASK64 = (1 << 64) - 1
@@ -164,8 +170,8 @@ def random_family(m: int, generators: int, seed: int) -> SetFamily:
     membership columns.  The same (m, generators, seed) triple yields a
     bit-identical family everywhere.
     """
-    if not 1 <= m <= 64:
-        raise CapacityError(f"m must be in 1..64, got {m}")
+    if not 1 <= m <= MAX_UNIVERSE:
+        raise CapacityError(f"m must be in 1..{MAX_UNIVERSE}, got {m}")
     if generators < 0:
         raise DomainError(f"generators must be non-negative, got {generators}")
     stream = splitmix64(seed)

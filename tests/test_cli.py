@@ -352,6 +352,54 @@ def test_corpus_bytes_pinned(capsys, commands, digest):
     assert h.hexdigest() == digest
 
 
+# sha256 of the exit code and stdout of every report command, in text then
+# JSON, on fixed inputs.  Guards the report bytes across refactors.
+REPORT_INPUTS = {
+    "tri": TRI_TEXT,
+    "chain": "-\n0\n0,1\n0,1,2\n",
+    "not-union-closed": NONUC_TEXT,
+    "random-m16": None,  # random --m 16 --seed 42, text form
+}
+REPORT_COMMANDS = [["analyze"], ["witness", "--which", "chain"],
+                   ["witness", "--which", "transversal"], ["witness", "--which", "audit"],
+                   ["verify", "--input"]]
+REPORT_PINS = {
+    "tri":
+        "d15b175526c91e3bac8e3609d248e4e4895159f7ca2679c8f2094a1dc57dbb5b",
+    "chain":
+        "4957c5446015b980461ec47c471561fe920b90361b84aa05a662a9ea110f821b",
+    "not-union-closed":
+        "cb1431363a8e49be186a6713b99c1bbf0fb572127366fc1b02b0f59750b6f430",
+    "random-m16":
+        "ae4cf1216a9eaa8738c19256799eaca53cf06e955d4ca5c0a4f5222e934dd361",
+    "bounds-m13-n40":
+        "d57f5ae6617eee8550ede23a92cde7d146b81c14a55f775f22fa36c16610090d",
+}
+
+
+def _report_digest(capsys, argvs):
+    h = hashlib.sha256()
+    for argv in argvs:
+        for fmt in ("text", "json"):
+            code, out, _ = run(capsys, *argv, "--format", fmt)
+            h.update(f"{code}\n{out}".encode("utf-8"))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(REPORT_PINS))
+def test_report_bytes_pinned(capsys, tmp_path, name):
+    if name == "bounds-m13-n40":
+        argvs = [["bounds", "--m", "13", "--n", "40"]]
+    else:
+        text = REPORT_INPUTS[name]
+        if text is None:
+            _, text, _ = run(capsys, "random", "--m", "16", "--seed", "42")
+        p = tmp_path / "family.txt"
+        p.write_text(text)
+        argvs = [cmd + [str(p)] for cmd in REPORT_COMMANDS]
+    assert _report_digest(capsys, argvs) == REPORT_PINS[name]
+
+
 class TestVerify:
     def test_enumerated_corpus_ok(self, capsys):
         code, out, _ = run(capsys, "verify", "--m", "3")
@@ -405,6 +453,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--input", "-")
         assert code == 0
         assert "total_families: 12" in out.splitlines()
+
+    def test_json_document_pipe_from_closure(self, capsys, monkeypatch, nonuc_file):
+        _, doc, _ = run(capsys, "closure", nonuc_file, "--format", "json")
+        assert len(doc.splitlines()) > 1
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(capsys, "verify", "--input", "-")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert "total_families: 1" in lines
+        assert lines[-1] == "ok"
 
     def test_random_corpus(self, capsys):
         code, out, _ = run(capsys, "verify", "--random", "--m", "8",

@@ -4,7 +4,6 @@ from ucsets import (
     CapacityError,
     DomainError,
     SetFamily,
-    apply_relabeling,
     column_signatures,
     drop_unused_elements,
     element_frequencies,
@@ -19,7 +18,6 @@ from ucsets import (
     is_union_closed,
     make_family,
     mask_of,
-    relabel_by_frequency,
     separating_quotient,
     union_closure,
 )
@@ -187,37 +185,6 @@ def test_separating_quotient_properties():
         assert is_separating(q)
         q2, _ = separating_quotient(q)
         assert q2 == q
-
-
-def test_relabel_by_frequency_examples():
-    f = make_family([{0}, {0, 1}, {0, 1, 2}])
-    g, perm = relabel_by_frequency(f)
-    assert g == CHAIN
-    assert perm == (2, 1, 0)
-
-    g, perm = relabel_by_frequency(CHAIN)
-    assert g == CHAIN
-    assert perm == (0, 1, 2)
-
-    g, perm = relabel_by_frequency(TRI)
-    assert g == TRI
-    assert perm == (0, 1)
-
-
-def test_relabel_rerun_is_identity():
-    f = make_family([{3}, {1, 3}, {1, 2, 3}, {0, 1, 2, 3}])
-    g, _ = relabel_by_frequency(f)
-    freqs = element_frequencies(g)
-    assert freqs == sorted(freqs)
-    _, perm = relabel_by_frequency(g)
-    assert perm == tuple(range(g.universe_size))
-
-
-def test_apply_relabeling_round_trip():
-    perm = (2, 0, 1)
-    g = apply_relabeling(CHAIN, perm)
-    inverse = tuple(perm.index(i) for i in range(3))
-    assert apply_relabeling(g, inverse) == CHAIN
 
 
 def test_column_signatures():

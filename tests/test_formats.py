@@ -25,12 +25,11 @@ from ucsets import (
 )
 from ucsets.formats import (
     M_SETS_DEFINITION,
-    audit_to_json,
-    bounds_to_json,
     chain_to_json,
     corpus_to_json,
     load_schema,
     parse_members_text,
+    report_to_json,
     round12,
     transversal_to_json,
 )
@@ -183,19 +182,19 @@ class TestReportSerialization:
         assert doc["k"] == len(doc["u_hat"])
 
     def test_audit_document(self):
-        doc = audit_to_json(counting_audit(TRI, minimal_transversal(TRI)))
+        doc = report_to_json(counting_audit(TRI, minimal_transversal(TRI)))
         assert doc["m"] == 2 and doc["n"] == 3
         assert doc["rhs"] == 4
         assert doc["inequality_holds"] is True
         assert all(isinstance(v, bool) for v in doc["bullets_ok"].values())
 
     def test_bounds_document(self):
-        doc = bounds_to_json(bound_report(13, 40))
+        doc = report_to_json(bound_report(13, 40))
         assert doc["k_star"] == 4
         assert doc["min_f"] == 7.5
         assert doc["closed_form_threshold"] == 40.3429046181
         assert list(doc["f_values"]) == ["3", "4", "5", "6"]
-        none_doc = bounds_to_json(bound_report(0))
+        none_doc = report_to_json(bound_report(0))
         assert none_doc["min_f"] is None and none_doc["verdict"] is None
 
     def test_corpus_document(self):
@@ -248,9 +247,9 @@ class TestBundledSchemas:
         cases = [
             ("chain", chain_to_json(falgas_ravry_chain(TRI))),
             ("transversal", transversal_to_json(minimal_transversal(TRI))),
-            ("audit", audit_to_json(counting_audit(TRI, minimal_transversal(TRI)))),
-            ("bounds", bounds_to_json(bound_report(13, 40))),
-            ("bounds", bounds_to_json(bound_report(0))),
+            ("audit", report_to_json(counting_audit(TRI, minimal_transversal(TRI)))),
+            ("bounds", report_to_json(bound_report(13, 40))),
+            ("bounds", report_to_json(bound_report(0))),
             ("corpus", corpus_to_json(corpus_verify([TRI]))),
         ]
         for kind, doc in cases:
@@ -262,5 +261,5 @@ class TestBundledSchemas:
                             load_schema("chain"))
         jsonschema.validate(transversal_to_json(minimal_transversal(f)),
                             load_schema("transversal"))
-        jsonschema.validate(audit_to_json(counting_audit(f, minimal_transversal(f))),
+        jsonschema.validate(report_to_json(counting_audit(f, minimal_transversal(f))),
                             load_schema("audit"))
