@@ -2,8 +2,9 @@
 
 One executable, eight subcommands: analyze, closure, quotient, witness,
 bounds, enumerate, random, verify.  Families are read from a file path or
-"-" for stdin; content starting with "{" is treated as the JSON form,
-anything else as the text form; verify --input also reads NDJSON corpora.  Exit codes: 0 success, 1 I/O or parse
+"-" for stdin, in the text form, as one JSON document or as NDJSON, one
+family per line; the first non-blank line decides which.  Only verify
+--input takes more than one family.  Exit codes: 0 success, 1 I/O or parse
 error, 2 precondition or domain violation, 3 verification failures.
 """
 
@@ -22,16 +23,17 @@ from .errors import (
     DomainError,
     FamilyParseError,
     PreconditionError,
+    UnfinishedJSONError,
 )
 from .family import (
     SetFamily,
     drop_unused_elements,
     family_from_masks,
     family_label,
+    family_profile,
     find_union_gap,
     find_unseparated_pair,
     frankl_witnesses,
-    frequency_profile,
     is_separating,
     is_union_closed,
     separating_quotient,
@@ -47,7 +49,6 @@ from .formats import (
     family_to_ndjson,
     family_to_text,
     parse_family_json,
-    parse_family_text,
     parse_members_text,
     report_to_json,
     to_json,
@@ -75,32 +76,65 @@ def _open_source(path: str):
     return open(path, "r", encoding="utf-8")
 
 
-def _read_source(path: str) -> str:
-    with _open_source(path) as fh:
-        return fh.read()
-
-
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def load_family(path: str) -> SetFamily:
-    """Read a family file (text or JSON, sniffed by the leading character).
+def _read_families(path: str) -> Iterator[SetFamily]:
+    """The families of a family file, a JSON document or an NDJSON corpus.
 
-    Duplicate member lines collapse with a warning.  Element ids that occur
-    in no member (JSON padding) are dropped with a warning, so every command
+    The first non-blank line alone decides the form.  When it does not
+    start with "{", the whole input is one family in the text form, and
+    duplicate member lines collapse with a warning.  When it is a JSON value
+    on its own, the input is NDJSON, one family per line, read as the
+    families are needed.  When its decoding fails exactly at its end, the
+    whole input is one JSON document, such as the indented output of
+    closure --format json.  Any other failure is an error on that line.
+    """
+    with _open_source(path) as fh:
+        head = ""
+        for raw in fh:
+            head += raw
+            if head.strip():
+                break
+        if not head.lstrip().startswith("{"):
+            masks = parse_members_text(head + fh.read())
+            dupes = len(masks) - len(set(masks))
+            if dupes:
+                _warn(f"{dupes} duplicate member line(s) collapsed")
+            yield family_from_masks(masks)
+            return
+        # splitlines() on each read line keeps the line numbers of the
+        # whole-text split, which also breaks at form feeds and the like.
+        lines = (line.strip() for raw in itertools.chain([head], fh)
+                 for line in raw.splitlines())
+        numbered = ((lineno, line) for lineno, line in enumerate(lines, start=1) if line)
+        lineno, line = next(numbered)  # within head, which is not blank
+        try:
+            first = [decode_json(line, lineno)]
+        except UnfinishedJSONError:
+            yield parse_family_json(head + fh.read())
+            return
+        # Dropped and popped, so that neither the first line nor its decoded
+        # document outlives its family.
+        del head, line
+        yield family_from_json_dict(first.pop())
+        for lineno, line in numbered:
+            yield family_from_json_dict(decode_json(line, lineno))
+
+
+def load_family(path: str) -> SetFamily:
+    """Read the one family of a family file or JSON document.
+
+    A corpus of several families is an error.  Element ids that occur in no
+    member (JSON padding) are dropped with a warning, so every command
     downstream sees a validated family.
     """
-    text = _read_source(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        fam = parse_family_json(text)
-    else:
-        masks = parse_members_text(text)
-        dupes = len(masks) - len(set(masks))
-        if dupes:
-            _warn(f"{dupes} duplicate member line(s) collapsed")
-        fam = family_from_masks(masks)
+    with contextlib.closing(_read_families(path)) as families:
+        fam = next(families)
+        if next(families, None) is not None:
+            raise FamilyParseError("input is a corpus of several families; "
+                                   "only verify --input reads corpora")
     if not fam.covers_universe:
         fam, kept = drop_unused_elements(fam)
         _warn(f"unused element ids dropped; {len(kept)} of the declared "
@@ -139,13 +173,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise PreconditionError("empty family")
     uc = is_union_closed(f)
     sep = is_separating(f)
-    prof = frequency_profile(f)
+    prof = family_profile(f)
     doc: dict[str, Any] = {
         "m": f.universe_size,
         "n": f.n,
         "union_closed": uc,
         "separating": sep,
-        "frequencies": {str(x): c for x, c in sorted(prof.freq.items())},
+        "frequencies": {str(x): c for x, c in enumerate(prof.freq)},
         "order": list(prof.order),
         "frankl_witnesses": frankl_witnesses(f),
         "verdict": None,
@@ -277,76 +311,32 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return _emit_report(args.format, doc, _bounds_lines(doc))
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    stream = enumerate_union_closed(
-        args.m, args.mode,
-        family_filter=args.filter,
-        max_generators=args.max_generators,
-    )
-    for fam in stream:
-        if args.format == "json":
-            print(family_to_ndjson(fam))
-        else:
-            print(family_label(fam))
-    return 0
-
-
-def cmd_random(args: argparse.Namespace) -> int:
-    for i in range(args.count):
-        fam = random_family(args.m, args.generators, args.seed + i)
-        if args.format == "json":
-            print(family_to_ndjson(fam))
-        else:
-            sys.stdout.write(family_to_text(fam))
-            if args.count > 1 and i + 1 < args.count:
-                print()
-    return 0
-
-
-def _read_corpus(path: str) -> Iterator[SetFamily]:
-    """Families of a family file, a JSON document or an NDJSON corpus.
-
-    Content whose first non-blank character is not "{" is a single family
-    in the text form.  Otherwise, when the first non-blank line is a JSON
-    value on its own the input is NDJSON, one family per line, read as the
-    families are needed; when it is not, the whole input is one JSON
-    family document, such as the indented output of closure --format json.
-    """
-    with _open_source(path) as fh:
-        head = ""
-        for raw in fh:
-            head += raw
-            if head.strip():
-                break
-        if not head.lstrip().startswith("{"):
-            yield parse_family_text(head + fh.read())
-            return
-        # splitlines() on each read line keeps the line numbers of the
-        # whole-text split, which also breaks at form feeds and the like.
-        lines = (line.strip() for raw in itertools.chain([head], fh)
-                 for line in raw.splitlines())
-        numbered = ((lineno, line) for lineno, line in enumerate(lines, start=1) if line)
-        lineno, line = next(numbered)  # within head, which is not blank
-        try:
-            first = [decode_json(line, lineno)]
-        except FamilyParseError:
-            yield parse_family_json(head + fh.read())
-            return
-        # Popped, so that the decoded document does not outlive its family.
-        yield family_from_json_dict(first.pop())
-        for lineno, line in numbered:
-            yield family_from_json_dict(decode_json(line, lineno))
-
-
-def _verify_corpus_from_args(args: argparse.Namespace):
-    if args.input is not None:
-        return _read_corpus(args.input)
+def _corpus(args: argparse.Namespace) -> Iterator[SetFamily]:
+    """The generated families the options name: seeded random ones, or an
+    enumeration."""
     if args.random:
         return (random_family(args.m, args.generators, args.seed + i)
                 for i in range(args.count))
     return enumerate_union_closed(args.m, args.mode,
                                   family_filter=args.filter,
                                   max_generators=args.max_generators)
+
+
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    for fam in _corpus(args):
+        print(family_to_ndjson(fam) if args.format == "json" else family_label(fam))
+    return 0
+
+
+def cmd_random(args: argparse.Namespace) -> int:
+    for i, fam in enumerate(_corpus(args)):
+        if args.format == "json":
+            print(family_to_ndjson(fam))
+        else:
+            if i:
+                print()  # for the eye: the text form reads blank lines as nothing
+            sys.stdout.write(family_to_text(fam))
+    return 0
 
 
 def _corpus_lines(rep: CorpusReport) -> Iterator[str]:
@@ -367,7 +357,8 @@ def _corpus_lines(rep: CorpusReport) -> Iterator[str]:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.input is None and args.m is None:
         raise DomainError("verify needs --input PATH or --m M")
-    rep = corpus_verify(_verify_corpus_from_args(args))
+    families = _corpus(args) if args.input is None else _read_families(args.input)
+    rep = corpus_verify(families)
     return _emit_report(args.format, corpus_to_json(rep), _corpus_lines(rep),
                         0 if rep.ok else 3)
 
@@ -392,6 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format (default: text)")
+
+    def add_random(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--generators", type=int, default=10)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--count", type=_count, default=1,
+                       help="this many families, seeds seed..seed+count-1")
 
     def add_enumeration(p: argparse.ArgumentParser) -> None:
         p.add_argument("--mode", choices=("exhaustive", "generators"),
@@ -433,16 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     add_enumeration(p)
     add_format(p)
-    p.set_defaults(func=cmd_enumerate)
+    p.set_defaults(func=cmd_enumerate, random=False)
 
     p = sub.add_parser("random", help="seeded random separating families")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--generators", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=_count, default=1,
-                   help="emit this many families, seeds seed..seed+count-1")
+    add_random(p)
     add_format(p)
-    p.set_defaults(func=cmd_random)
+    p.set_defaults(func=cmd_random, random=True)
 
     p = sub.add_parser("verify", help="run the verification battery")
     p.add_argument("--input", default=None,
@@ -451,9 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_enumeration(p)
     p.add_argument("--random", action="store_true",
                    help="verify seeded random families instead of enumerating")
-    p.add_argument("--generators", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=_count, default=1)
+    add_random(p)
     add_format(p)
     p.set_defaults(func=cmd_verify)
 
@@ -465,10 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FamilyParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FamilyParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ContradictionError as exc:

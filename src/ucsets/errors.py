@@ -28,3 +28,10 @@ class FamilyParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
+
+
+class UnfinishedJSONError(FamilyParseError):
+    """A JSON text ended before its value was complete.
+
+    Readers take this to mean the value continues on the next line.
+    """

@@ -17,7 +17,7 @@ import json
 from dataclasses import fields
 from typing import Any
 
-from .errors import CapacityError, DomainError, FamilyParseError
+from .errors import CapacityError, DomainError, FamilyParseError, UnfinishedJSONError
 from .family import (
     MAX_UNIVERSE,
     SetFamily,
@@ -126,16 +126,18 @@ def decode_json(text: str, line: int | None = None) -> Any:
     """json.loads with every decoding failure raised as FamilyParseError.
 
     line, when given, is the input line the text came from (NDJSON);
-    otherwise the decoder's own line number is reported.  Nesting too deep
-    for the decoder's recursion and integers past Python's digit limit are
-    parse errors as well.
+    otherwise the decoder's own line number is reported.  A text that ends
+    before its value is complete raises UnfinishedJSONError.  Nesting too
+    deep for the decoder's recursion and integers past Python's digit limit
+    are parse errors as well.
     """
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
+        error = UnfinishedJSONError if exc.pos == len(text) else FamilyParseError
         if line is None:
-            raise FamilyParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
-        raise FamilyParseError(f"invalid JSON: {exc.msg}", line=line) from None
+            raise error(f"invalid JSON: {exc}", line=exc.lineno) from None
+        raise error(f"invalid JSON: {exc.msg}", line=line) from None
     except RecursionError:
         raise FamilyParseError("invalid JSON: nested too deeply", line=line) from None
     except ValueError as exc:

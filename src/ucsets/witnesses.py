@@ -252,19 +252,14 @@ def minimal_transversal(f: SetFamily) -> TransversalReport:
                 "the transversal is not inclusion-minimal")
         witnesses[x] = _first_member(members, exact)
 
-    xs = elements_of(u_hat)
+    # Non-empty submasks b of u_hat in ascending order, so b minus its lowest
+    # element comes before b and P_b extends its union by one witness.
     pb: dict[int, int] = {}
-    for pattern in range(1, 1 << k):
-        b = 0
-        p = 0
-        bits = pattern
-        while bits:
-            low = bits & -bits
-            b |= 1 << xs[low.bit_length() - 1]
-            bits ^= low
-        for x in elements_of(b):
-            p |= witnesses[x]
-        pb[b] = p
+    b = (-u_hat) & u_hat
+    while b:
+        low = b & -b
+        pb[b] = pb.get(b ^ low, 0) | witnesses[low.bit_length() - 1]
+        b = (b - u_hat) & u_hat
 
     chosen = set(pb.values())
     if empty_member:

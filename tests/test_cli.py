@@ -9,10 +9,11 @@ import pytest
 
 from ucsets import family, search
 from ucsets.cli import main
-from ucsets.formats import load_schema
+from ucsets.formats import load_schema, to_json
 
 TRI_TEXT = "0\n1\n0,1\n"
 NONUC_TEXT = "0\n1\n"
+CHAIN_TEXT = "-\n0\n0,1\n0,1,2\n"
 
 
 @pytest.fixture()
@@ -356,7 +357,7 @@ def test_corpus_bytes_pinned(capsys, commands, digest):
 # JSON, on fixed inputs.  Guards the report bytes across refactors.
 REPORT_INPUTS = {
     "tri": TRI_TEXT,
-    "chain": "-\n0\n0,1\n0,1,2\n",
+    "chain": CHAIN_TEXT,
     "not-union-closed": NONUC_TEXT,
     "random-m16": None,  # random --m 16 --seed 42, text form
 }
@@ -442,6 +443,15 @@ class TestVerify:
         assert any(line.startswith("REJECTED:") for line in lines)
         assert lines[-1] == "FAILURES FOUND"
 
+    def test_duplicate_lines_warn_as_in_analyze(self, capsys, tmp_path):
+        p = tmp_path / "dup.txt"
+        p.write_text("0\n0\n1\n0 1\n")
+        code, out, err = run(capsys, "verify", "--input", str(p))
+        assert code == 0
+        assert out.splitlines()[-1] == "ok"
+        assert err == run(capsys, "analyze", str(p))[2] \
+            == "warning: 1 duplicate member line(s) collapsed\n"
+
     def test_single_family_file_ok(self, capsys, tri_file):
         code, out, _ = run(capsys, "verify", "--input", tri_file)
         assert code == 0
@@ -483,6 +493,83 @@ class TestVerify:
         code, _, err = run(capsys, "verify")
         assert code == 2
         assert "--input" in err
+
+
+ONE_FAMILY_COMMANDS = [["analyze"], ["closure"], ["quotient"], ["witness", "--which", "chain"],
+                       ["witness", "--which", "transversal"], ["witness", "--which", "audit"]]
+
+
+class TestReader:
+    """Every command reads families through one reader of three forms."""
+
+    @pytest.mark.parametrize("command", ONE_FAMILY_COMMANDS + [["verify", "--input"]],
+                             ids=" ".join)
+    def test_every_form_gives_the_same_family(self, capsys, tmp_path, command):
+        text = tmp_path / "chain.txt"
+        text.write_text(CHAIN_TEXT)
+        _, indented, _ = run(capsys, "closure", str(text), "--format", "json")
+        doc = json.loads(indented)
+        assert len(indented.splitlines()) > 1
+        forms = {"text": CHAIN_TEXT, "one-line": json.dumps(doc), "indented": indented,
+                 "ndjson": to_json(doc, compact=True) + "\n"}
+        seen = {}
+        for name, content in forms.items():
+            p = tmp_path / name
+            p.write_text(content)
+            seen[name] = [run(capsys, *command, str(p), "--format", fmt)
+                          for fmt in ("text", "json")]
+        assert all(code == 0 and err == "" for code, _, err in seen["text"])
+        for name in forms:
+            assert seen[name] == seen["text"], name
+
+    @pytest.mark.parametrize("command", ONE_FAMILY_COMMANDS,
+                             ids=" ".join)
+    def test_one_family_commands_refuse_a_corpus(self, capsys, tmp_path, command):
+        _, ndjson, _ = run(capsys, "random", "--m", "6", "--count", "2", "--format", "json")
+        assert len(ndjson.splitlines()) == 2
+        p = tmp_path / "corpus.ndjson"
+        p.write_text(ndjson)
+        code, out, err = run(capsys, *command, str(p))
+        assert (code, out) == (1, "")
+        assert "corpus" in err
+
+    def test_bad_first_line_stops_reading(self, capsys, monkeypatch):
+        family_line = '{"members":[[0]],"universe_size":1}\n'
+        monkeypatch.setattr("sys.stdin", FirstLineOnly("{not json\n", family_line * 3))
+        code, out, err = run(capsys, "verify", "--input", "-")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 1:")
+
+    def test_unfinished_first_line_starts_a_document(self, capsys, tmp_path):
+        p = tmp_path / "doc.json"
+        p.write_text('{"universe_size": 1,\n "members": [[0]]}\n{"members":[[0]]}\n')
+        code, out, err = run(capsys, "verify", "--input", str(p))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 3: invalid JSON: Extra data")
+
+
+class FirstLineOnly(io.StringIO):
+    """A stdin whose reads past its first line fail the test."""
+
+    def __init__(self, first: str, rest: str):
+        super().__init__(first + rest)
+        self.limit = len(first)
+
+    def _check(self):
+        if self.tell() >= self.limit:
+            raise AssertionError("read past the first line")
+
+    def __next__(self):
+        self._check()
+        return super().__next__()
+
+    def readline(self, size=-1):
+        self._check()
+        return super().readline(size)
+
+    def read(self, size=-1):
+        self._check()
+        return super().read(size)
 
 
 class TestErrorPaths:

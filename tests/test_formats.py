@@ -23,10 +23,12 @@ from ucsets import (
     corpus_verify,
     to_json,
 )
+from ucsets.errors import UnfinishedJSONError
 from ucsets.formats import (
     M_SETS_DEFINITION,
     chain_to_json,
     corpus_to_json,
+    decode_json,
     load_schema,
     parse_members_text,
     report_to_json,
@@ -147,6 +149,17 @@ class TestJsonFamilies:
         assert err is not None
         assert "invalid JSON" in str(err)
         assert err.line == 2
+
+    @pytest.mark.parametrize("text, unfinished", [
+        ("{", True), ('{"universe_size": 2,', True), ('{"members": [[0, 1], [2', True),
+        ('{"members": [[0]], "universe_size": 1', True), ("{not json", False),
+        ('{"a": "open', False), ('{"a": -', False), ("{} {", False), ("{}}", False),
+    ])
+    def test_decode_json_tells_unfinished_text(self, text, unfinished):
+        with pytest.raises(FamilyParseError) as info:
+            decode_json(text, line=1)
+        assert isinstance(info.value, UnfinishedJSONError) == unfinished
+        assert str(info.value).startswith("line 1: invalid JSON: ")
 
 
 class TestRounding:

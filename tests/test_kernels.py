@@ -51,6 +51,7 @@ from ucsets.witnesses import (
     falgas_ravry_chain,
     m_sets,
     max_index_elements,
+    minimal_transversal,
 )
 
 # -- naive reference versions ----------------------------------------------
@@ -146,6 +147,21 @@ def naive_pair_witnesses(f):
     return {(i, j): next(a for a in f.members
                          if not a >> order[i - 1] & 1 and a >> order[j - 1] & 1)
             for i in range(1, m + 1) for j in range(i + 1, m + 1)}
+
+
+def naive_pb_family(tr):
+    """P_b for every non-empty b inside u_hat: the union of the singleton
+    witnesses of b's elements, in ascending order of b."""
+    xs = naive_elements(tr.u_hat)
+    out = {}
+    for b in sorted(sum(1 << x for x in combo)
+                    for size in range(1, len(xs) + 1)
+                    for combo in itertools.combinations(xs, size)):
+        p = 0
+        for x in naive_elements(b):
+            p |= tr.singleton_witnesses[x]
+        out[b] = p
+    return out
 
 
 def naive_quotient(f):
@@ -279,6 +295,17 @@ def test_pair_witnesses_match_first_member_scan(f):
     g = separating_union_closed(f)
     if g.n >= 1:
         assert falgas_ravry_chain(g).pair_witnesses == naive_pair_witnesses(g)
+
+
+@SETTINGS
+@given(families(max_m=7))
+def test_pb_family_matches_per_pattern_union(f):
+    g = separating_union_closed(f)
+    if g.n >= 1:
+        tr = minimal_transversal(g)
+        expected = naive_pb_family(tr)
+        assert tr.pb_family == expected
+        assert list(tr.pb_family) == list(expected)
 
 
 def test_consecutive_families_keep_their_own_profiles():
