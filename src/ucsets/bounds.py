@@ -31,6 +31,8 @@ SMALL_M_LIMIT = 12
 # Every calculus value is at most about 4m, so up to this m all of them are
 # finite floats; somewhat past 2^1022 the conversions overflow.
 CALCULUS_M_LIMIT = 1 << 1000
+# Uniform k' grid over which maxmin_check takes the max-min.
+MAXMIN_GRID_POINTS = 201
 
 
 def _check_calculus_m(m: int) -> None:
@@ -67,42 +69,40 @@ def min_f(m: int) -> tuple[int, float]:
     is at most ceil(log2 m), is 4 for m = 13..42 and at least 5 from
     m = 43 on) is verified against this result instead of being baked in.
     """
-    best_k = -1
-    best = math.inf
-    for k in k_scan_range(m):
-        v = f_m(m, k)
-        if v < best:
-            best = v
-            best_k = k
-    return best_k, best
+    if m < 1:
+        raise DomainError(f"m must be at least 1, got {m}")
+    calc = _calculus(m)
+    return calc.k_star, calc.min_f
 
 
 def ieq1_threshold(m: int) -> float:
     """The member-count threshold 2 * (m + min_k f(m, k))."""
-    return 2.0 * (m + min_f(m)[1])
+    if m < 1:
+        raise DomainError(f"m must be at least 1, got {m}")
+    return _calculus(m).ieq1_threshold
+
+
+def _log_gap(m: int, what: str) -> float:
+    """log2 m - log2 log2 m, undefined for m <= 1; what names the caller's value."""
+    if m <= 1:
+        raise DomainError(f"{what} undefined for m <= 1, got {m}")
+    _check_calculus_m(m)
+    lg = math.log2(m)
+    return lg - math.log2(lg)
 
 
 def closed_form_threshold(m: int) -> float:
     """The relaxed threshold 2 * (m + m / (log2 m - log2 log2 m)).
 
-    Undefined for m <= 1 (log2 log2 m degenerates).  m = 2 evaluates to 8
-    with denominator 1, below the regime the threshold is meant for.
+    Undefined for m <= 1.  m = 2 evaluates to 8 with denominator 1, below
+    the regime the threshold is meant for.
     """
-    if m <= 1:
-        raise DomainError(f"threshold undefined for m <= 1, got {m}")
-    _check_calculus_m(m)
-    lg = math.log2(m)
-    denom = lg - math.log2(lg)
-    return 2.0 * (m + m / denom)
+    return 2.0 * (m + m / _log_gap(m, "threshold"))
 
 
 def k_prime(m: int) -> float:
     """The analysis point k' = log2 m - log2 log2 m + 2."""
-    if m <= 1:
-        raise DomainError(f"k' undefined for m <= 1, got {m}")
-    _check_calculus_m(m)
-    lg = math.log2(m)
-    return lg - math.log2(lg) + 2.0
+    return _log_gap(m, "k'") + 2.0
 
 
 @dataclass(frozen=True)
@@ -142,27 +142,23 @@ class MaxMinCheck:
     holds_final: bool
 
 
-def maxmin_check(m: int, grid_points: int = 201) -> MaxMinCheck:
+def maxmin_check(m: int) -> MaxMinCheck:
     """Check min_f(m) >= max over k' of min(2^(k'-1), m/(k'-2)) numerically.
 
-    k' is sampled on a fixed uniform grid over [3, log2 m + 2].  Also checks
-    the final lower bound m / (log2 m - log2 log2 m), which is what the
-    closed-form threshold in turn relies on.
+    k' is sampled on a uniform grid of MAXMIN_GRID_POINTS over
+    [3, log2 m + 2].  Also checks the final lower bound
+    m / (log2 m - log2 log2 m), which is what the closed-form threshold in
+    turn relies on.
     """
-    if m <= 1:
-        raise DomainError(f"check undefined for m <= 1, got {m}")
+    final_lower = m / _log_gap(m, "check")
     _, fmin = min_f(m)
-    lo, hi = 3.0, math.log2(m) + 2.0
-    if hi < lo:
-        hi = lo
+    lo, hi = 3.0, max(3.0, math.log2(m) + 2.0)
     best = -math.inf
-    for i in range(grid_points):
-        kp = lo + (hi - lo) * i / (grid_points - 1)
+    for i in range(MAXMIN_GRID_POINTS):
+        kp = lo + (hi - lo) * i / (MAXMIN_GRID_POINTS - 1)
         v = min(2.0 ** (kp - 1.0), m / (kp - 2.0))
         if v > best:
             best = v
-    lg = math.log2(m)
-    final_lower = m / (lg - math.log2(lg))
     return MaxMinCheck(
         m=m,
         min_f=fmin,
@@ -229,25 +225,26 @@ def verdict_for(m: int, n: int) -> str:
         return VERDICT_SMALL_M
     if n <= 2 * m:
         return VERDICT_LEMMA
-    if within_threshold(n, closed_form_threshold(m)):
+    if within_threshold(n, _calculus(m).closed_form_threshold):
         return VERDICT_THEOREM
     return VERDICT_NOT_COVERED
 
 
 @lru_cache(maxsize=256)
-def _calculus(m: int) -> tuple:
-    """The fields of bound_report(m, n) that depend on m alone.
+def _calculus(m: int) -> BoundReport:
+    """The report without n: each m-dependent value, evaluated once per m.
 
-    f_values is kept as a tuple of (k, value) pairs so that no report
-    shares a mutable dict with the cache or with another report.
+    Callers check 0 <= m; each report gets its own copy of f_values.
     """
     notes: list[str] = []
     if m >= 1:
-        f_values = tuple((k, f_m(m, k)) for k in k_scan_range(m))
-        k_star, fmin = min_f(m)
+        f_values = {k: f_m(m, k) for k in k_scan_range(m)}
+        # min keeps the first of equal values: ties go to the smaller k.
+        k_star = min(f_values, key=f_values.__getitem__)
+        fmin = f_values[k_star]
         ieq1 = 2.0 * (m + fmin)
     else:
-        f_values, k_star, fmin, ieq1 = (), None, None, None
+        f_values, k_star, fmin, ieq1 = {}, None, None, None
         notes.append("universe is empty; threshold calculus skipped")
     if m >= 2:
         kp = k_prime(m)
@@ -258,7 +255,9 @@ def _calculus(m: int) -> tuple:
         kp = closed = None
         if m == 1:
             notes.append("closed-form threshold undefined for m <= 1")
-    return f_values, k_star, fmin, ieq1, kp, closed, tuple(notes)
+    return BoundReport(m=m, n=None, f_values=f_values, k_star=k_star, min_f=fmin,
+                       ieq1_threshold=ieq1, k_prime=kp, closed_form_threshold=closed,
+                       verdict=None, alarm=None, notes=tuple(notes))
 
 
 def bound_report(m: int, n: int | None = None) -> BoundReport:
@@ -272,20 +271,12 @@ def bound_report(m: int, n: int | None = None) -> BoundReport:
     if m < 0:
         raise DomainError(f"m must be non-negative, got {m}")
     _check_calculus_m(m)
-    f_values, k_star, fmin, ieq1, kp, closed, notes = _calculus(m)
-    verdict = verdict_for(m, n) if n is not None else None
-    return BoundReport(
-        m=m, n=n,
-        f_values=dict(f_values),
-        k_star=k_star,
-        min_f=fmin,
-        ieq1_threshold=ieq1,
-        k_prime=kp,
-        closed_form_threshold=closed,
-        verdict=verdict,
-        alarm=None,
-        notes=notes,
-    )
+    calc = _calculus(m)
+    return BoundReport(m=m, n=n, f_values=dict(calc.f_values), k_star=calc.k_star,
+                       min_f=calc.min_f, ieq1_threshold=calc.ieq1_threshold,
+                       k_prime=calc.k_prime, closed_form_threshold=calc.closed_form_threshold,
+                       verdict=verdict_for(m, n) if n is not None else None,
+                       alarm=None, notes=calc.notes)
 
 
 def applicability(f: SetFamily) -> BoundReport:

@@ -18,7 +18,6 @@ from typing import Any, Iterable, Iterator
 
 from .bounds import applicability, bound_report
 from .errors import (
-    CapacityError,
     ContradictionError,
     DomainError,
     FamilyParseError,
@@ -80,16 +79,25 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _read_families(path: str) -> Iterator[SetFamily]:
+def _ndjson_family(doc: Any, lineno: int) -> SetFamily:
+    try:
+        return family_from_json_dict(doc)
+    except FamilyParseError as exc:
+        raise FamilyParseError(str(exc), line=lineno) from None
+
+
+def _read_families(path: str, single: bool = False) -> Iterator[SetFamily]:
     """The families of a family file, a JSON document or an NDJSON corpus.
 
     The first non-blank line alone decides the form.  When it does not
     start with "{", the whole input is one family in the text form, and
     duplicate member lines collapse with a warning.  When it is a JSON value
     on its own, the input is NDJSON, one family per line, read as the
-    families are needed.  When its decoding fails exactly at its end, the
-    whole input is one JSON document, such as the indented output of
-    closure --format json.  Any other failure is an error on that line.
+    families are needed; errors name the line.  When its decoding fails
+    exactly at its end, the whole input is one JSON document, such as the
+    indented output of closure --format json.  Any other failure is an
+    error on that line.  With single, an NDJSON input is refused as a
+    corpus once a second non-blank line is read, before it is decoded.
     """
     with _open_source(path) as fh:
         head = ""
@@ -118,9 +126,12 @@ def _read_families(path: str) -> Iterator[SetFamily]:
         # Dropped and popped, so that neither the first line nor its decoded
         # document outlives its family.
         del head, line
-        yield family_from_json_dict(first.pop())
+        yield _ndjson_family(first.pop(), lineno)
         for lineno, line in numbered:
-            yield family_from_json_dict(decode_json(line, lineno))
+            if single:
+                raise FamilyParseError("input is a corpus of several families; "
+                                       "only verify --input reads corpora")
+            yield _ndjson_family(decode_json(line, lineno), lineno)
 
 
 def load_family(path: str) -> SetFamily:
@@ -130,23 +141,12 @@ def load_family(path: str) -> SetFamily:
     member (JSON padding) are dropped with a warning, so every command
     downstream sees a validated family.
     """
-    with contextlib.closing(_read_families(path)) as families:
-        fam = next(families)
-        if next(families, None) is not None:
-            raise FamilyParseError("input is a corpus of several families; "
-                                   "only verify --input reads corpora")
+    (fam,) = _read_families(path, single=True)
     if not fam.covers_universe:
         fam, kept = drop_unused_elements(fam)
         _warn(f"unused element ids dropped; {len(kept)} of the declared "
               "universe remain (ids renumbered)")
     return fam
-
-
-def _emit_family(f: SetFamily, fmt: str) -> None:
-    if fmt == "json":
-        print(to_json(family_to_json_dict(f)))
-    else:
-        sys.stdout.write(family_to_text(f))
 
 
 def _emit_report(fmt: str, doc: Any, lines: Iterable[str], status: int = 0) -> int:
@@ -206,10 +206,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return _emit_report(args.format, doc, lines)
 
 
+def _family_lines(f: SetFamily) -> Iterator[str]:
+    yield from family_to_text(f).splitlines()
+
+
 def cmd_closure(args: argparse.Namespace) -> int:
-    f = load_family(args.path)
-    _emit_family(union_closure(f), args.format)
-    return 0
+    f = union_closure(load_family(args.path))
+    return _emit_report(args.format, family_to_json_dict(f), _family_lines(f))
 
 
 def _require_union_closed(f: SetFamily) -> None:
@@ -229,20 +232,18 @@ def _require_separating(f: SetFamily) -> None:
             "exactly the same members; run the quotient command first")
 
 
+def _quotient_lines(q: SetFamily, classes: list[list[int]]) -> Iterator[str]:
+    yield from _family_lines(q)
+    for i, cls in enumerate(classes):
+        yield f"# class {i}: " + ",".join(map(str, cls))
+
+
 def cmd_quotient(args: argparse.Namespace) -> int:
     f = load_family(args.path)
     _require_union_closed(f)
     q, classes = separating_quotient(f)
-    if args.format == "json":
-        print(to_json({
-            "family": family_to_json_dict(q),
-            "classes": [list(cls) for cls in classes],
-        }))
-        return 0
-    sys.stdout.write(family_to_text(q))
-    for i, cls in enumerate(classes):
-        print(f"# class {i}: " + ",".join(str(x) for x in cls))
-    return 0
+    doc = {"family": family_to_json_dict(q), "classes": [list(cls) for cls in classes]}
+    return _emit_report(args.format, doc, _quotient_lines(q, doc["classes"]))
 
 
 def _chain_lines(w: ChainWitness) -> Iterator[str]:
@@ -463,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     except ContradictionError as exc:
         print(f"internal contradiction: {exc}", file=sys.stderr)
         return 3
-    except (PreconditionError, DomainError, CapacityError, ValueError) as exc:
+    except ValueError as exc:  # PreconditionError, DomainError, CapacityError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,6 +29,7 @@ from .family import (
 from .search import CorpusReport
 from .witnesses import ChainWitness, TransversalReport
 
+FAMILY_FIELDS = frozenset({"universe_size", "members"})
 M_SETS_DEFINITION = ("m_sets[i] is the union of all members NOT containing "
                      "the rank-i element; m_sets[0] is the universe")
 
@@ -93,11 +94,14 @@ def family_from_json_dict(doc: Any) -> SetFamily:
     """Build a family from the JSON object form; padding is respected."""
     if not isinstance(doc, dict):
         raise FamilyParseError("family document must be a JSON object")
-    extra = set(doc) - {"universe_size", "members"}
+    extra = set(doc) - FAMILY_FIELDS
     if extra:
         raise FamilyParseError(f"unknown family fields {sorted(extra)}")
-    m = doc.get("universe_size")
-    members = doc.get("members")
+    missing = FAMILY_FIELDS - set(doc)
+    if missing:
+        raise FamilyParseError(f"missing family fields {sorted(missing)}")
+    m = doc["universe_size"]
+    members = doc["members"]
     if not isinstance(m, int) or isinstance(m, bool):
         raise FamilyParseError("universe_size must be an integer")
     if not isinstance(members, list):
@@ -118,7 +122,7 @@ def family_from_json_dict(doc: Any) -> SetFamily:
                 f"members[{i}] exceeds the {MAX_UNIVERSE}-element capacity") from None
     try:
         return family_from_masks(masks, m, padded=True)
-    except (ValueError, CapacityError) as exc:
+    except ValueError as exc:  # CapacityError is one too
         raise FamilyParseError(str(exc)) from None
 
 
@@ -211,11 +215,8 @@ def corpus_to_json(rep: CorpusReport) -> dict[str, Any]:
     return {**report_to_json(rep), "ok": rep.ok}
 
 
-def to_json(doc: Any, *, compact: bool = False) -> str:
-    """Stable JSON encoding: sorted keys, no NaN, compact or 2-space indent."""
-    if compact:
-        return json.dumps(doc, sort_keys=True, allow_nan=False,
-                          separators=(",", ":"))
+def to_json(doc: Any) -> str:
+    """Stable JSON encoding: sorted keys, no NaN, 2-space indent."""
     return json.dumps(doc, sort_keys=True, allow_nan=False, indent=2)
 
 

@@ -278,16 +278,23 @@ class TestBoundReport:
 
     def test_calculus_computed_once_per_m(self, monkeypatch):
         bounds._calculus.cache_clear()
-        calls = []
-        real = bounds.f_m
-        monkeypatch.setattr(bounds, "f_m", lambda m, k: calls.append(m) or real(m, k))
+        calls, closed = [], []
+        real_f, real_closed = bounds.f_m, bounds.closed_form_threshold
+        monkeypatch.setattr(bounds, "f_m", lambda m, k: calls.append(m) or real_f(m, k))
+        monkeypatch.setattr(bounds, "closed_form_threshold",
+                            lambda m: closed.append(m) or real_closed(m))
         first = bound_report(97, 300)
         evaluated = len(calls)
-        assert evaluated > 0
+        assert evaluated == len(k_scan_range(97))
+        assert min_f(97) == (first.k_star, first.min_f)
+        assert ieq1_threshold(97) == first.ieq1_threshold
         second = bound_report(97, 150)
+        third = bound_report(97, 200)
         assert len(calls) == evaluated
+        assert closed == [97]
         assert first.f_values == second.f_values
-        assert (first.verdict, second.verdict) == (VERDICT_NOT_COVERED, VERDICT_LEMMA)
+        assert (first.verdict, second.verdict, third.verdict) \
+            == (VERDICT_NOT_COVERED, VERDICT_LEMMA, VERDICT_THEOREM)
 
     def test_reports_share_no_mutable_state(self):
         first = bound_report(13, 40)

@@ -7,9 +7,9 @@ import json
 import jsonschema
 import pytest
 
-from ucsets import family, search
+from ucsets import cli, family, search
 from ucsets.cli import main
-from ucsets.formats import load_schema, to_json
+from ucsets.formats import load_schema
 
 TRI_TEXT = "0\n1\n0,1\n"
 NONUC_TEXT = "0\n1\n"
@@ -375,6 +375,21 @@ REPORT_PINS = {
         "ae4cf1216a9eaa8738c19256799eaca53cf06e955d4ca5c0a4f5222e934dd361",
     "bounds-m13-n40":
         "d57f5ae6617eee8550ede23a92cde7d146b81c14a55f775f22fa36c16610090d",
+    "bounds-n3m":
+        "79fe7a2bb7cc322bab6a1350999768cd60c4a147488ee61b151d79c48025adfc",
+}
+BOUNDS_PIN_ARGVS = {
+    "bounds-m13-n40": [["bounds", "--m", "13", "--n", "40"]],
+    "bounds-n3m": [["bounds", "--m", str(m), "--n", str(3 * m)]
+                   for m in (2, 3, 12, 13, 42, 43, 100, 4096, 2 ** 1000)],
+}
+# The same digest over the family-writing commands.
+FAMILY_COMMANDS = [["closure"], ["quotient"]]
+FAMILY_PINS = {
+    "tri": "8e8b202c83647e9c1831299d5d293d90e8776666f72ea4476a9c1920eb54e492",
+    "chain": "ad5a95174e2e13876fb3b04d3b63ea38c8232c1c2f736b1a35f62595b6dc686c",
+    "not-union-closed": "035d8d153f245d6456e671caa1ef089465f3daa621bad8366d82d38470375e34",
+    "random-m16": "fcd62e5e2d341a64851e1a89d6ea88ac02cde9b3a52582a0a63a580265dd106b",
 }
 
 
@@ -387,18 +402,30 @@ def _report_digest(capsys, argvs):
     return h.hexdigest()
 
 
+def _input_file(capsys, tmp_path, name):
+    text = REPORT_INPUTS[name]
+    if text is None:
+        _, text, _ = run(capsys, "random", "--m", "16", "--seed", "42")
+    p = tmp_path / "family.txt"
+    p.write_text(text)
+    return str(p)
+
+
 @pytest.mark.parametrize("name", list(REPORT_PINS))
 def test_report_bytes_pinned(capsys, tmp_path, name):
-    if name == "bounds-m13-n40":
-        argvs = [["bounds", "--m", "13", "--n", "40"]]
+    if name in BOUNDS_PIN_ARGVS:
+        argvs = BOUNDS_PIN_ARGVS[name]
     else:
-        text = REPORT_INPUTS[name]
-        if text is None:
-            _, text, _ = run(capsys, "random", "--m", "16", "--seed", "42")
-        p = tmp_path / "family.txt"
-        p.write_text(text)
-        argvs = [cmd + [str(p)] for cmd in REPORT_COMMANDS]
+        path = _input_file(capsys, tmp_path, name)
+        argvs = [cmd + [path] for cmd in REPORT_COMMANDS]
     assert _report_digest(capsys, argvs) == REPORT_PINS[name]
+
+
+@pytest.mark.parametrize("name", list(FAMILY_PINS))
+def test_family_bytes_pinned(capsys, tmp_path, name):
+    path = _input_file(capsys, tmp_path, name)
+    argvs = [cmd + [path] for cmd in FAMILY_COMMANDS]
+    assert _report_digest(capsys, argvs) == FAMILY_PINS[name]
 
 
 class TestVerify:
@@ -510,8 +537,9 @@ class TestReader:
         _, indented, _ = run(capsys, "closure", str(text), "--format", "json")
         doc = json.loads(indented)
         assert len(indented.splitlines()) > 1
+        ndjson = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
         forms = {"text": CHAIN_TEXT, "one-line": json.dumps(doc), "indented": indented,
-                 "ndjson": to_json(doc, compact=True) + "\n"}
+                 "ndjson": ndjson}
         seen = {}
         for name, content in forms.items():
             p = tmp_path / name
@@ -546,6 +574,55 @@ class TestReader:
         code, out, err = run(capsys, "verify", "--input", str(p))
         assert (code, out) == (1, "")
         assert err.startswith("error: line 3: invalid JSON: Extra data")
+
+    def test_ndjson_family_errors_name_their_line(self, capsys, tmp_path):
+        p = tmp_path / "corpus.ndjson"
+        p.write_text('{"members":[[0]],"universe_size":1}\n\n'
+                     '{"members":[[-1]],"universe_size":1}\n')
+        code, out, err = run(capsys, "verify", "--input", str(p))
+        assert (code, out) == (1, "")
+        assert err == "error: line 3: members[0] contains a negative element id\n"
+        p.write_text('\n{"members":[[0, 64]],"universe_size":65}\n')
+        assert run(capsys, "analyze", str(p)) \
+            == (1, "", "error: line 2: members[0] exceeds the 64-element capacity\n")
+
+    def test_document_errors_stay_unnumbered(self, capsys, tmp_path):
+        p = tmp_path / "doc.json"
+        p.write_text('{"universe_size": 1,\n "members": [[-1]]}\n')
+        assert run(capsys, "analyze", str(p)) \
+            == (1, "", "error: members[0] contains a negative element id\n")
+
+    @pytest.mark.parametrize("command", [["analyze"], ["verify", "--input"]],
+                             ids=" ".join)
+    def test_text_labels_fed_back_name_the_missing_fields(self, capsys, tmp_path,
+                                                          command):
+        _, labels, _ = run(capsys, "enumerate", "--m", "2", "--format", "text")
+        assert labels.splitlines()[0] == "{}"
+        p = tmp_path / "labels.txt"
+        p.write_text(labels)
+        assert run(capsys, *command, str(p)) == (
+            1, "", "error: line 1: missing family fields ['members', 'universe_size']\n")
+
+    @pytest.mark.parametrize("command", ONE_FAMILY_COMMANDS, ids=" ".join)
+    def test_second_line_is_refused_undecoded(self, capsys, monkeypatch, command):
+        family_line = '{"members":[[0]],"universe_size":1}\n'
+        monkeypatch.setattr("sys.stdin", io.StringIO(family_line + "{not json\n"))
+        code, out, err = run(capsys, *command, "-")
+        assert (code, out) == (1, "")
+        assert err == ("error: input is a corpus of several families; "
+                       "only verify --input reads corpora\n")
+
+    def test_one_family_commands_build_one_family(self, capsys, tmp_path, monkeypatch):
+        _, ndjson, _ = run(capsys, "random", "--m", "6", "--count", "2", "--format", "json")
+        p = tmp_path / "corpus.ndjson"
+        p.write_text(ndjson)
+        built = []
+        real = cli.family_from_json_dict
+        monkeypatch.setattr(cli, "family_from_json_dict",
+                            lambda doc: built.append(doc) or real(doc))
+        code, _, err = run(capsys, "analyze", str(p))
+        assert code == 1 and "corpus" in err
+        assert len(built) == 1
 
 
 class FirstLineOnly(io.StringIO):

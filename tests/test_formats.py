@@ -140,6 +140,16 @@ class TestJsonFamilies:
         with pytest.raises(FamilyParseError, match="universe_size"):
             family_from_json_dict({"universe_size": 1, "members": [[0, 1]]})
 
+    @pytest.mark.parametrize("doc, missing", [
+        ({}, "['members', 'universe_size']"),
+        ({"universe_size": 1}, "['members']"),
+        ({"members": [[0]]}, "['universe_size']"),
+    ])
+    def test_names_missing_fields(self, doc, missing):
+        with pytest.raises(FamilyParseError) as exc:
+            family_from_json_dict(doc)
+        assert str(exc.value) == f"missing family fields {missing}"
+
     def test_invalid_json_reports_line(self):
         err = None
         try:
@@ -219,9 +229,7 @@ class TestReportSerialization:
 
 
 class TestStableEncoding:
-    def test_sorted_keys_and_compact(self):
-        s = to_json({"b": 1, "a": 2}, compact=True)
-        assert s == '{"a":2,"b":1}'
+    def test_sorted_keys(self):
         pretty = to_json({"b": 1, "a": 2})
         assert pretty.index('"a"') < pretty.index('"b"')
 
