@@ -3,8 +3,7 @@
 The integer cost function f(m, k) = 2^(k-1) + m/(k-2) - k - 3 drives the
 main member-count threshold 2*(m + min_k f(m, k)).  Its closed-form
 relaxation 2*(m + m/(log2 m - log2 log2 m)) is cheaper to state; both are
-computed here together with the bookkeeping needed to check one against the
-other numerically instead of trusting the derivation.
+computed here, with the applicability verdicts that rest on them.
 
 Float inequalities involving an integer member count use an absolute
 tolerance of 1e-9: n is within a threshold t iff n <= floor(t + 1e-9).
@@ -31,8 +30,6 @@ SMALL_M_LIMIT = 12
 # Every calculus value is at most about 4m, so up to this m all of them are
 # finite floats; somewhat past 2^1022 the conversions overflow.
 CALCULUS_M_LIMIT = 1 << 1000
-# Uniform k' grid over which maxmin_check takes the max-min.
-MAXMIN_GRID_POINTS = 201
 
 
 def _check_calculus_m(m: int) -> None:
@@ -103,80 +100,6 @@ def closed_form_threshold(m: int) -> float:
 def k_prime(m: int) -> float:
     """The analysis point k' = log2 m - log2 log2 m + 2."""
     return _log_gap(m, "k'") + 2.0
-
-
-@dataclass(frozen=True)
-class KPrimeCheck:
-    """Both sides of the substitution step m/(k'-2) <= 2^(k'-1) at k = k'."""
-
-    m: int
-    k_prime: float
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def kprime_check(m: int) -> KPrimeCheck:
-    """Evaluate m/(k'-2) against 2^(k'-1) instead of assuming the step.
-
-    The step is equivalent to 2*log2 log2 m <= log2 m, which fails in a
-    narrow band (13..15) and holds with equality at m = 16; the check
-    reports whichever way it comes out.
-    """
-    kp = k_prime(m)
-    lhs = m / (kp - 2.0)
-    rhs = 2.0 ** (kp - 1.0)
-    return KPrimeCheck(m=m, k_prime=kp, lhs=lhs, rhs=rhs,
-                       holds=lhs <= rhs + TOLERANCE)
-
-
-@dataclass(frozen=True)
-class MaxMinCheck:
-    """Numeric check of min_f against its max-min lower bound."""
-
-    m: int
-    min_f: float
-    grid_max_min: float
-    final_lower: float
-    holds_grid: bool
-    holds_final: bool
-
-
-def maxmin_check(m: int) -> MaxMinCheck:
-    """Check min_f(m) >= max over k' of min(2^(k'-1), m/(k'-2)) numerically.
-
-    k' is sampled on a uniform grid of MAXMIN_GRID_POINTS over
-    [3, log2 m + 2].  Also checks the final lower bound
-    m / (log2 m - log2 log2 m), which is what the closed-form threshold in
-    turn relies on.
-    """
-    final_lower = m / _log_gap(m, "check")
-    _, fmin = min_f(m)
-    lo, hi = 3.0, max(3.0, math.log2(m) + 2.0)
-    best = -math.inf
-    for i in range(MAXMIN_GRID_POINTS):
-        kp = lo + (hi - lo) * i / (MAXMIN_GRID_POINTS - 1)
-        v = min(2.0 ** (kp - 1.0), m / (kp - 2.0))
-        if v > best:
-            best = v
-    return MaxMinCheck(
-        m=m,
-        min_f=fmin,
-        grid_max_min=best,
-        final_lower=final_lower,
-        holds_grid=fmin >= best - TOLERANCE,
-        holds_final=fmin >= final_lower - TOLERANCE,
-    )
-
-
-def hu_fraction(c: float) -> float:
-    """The witness-frequency fraction (c-2) / (2*(c-1)) for c > 2.
-
-    Approaches 0 as c -> 2 and 1/2 as c grows; c = 3 gives 1/4.
-    """
-    if c <= 2:
-        raise DomainError(f"fraction defined only for c > 2, got {c}")
-    return (c - 2.0) / (2.0 * (c - 1.0))
 
 
 def within_threshold(n: int, t: float) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapacityError, DomainError
 
@@ -139,12 +139,6 @@ class SetFamily:
         """True when every element id occurs in at least one member."""
         return self.covered_mask == self.universe_mask
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 def make_family(sets: Iterable[Iterable[int]]) -> SetFamily:
     """Build a family from collections of element ids.
@@ -157,13 +151,12 @@ def make_family(sets: Iterable[Iterable[int]]) -> SetFamily:
 
 
 def family_from_masks(masks: Iterable[int],
-                      universe_size: int | None = None,
-                      *, padded: bool = False) -> SetFamily:
+                      universe_size: int | None = None) -> SetFamily:
     """Build a family from raw masks.
 
     Without an explicit universe_size the universe is derived from the
-    largest element used.  A larger explicit universe introduces element ids
-    that occur in no member; that is only accepted with padded=True.
+    largest element used.  A larger explicit universe is accepted; its
+    trailing ids occur in no member.
     """
     ms = sorted(set(masks))
     if ms and ms[0] < 0:
@@ -176,10 +169,6 @@ def family_from_masks(masks: Iterable[int],
     elif universe_size < used:
         raise ValueError(
             f"universe_size {universe_size} too small for members using {used} elements")
-    elif universe_size > used and not padded:
-        raise ValueError(
-            f"universe_size {universe_size} exceeds the {used} covered elements; "
-            "pass padded=True to allow trailing unused ids")
     return SetFamily(universe_size, tuple(ms))
 
 

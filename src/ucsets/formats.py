@@ -91,7 +91,8 @@ def family_to_ndjson(f: SetFamily) -> str:
 
 
 def family_from_json_dict(doc: Any) -> SetFamily:
-    """Build a family from the JSON object form; padding is respected."""
+    """Build a family from the JSON object form; padding is respected and,
+    as in the bundled schema, a repeated member or member id is refused."""
     if not isinstance(doc, dict):
         raise FamilyParseError("family document must be a JSON object")
     extra = set(doc) - FAMILY_FIELDS
@@ -111,7 +112,7 @@ def family_from_json_dict(doc: Any) -> SetFamily:
         if not isinstance(ids, list):
             raise FamilyParseError(f"members[{i}] must be an array of integers")
         try:
-            masks.append(mask_of(ids))
+            mask = mask_of(ids)
         except TypeError:
             raise FamilyParseError(f"members[{i}] must be an array of integers") from None
         except DomainError:
@@ -120,10 +121,19 @@ def family_from_json_dict(doc: Any) -> SetFamily:
         except CapacityError:
             raise FamilyParseError(
                 f"members[{i}] exceeds the {MAX_UNIVERSE}-element capacity") from None
+        if len(ids) != mask.bit_count():  # at most 64 distinct ids, so ids[:j] is short
+            x = next(x for j, x in enumerate(ids) if x in ids[:j])
+            raise FamilyParseError(f"members[{i}] repeats element id {x}")
+        masks.append(mask)
     try:
-        return family_from_masks(masks, m, padded=True)
+        f = family_from_masks(masks, m)
     except ValueError as exc:  # CapacityError is one too
         raise FamilyParseError(str(exc)) from None
+    if f.n != len(masks):  # family_from_masks collapsed a repeat
+        first: dict[int, int] = {}
+        j = next(j for j, mask in enumerate(masks) if first.setdefault(mask, j) != j)
+        raise FamilyParseError(f"members[{j}] repeats members[{first[masks[j]]}]")
+    return f
 
 
 def decode_json(text: str, line: int | None = None) -> Any:

@@ -71,8 +71,9 @@ def enumerate_union_closed(m: int, mode: str = "exhaustive", *,
     the families of that stream with at most max_generators join-irreducible
     members (all of them when None), that is the union closures of at most
     max_generators masks, and yields the canonical form of each in order of
-    first appearance, once per isomorphism class.  Capacity is checked at
-    the call, before any family is built.
+    first appearance, once per isomorphism class.  Capacity, and that
+    max_generators is only given in generator mode, are checked at the
+    call, before any family is built.
 
     family_filter: "all" keeps every union-closed subfamily, "validated"
     only those covering the full ambient universe, and "separating" (the
@@ -84,6 +85,8 @@ def enumerate_union_closed(m: int, mode: str = "exhaustive", *,
         raise DomainError(f"unknown filter {family_filter!r}; expected one of {FILTERS}")
     if mode not in ("exhaustive", "generators"):
         raise DomainError(f"unknown mode {mode!r}; expected exhaustive or generators")
+    if mode == "exhaustive" and max_generators is not None:
+        raise DomainError("max_generators applies to generator mode only")
     if not 0 <= m <= EXHAUSTIVE_LIMIT:
         raise CapacityError(f"{mode} enumeration supports m <= {EXHAUSTIVE_LIMIT}, got {m}")
     stream = _enumerate_exhaustive(m, family_filter)

@@ -1,6 +1,7 @@
 """Threshold calculus: cost function, thresholds, checks, verdicts."""
 
 import math
+from dataclasses import dataclass
 
 import pytest
 
@@ -15,13 +16,10 @@ from ucsets import (
     closed_form_threshold,
     f_m,
     family_from_masks,
-    hu_fraction,
     ieq1_threshold,
     k_prime,
-    kprime_check,
     lemma_bound,
     make_family,
-    maxmin_check,
     min_f,
     union_closure,
     verdict_for,
@@ -31,7 +29,88 @@ from ucsets import (
     VERDICT_SMALL_M,
     VERDICT_THEOREM,
 )
-from ucsets.bounds import SMALL_M_LIMIT, TOLERANCE, k_scan_range
+from ucsets.bounds import SMALL_M_LIMIT, TOLERANCE, _log_gap, k_scan_range
+
+# Numeric checks of the derivation's intermediate steps, kept as test
+# oracles: the library computes thresholds and verdicts, not these.
+
+# Uniform k' grid over which maxmin_check takes the max-min.
+MAXMIN_GRID_POINTS = 201
+
+
+@dataclass(frozen=True)
+class KPrimeCheck:
+    """Both sides of the substitution step m/(k'-2) <= 2^(k'-1) at k = k'."""
+
+    m: int
+    k_prime: float
+    lhs: float
+    rhs: float
+    holds: bool
+
+
+def kprime_check(m: int) -> KPrimeCheck:
+    """Evaluate m/(k'-2) against 2^(k'-1) instead of assuming the step.
+
+    The step is equivalent to 2*log2 log2 m <= log2 m, which fails in a
+    narrow band (13..15) and holds with equality at m = 16; the check
+    reports whichever way it comes out.
+    """
+    kp = k_prime(m)
+    lhs = m / (kp - 2.0)
+    rhs = 2.0 ** (kp - 1.0)
+    return KPrimeCheck(m=m, k_prime=kp, lhs=lhs, rhs=rhs,
+                       holds=lhs <= rhs + TOLERANCE)
+
+
+@dataclass(frozen=True)
+class MaxMinCheck:
+    """Numeric check of min_f against its max-min lower bound."""
+
+    m: int
+    min_f: float
+    grid_max_min: float
+    final_lower: float
+    holds_grid: bool
+    holds_final: bool
+
+
+def maxmin_check(m: int) -> MaxMinCheck:
+    """Check min_f(m) >= max over k' of min(2^(k'-1), m/(k'-2)) numerically.
+
+    k' is sampled on a uniform grid of MAXMIN_GRID_POINTS over
+    [3, log2 m + 2].  Also checks the final lower bound
+    m / (log2 m - log2 log2 m), which is what the closed-form threshold in
+    turn relies on.
+    """
+    final_lower = m / _log_gap(m, "check")
+    _, fmin = min_f(m)
+    lo, hi = 3.0, max(3.0, math.log2(m) + 2.0)
+    best = -math.inf
+    for i in range(MAXMIN_GRID_POINTS):
+        kp = lo + (hi - lo) * i / (MAXMIN_GRID_POINTS - 1)
+        v = min(2.0 ** (kp - 1.0), m / (kp - 2.0))
+        if v > best:
+            best = v
+    return MaxMinCheck(
+        m=m,
+        min_f=fmin,
+        grid_max_min=best,
+        final_lower=final_lower,
+        holds_grid=fmin >= best - TOLERANCE,
+        holds_final=fmin >= final_lower - TOLERANCE,
+    )
+
+
+def hu_fraction(c: float) -> float:
+    """The witness-frequency fraction (c-2) / (2*(c-1)) for c > 2.
+
+    Approaches 0 as c -> 2 and 1/2 as c grows; c = 3 gives 1/4.
+    """
+    if c <= 2:
+        raise DomainError(f"fraction defined only for c > 2, got {c}")
+    return (c - 2.0) / (2.0 * (c - 1.0))
+
 
 CHAIN = make_family([{0}, {0, 1}, {0, 1, 2}])
 TRI = make_family([{0}, {1}, {0, 1}])

@@ -586,6 +586,19 @@ class TestReader:
         assert run(capsys, "analyze", str(p)) \
             == (1, "", "error: line 2: members[0] exceeds the 64-element capacity\n")
 
+    def test_json_repeats_are_refused(self, capsys, tmp_path):
+        p = tmp_path / "dup.json"
+        p.write_text('{"members":[[0],[0]],"universe_size":1}\n')
+        assert run(capsys, "analyze", str(p)) \
+            == (1, "", "error: line 1: members[1] repeats members[0]\n")
+        p.write_text('{"members":[[0]],"universe_size":1}\n'
+                     '{"members":[[0],[0,1,1]],"universe_size":2}\n')
+        assert run(capsys, "verify", "--input", str(p)) \
+            == (1, "", "error: line 2: members[1] repeats element id 1\n")
+        p.write_text('{"universe_size": 1,\n "members": [[0], [0]]}\n')
+        assert run(capsys, "analyze", str(p)) \
+            == (1, "", "error: members[1] repeats members[0]\n")
+
     def test_document_errors_stay_unnumbered(self, capsys, tmp_path):
         p = tmp_path / "doc.json"
         p.write_text('{"universe_size": 1,\n "members": [[-1]]}\n')
@@ -687,6 +700,15 @@ class TestErrorPaths:
         code, _, err = run(capsys, "analyze", str(p))
         assert code == 1
         assert "unknown family fields" in err
+
+    @pytest.mark.parametrize("command", ["enumerate", "verify"])
+    def test_max_generators_outside_generator_mode(self, capsys, monkeypatch, command):
+        def started(m, family_filter):
+            raise AssertionError("enumeration stream started")
+        monkeypatch.setattr(search, "_enumerate_exhaustive", started)
+        code, out, err = run(capsys, command, "--m", "3", "--max-generators", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: max_generators applies to generator mode only\n"
 
     def test_usage_error_from_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -76,9 +76,7 @@ def test_set_family_rejects_member_outside_universe():
 
 
 def test_family_from_masks_padding_gate():
-    with pytest.raises(ValueError):
-        family_from_masks([0b1], universe_size=3)
-    padded = family_from_masks([0b1], universe_size=3, padded=True)
+    padded = family_from_masks([0b1], universe_size=3)
     assert padded.universe_size == 3
     assert not padded.covers_universe
     with pytest.raises(ValueError):
@@ -194,18 +192,13 @@ def test_column_signatures():
 
 
 def test_drop_unused_elements():
-    f = family_from_masks([0b001, 0b101], universe_size=4, padded=True)
+    f = family_from_masks([0b001, 0b101], universe_size=4)
     g, kept = drop_unused_elements(f)
     assert kept == (0, 2)
     assert g == make_family([{0}, {0, 1}])
     h, kept = drop_unused_elements(CHAIN)
     assert h == CHAIN
     assert kept == (0, 1, 2)
-
-
-def test_iteration_and_len():
-    assert list(TRI) == [0b01, 0b10, 0b11]
-    assert len(TRI) == 3
 
 
 def test_closure_member_budget(monkeypatch):

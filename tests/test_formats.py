@@ -95,7 +95,7 @@ class TestTextSerialization:
         assert parse_family_text(family_to_text(f)) == f
 
     def test_padding_dropped(self):
-        padded = family_from_masks([0b1], universe_size=3, padded=True)
+        padded = family_from_masks([0b1], universe_size=3)
         assert parse_family_text(family_to_text(padded)).universe_size == 1
 
 
@@ -139,6 +139,19 @@ class TestJsonFamilies:
             family_from_json_dict({"universe_size": 1, "members": [[64]]})
         with pytest.raises(FamilyParseError, match="universe_size"):
             family_from_json_dict({"universe_size": 1, "members": [[0, 1]]})
+
+    @pytest.mark.parametrize("members, message", [
+        ([[0], [0]], "members[1] repeats members[0]"),
+        ([[], [1], [0, 1], [1, 0]], "members[3] repeats members[2]"),
+        ([[1], [], [0], []], "members[3] repeats members[1]"),
+        ([[0, 0]], "members[0] repeats element id 0"),
+        ([[0], [1, 0, 1]], "members[1] repeats element id 1"),
+    ])
+    def test_refuses_repeats(self, members, message):
+        # The bundled family schema declares uniqueItems at both levels.
+        with pytest.raises(FamilyParseError) as exc:
+            family_from_json_dict({"universe_size": 2, "members": members})
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("doc, missing", [
         ({}, "['members', 'universe_size']"),

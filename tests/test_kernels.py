@@ -238,7 +238,7 @@ def families(draw, max_m=8):
     them are closed under union first."""
     m = draw(st.integers(0, max_m))
     masks = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=24))
-    f = family_from_masks(masks, universe_size=m, padded=True)
+    f = family_from_masks(masks, universe_size=m)
     return union_closure(f) if draw(st.booleans()) else f
 
 
@@ -247,7 +247,7 @@ def wide_families(draw):
     """Families over m <= 64 elements, not closed, unused ids allowed."""
     m = draw(st.integers(0, 64))
     masks = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=24))
-    return family_from_masks(masks, universe_size=m, padded=True)
+    return family_from_masks(masks, universe_size=m)
 
 
 def separating_union_closed(f):
@@ -386,8 +386,8 @@ CODEC_EDGES = [
     family_from_masks([0, 1, FULL_64]),
     family_from_masks([FULL_64]),
     family_from_masks([1 << 63, 0xFF << 56, 0x0101010101010101]),
-    family_from_masks([1], 3, padded=True),
-    family_from_masks([], 5, padded=True),
+    family_from_masks([1], 3),
+    family_from_masks([], 5),
 ]
 
 

@@ -1,5 +1,6 @@
 """Enumeration, canonical forms, the seeded generator, corpus verification."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -16,8 +17,10 @@ from ucsets import (
     is_separating,
     lemma_bound,
     make_family,
+    minimal_transversal,
     random_family,
     splitmix64,
+    verdict_for,
 )
 from ucsets import bounds, search, witnesses
 from ucsets.family import closure_of_masks
@@ -87,6 +90,12 @@ class TestExhaustiveEnumeration:
             list(enumerate_union_closed(2, family_filter="spanning"))
         with pytest.raises(DomainError, match="mode"):
             list(enumerate_union_closed(2, mode="sampled"))
+
+    def test_max_generators_refused_at_call(self):
+        # Not iterated: exhaustive mode has no generator budget to apply.
+        for g in (0, 1, 64):
+            with pytest.raises(DomainError, match="generator mode only"):
+                enumerate_union_closed(3, max_generators=g)
 
 
 class TestGeneratorEnumeration:
@@ -251,8 +260,7 @@ class TestCorpusVerify:
         assert rep.ok
 
     def test_rejects_unvalidated(self):
-        rep = corpus_verify([family_from_masks([0b01], universe_size=2,
-                                               padded=True)])
+        rep = corpus_verify([family_from_masks([0b01], universe_size=2)])
         assert not rep.ok
         assert rep.rejections == [
             ("{{0}}", "not validated: element ids [1] occur in no member")]
@@ -291,6 +299,31 @@ class TestCorpusVerify:
         corpus = [canonical_form(f) for f in enumerate_union_closed(2)]
         rep = corpus_verify(corpus)
         assert rep.ok
+
+
+# Seeds 0..399 of random_family(m, g, seed) for generator counts that reach
+# the theorem band 2m < n <= 2(m + m/(log2 m - log2 log2 m)).
+# (m, g): (verdict counts, minimal-transversal k histogram in the band)
+THEOREM_BAND_GRID = {
+    (16, 6): ({"covered-by-theorem": 198, "covered-by-lemma": 149,
+               "covered-by-small-m": 48, "not-covered": 5}, {1: 38, 2: 158, 3: 2}),
+    (24, 7): ({"covered-by-theorem": 255, "covered-by-lemma": 18,
+               "not-covered": 127}, {1: 50, 2: 205}),
+    (32, 7): ({"covered-by-theorem": 283, "covered-by-lemma": 22,
+               "not-covered": 95}, {1: 62, 2: 220, 3: 1}),
+    (64, 7): ({"covered-by-theorem": 187, "covered-by-lemma": 213}, {1: 73, 2: 114}),
+}
+
+
+@pytest.mark.parametrize("m, g", sorted(THEOREM_BAND_GRID))
+def test_theorem_band_seed_grid(m, g):
+    verdicts, k_histogram = THEOREM_BAND_GRID[m, g]
+    families = [random_family(m, g, seed) for seed in range(400)]
+    got = [verdict_for(f.universe_size, f.n) for f in families]
+    assert Counter(got) == verdicts
+    band = [f for f, v in zip(families, got) if v == bounds.VERDICT_THEOREM]
+    assert Counter(minimal_transversal(f).k for f in band) == k_histogram
+    assert corpus_verify(band).ok
 
 
 class TestOnePass:
