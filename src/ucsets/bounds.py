@@ -195,11 +195,8 @@ def bound_report(m: int, n: int | None = None) -> BoundReport:
         raise DomainError(f"m must be non-negative, got {m}")
     _check_calculus_m(m)
     calc = _calculus(m)
-    return BoundReport(m=m, n=n, f_values=dict(calc.f_values), k_star=calc.k_star,
-                       min_f=calc.min_f, ieq1_threshold=calc.ieq1_threshold,
-                       k_prime=calc.k_prime, closed_form_threshold=calc.closed_form_threshold,
-                       verdict=verdict_for(m, n) if n is not None else None,
-                       alarm=None, notes=calc.notes)
+    return replace(calc, n=n, f_values=dict(calc.f_values),
+                   verdict=verdict_for(m, n) if n is not None else None)
 
 
 def applicability(f: SetFamily) -> BoundReport:

@@ -29,7 +29,6 @@ from .family import (
     drop_unused_elements,
     family_from_masks,
     family_label,
-    family_profile,
     find_union_gap,
     find_unseparated_pair,
     frankl_witnesses,
@@ -173,14 +172,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise PreconditionError("empty family")
     uc = is_union_closed(f)
     sep = is_separating(f)
-    prof = family_profile(f)
     doc: dict[str, Any] = {
         "m": f.universe_size,
         "n": f.n,
         "union_closed": uc,
         "separating": sep,
-        "frequencies": {str(x): c for x, c in enumerate(prof.freq)},
-        "order": list(prof.order),
+        "frequencies": {str(x): c for x, c in enumerate(f.freq)},
+        "order": list(f.order),
         "frankl_witnesses": frankl_witnesses(f),
         "verdict": None,
         "alarm": None,
@@ -312,6 +310,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return _emit_report(args.format, doc, _bounds_lines(doc))
 
 
+# The options that only one generated source reads, and their defaults.
+# verify leaves them None, so that it can refuse one its source ignores.
+_RANDOM_DEFAULTS = {"generators": 10, "seed": 0, "count": 1}
+_ENUMERATION_DEFAULTS = {"mode": "exhaustive", "filter": "separating", "max_generators": None}
+
+
 def _corpus(args: argparse.Namespace) -> Iterator[SetFamily]:
     """The generated families the options name: seeded random ones, or an
     enumeration."""
@@ -321,6 +325,27 @@ def _corpus(args: argparse.Namespace) -> Iterator[SetFamily]:
     return enumerate_union_closed(args.m, args.mode,
                                   family_filter=args.filter,
                                   max_generators=args.max_generators)
+
+
+def _verify_families(args: argparse.Namespace) -> Iterable[SetFamily]:
+    """The --input or generated families; refuses the options they ignore."""
+    if args.input is not None:
+        source, unread = "--input", ("m", "random", *_ENUMERATION_DEFAULTS, *_RANDOM_DEFAULTS)
+    elif args.m is None:
+        raise DomainError("verify needs --input PATH or --m M")
+    elif args.random:
+        source, unread = "--random", _ENUMERATION_DEFAULTS
+    else:
+        source, unread = "--m without --random", _RANDOM_DEFAULTS
+    for name in unread:
+        if getattr(args, name) is not None:
+            raise DomainError(f"--{name.replace('_', '-')} does not apply to verify {source}")
+    if args.input is not None:
+        return _read_families(args.input)
+    for name, default in {**_ENUMERATION_DEFAULTS, **_RANDOM_DEFAULTS}.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    return _corpus(args)
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -356,10 +381,7 @@ def _corpus_lines(rep: CorpusReport) -> Iterator[str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.input is None and args.m is None:
-        raise DomainError("verify needs --input PATH or --m M")
-    families = _corpus(args) if args.input is None else _read_families(args.input)
-    rep = corpus_verify(families)
+    rep = corpus_verify(_verify_families(args))
     return _emit_report(args.format, corpus_to_json(rep), _corpus_lines(rep),
                         0 if rep.ok else 3)
 
@@ -386,16 +408,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output format (default: text)")
 
     def add_random(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--generators", type=int, default=10)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--count", type=_count, default=1,
+        p.add_argument("--generators", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--count", type=_count,
                        help="this many families, seeds seed..seed+count-1")
 
     def add_enumeration(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--mode", choices=("exhaustive", "generators"),
-                       default="exhaustive")
-        p.add_argument("--filter", choices=FILTERS, default="separating")
-        p.add_argument("--max-generators", type=_count, default=None,
+        p.add_argument("--mode", choices=("exhaustive", "generators"))
+        p.add_argument("--filter", choices=FILTERS)
+        p.add_argument("--max-generators", type=_count,
                        help="generator mode: at most this many join-irreducible members")
 
     p = sub.add_parser("analyze", help="basic structure, frequencies, verdict")
@@ -431,20 +452,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     add_enumeration(p)
     add_format(p)
-    p.set_defaults(func=cmd_enumerate, random=False)
+    p.set_defaults(func=cmd_enumerate, random=False, **_ENUMERATION_DEFAULTS)
 
     p = sub.add_parser("random", help="seeded random separating families")
     p.add_argument("--m", type=int, required=True)
     add_random(p)
     add_format(p)
-    p.set_defaults(func=cmd_random, random=True)
+    p.set_defaults(func=cmd_random, random=True, **_RANDOM_DEFAULTS)
 
     p = sub.add_parser("verify", help="run the verification battery")
     p.add_argument("--input", default=None,
                    help="family file, JSON document or NDJSON corpus; - for stdin")
     p.add_argument("--m", type=int, default=None)
     add_enumeration(p)
-    p.add_argument("--random", action="store_true",
+    p.add_argument("--random", action="store_true", default=None,
                    help="verify seeded random families instead of enumerating")
     add_random(p)
     add_format(p)

@@ -101,7 +101,11 @@ def elements_text(mask: int) -> str:
 
 @dataclass(frozen=True)
 class SetFamily:
-    """A family of subsets of {0, ..., universe_size-1}, one mask per member."""
+    """A family of subsets of {0, ..., universe_size-1}, one mask per member.
+
+    Each part of the derived data below is computed once, on first use, and
+    cached on the instance; equality and hashing use the two fields alone.
+    """
 
     universe_size: int
     members: tuple[int, ...]
@@ -127,7 +131,7 @@ class SetFamily:
     def universe_mask(self) -> int:
         return (1 << self.universe_size) - 1
 
-    @property
+    @cached_property
     def covered_mask(self) -> int:
         cov = 0
         for mask in self.members:
@@ -138,6 +142,54 @@ class SetFamily:
     def covers_universe(self) -> bool:
         """True when every element id occurs in at least one member."""
         return self.covered_mask == self.universe_mask
+
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """columns[x] has bit i set when member i contains element x."""
+        return _bit_columns(self.members, self.universe_size)
+
+    @cached_property
+    def freq(self) -> tuple[int, ...]:
+        """Number of members containing each element (column popcounts)."""
+        return tuple(col.bit_count() for col in self.columns)
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """Elements sorted by frequency, ties broken by lower id first."""
+        freq = self.freq
+        return tuple(sorted(range(len(freq)), key=lambda x: (freq[x], x)))
+
+    @cached_property
+    def rank(self) -> tuple[int, ...]:
+        """Position of each element in order."""
+        rank = [0] * len(self.columns)
+        for r, x in enumerate(self.order):
+            rank[x] = r
+        return tuple(rank)
+
+    @cached_property
+    def tops(self) -> tuple[int, ...]:
+        """Index mask of the members whose highest-ranked element is x."""
+        tops = [0] * len(self.columns)
+        untopped = (1 << self.n) - 1
+        for x in reversed(self.order):
+            tops[x] = self.columns[x] & untopped
+            untopped &= ~self.columns[x]
+        return tuple(tops)
+
+    @cached_property
+    def m_sets(self) -> tuple[int, ...]:
+        """Per rank r in 1..m, the union of the members omitting the element
+        order[r-1]; entry 0 is the covered elements.
+
+        The members omitting x cover y iff y's column is not inside x's.
+        """
+        out = [sum(1 << y for y, col in enumerate(self.columns) if col)]
+        for x in self.order:
+            outside = ~self.columns[x]
+            out.append(sum(1 << y for y, col in enumerate(self.columns)
+                           if col & outside))
+        return tuple(out)
 
 
 def make_family(sets: Iterable[Iterable[int]]) -> SetFamily:
@@ -281,72 +333,9 @@ def _bit_columns(members: tuple[int, ...], universe_size: int) -> tuple[int, ...
     return tuple(columns)
 
 
-@dataclass(frozen=True, eq=False)
-class FamilyProfile:
-    """Derived data of one family, each part computed once from its columns.
-
-    columns[x] has bit i set when member i contains element x.  The other
-    parts are computed on first use, so a caller that only needs the
-    columns pays for nothing else.
-    """
-
-    n: int
-    columns: tuple[int, ...]
-
-    @cached_property
-    def freq(self) -> tuple[int, ...]:
-        """Number of members containing each element (column popcounts)."""
-        return tuple(col.bit_count() for col in self.columns)
-
-    @cached_property
-    def order(self) -> tuple[int, ...]:
-        """Elements sorted by frequency, ties broken by lower id first."""
-        freq = self.freq
-        return tuple(sorted(range(len(freq)), key=lambda x: (freq[x], x)))
-
-    @cached_property
-    def rank(self) -> tuple[int, ...]:
-        """Position of each element in order."""
-        rank = [0] * len(self.columns)
-        for r, x in enumerate(self.order):
-            rank[x] = r
-        return tuple(rank)
-
-    @cached_property
-    def tops(self) -> tuple[int, ...]:
-        """Index mask of the members whose highest-ranked element is x."""
-        tops = [0] * len(self.columns)
-        untopped = (1 << self.n) - 1
-        for x in reversed(self.order):
-            tops[x] = self.columns[x] & untopped
-            untopped &= ~self.columns[x]
-        return tuple(tops)
-
-    @cached_property
-    def m_sets(self) -> tuple[int, ...]:
-        """Per rank r in 1..m, the union of the members omitting the element
-        order[r-1]; entry 0 is the covered elements.
-
-        The members omitting x cover y iff y's column is not inside x's.
-        """
-        out = [sum(1 << y for y, col in enumerate(self.columns) if col)]
-        for x in self.order:
-            outside = ~self.columns[x]
-            out.append(sum(1 << y for y, col in enumerate(self.columns)
-                           if col & outside))
-        return tuple(out)
-
-
-@lru_cache(maxsize=1)
-def family_profile(f: SetFamily) -> FamilyProfile:
-    """The profile of f.  Only the most recent family's profile is kept, so a
-    sweep that holds many families does not hold their profiles too."""
-    return FamilyProfile(f.n, _bit_columns(f.members, f.universe_size))
-
-
 def element_frequencies(f: SetFamily) -> list[int]:
     """Number of members containing each element, indexed by element id."""
-    return list(family_profile(f).freq)
+    return list(f.freq)
 
 
 @dataclass(frozen=True)
@@ -362,8 +351,7 @@ class FrequencyProfile:
 
 
 def frequency_profile(f: SetFamily) -> FrequencyProfile:
-    prof = family_profile(f)
-    return FrequencyProfile(dict(enumerate(prof.freq)), prof.order)
+    return FrequencyProfile(dict(enumerate(f.freq)), f.order)
 
 
 def frankl_witnesses(f: SetFamily) -> list[int]:
@@ -374,13 +362,12 @@ def frankl_witnesses(f: SetFamily) -> list[int]:
     """
     if f.n == 0:
         raise DomainError("empty family has no witnesses")
-    counts = family_profile(f).freq
-    return [x for x in range(f.universe_size) if 2 * counts[x] >= f.n]
+    return [x for x, count in enumerate(f.freq) if 2 * count >= f.n]
 
 
 def column_signatures(f: SetFamily) -> list[int]:
     """Per element, the set of member indices containing it, as a bit mask."""
-    return list(family_profile(f).columns)
+    return list(f.columns)
 
 
 def is_separating(f: SetFamily) -> bool:
@@ -391,7 +378,7 @@ def is_separating(f: SetFamily) -> bool:
 def find_unseparated_pair(f: SetFamily) -> tuple[int, int] | None:
     """First pair of elements whose membership columns coincide."""
     seen: dict[int, int] = {}
-    for x, sig in enumerate(family_profile(f).columns):
+    for x, sig in enumerate(f.columns):
         if sig in seen:
             return seen[sig], x
         seen[sig] = x
@@ -411,7 +398,7 @@ def separating_quotient(f: SetFamily) -> tuple[SetFamily, tuple[tuple[int, ...],
     the partition is the preimage of the new element j.
     """
     groups: dict[int, list[int]] = {}
-    for x, sig in enumerate(family_profile(f).columns):
+    for x, sig in enumerate(f.columns):
         if sig:
             groups.setdefault(sig, []).append(x)
     classes = sorted(groups.values())

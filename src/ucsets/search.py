@@ -26,7 +26,6 @@ from .family import (
     drop_unused_elements,
     elements_of,
     family_label,
-    family_profile,
     find_union_gap,
     frankl_witnesses,
     is_separating,
@@ -258,7 +257,7 @@ def corpus_verify(corpus: Iterable[SetFamily]) -> CorpusReport:
             rep.audit_failures.append((family_label(f), "inequality"))
 
         if 1 <= f.n <= 2 * f.universe_size:
-            if 2 * family_profile(f).freq[w.order[-1]] < f.n:
+            if 2 * f.freq[w.order[-1]] < f.n:
                 rep.invariant_failures.append((
                     family_label(f),
                     "lemma: top element below half frequency despite n <= 2m"))

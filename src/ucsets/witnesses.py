@@ -1,10 +1,10 @@
 """Witness constructions for separating union-closed families.
 
 Everything is phrased against the increasing-frequency labeling: rank r in
-1..m denotes the element order[r-1] of the family's frequency profile (ties
-broken by lower id), so rank m belongs to a most frequent element.  The
-constructions read this labeling from the family's profile, so inputs do
-not have to be pre-relabeled.  All tie-breaking is deterministic (smallest
+1..m denotes the element f.order[r-1] (elements by increasing frequency,
+ties broken by lower id), so rank m belongs to a most frequent element.
+The constructions read this labeling from the family, so inputs do not
+have to be pre-relabeled.  All tie-breaking is deterministic (smallest
 mask value, lowest element id) and reports come out bit-identical across
 runs.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContradictionError, PreconditionError
-from .family import SetFamily, elements_of, family_profile
+from .family import SetFamily, elements_of
 
 
 def _meeting(columns: tuple[int, ...], mask: int) -> int:
@@ -59,7 +59,7 @@ def m_sets(f: SetFamily) -> tuple[int, ...]:
     members themselves, although in a separating union-closed family every
     entry up to rank m-1 is a non-empty member.
     """
-    return family_profile(f).m_sets
+    return f.m_sets
 
 
 def falgas_ravry_chain(f: SetFamily) -> ChainWitness:
@@ -74,8 +74,7 @@ def falgas_ravry_chain(f: SetFamily) -> ChainWitness:
     """
     if f.n < 1:
         raise PreconditionError("family has no members")
-    prof = family_profile(f)
-    order, columns = prof.order, prof.columns
+    order, columns = f.order, f.columns
     m = f.universe_size
     members = f.members
     pair_witnesses: dict[tuple[int, int], int] = {}
@@ -102,7 +101,7 @@ def falgas_ravry_chain(f: SetFamily) -> ChainWitness:
         order=order,
         chain=tuple(chain),
         pair_witnesses=pair_witnesses,
-        m_sets=prof.m_sets,
+        m_sets=f.m_sets,
         empty_set_member=bool(members and members[0] == 0),
     )
 
@@ -113,8 +112,7 @@ def verify_chain_witness(f: SetFamily, w: ChainWitness) -> list[str]:
     m = f.universe_size
     members = set(f.members)
     order = w.order
-    prof = family_profile(f)
-    if order != prof.order:
+    if order != f.order:
         issues.append("order does not match the frequency labeling")
         return issues
     suffix = [0] * (m + 1)
@@ -165,7 +163,7 @@ def verify_chain_witness(f: SetFamily, w: ChainWitness) -> list[str]:
 
     if m >= 1 and f.n >= 1:
         top = order[-1]
-        if prof.freq[top] < m:
+        if f.freq[top] < m:
             issues.append(
                 f"top element {top} has frequency below the universe size {m}")
     return issues
@@ -200,7 +198,7 @@ class TransversalReport:
 def max_index_elements(f: SetFamily) -> int:
     """Mask of elements that are the top-ranked element of some member."""
     tilde = 0
-    for x, topped in enumerate(family_profile(f).tops):
+    for x, topped in enumerate(f.tops):
         if topped:
             tilde |= 1 << x
     return tilde
@@ -212,9 +210,8 @@ def a_sets(f: SetFamily) -> dict[int, int]:
     Keys are element ids (ascending); each key element belongs to its own
     union, and members topped by rank i avoid all ranks above i.
     """
-    prof = family_profile(f)
-    return {x: sum(1 << y for y, col in enumerate(prof.columns) if col & topped)
-            for x, topped in enumerate(prof.tops) if topped}
+    return {x: sum(1 << y for y, col in enumerate(f.columns) if col & topped)
+            for x, topped in enumerate(f.tops) if topped}
 
 
 def minimal_transversal(f: SetFamily) -> TransversalReport:
@@ -226,8 +223,7 @@ def minimal_transversal(f: SetFamily) -> TransversalReport:
     disjoint from the top-element set cannot exist (its own top element is
     in there), so hitting that case raises ContradictionError.
     """
-    prof = family_profile(f)
-    columns = prof.columns
+    columns = f.columns
     members = f.members
     empty_member = bool(members and members[0] == 0)
     nonempty = ((1 << f.n) - 1) & ~int(empty_member)
@@ -266,7 +262,7 @@ def minimal_transversal(f: SetFamily) -> TransversalReport:
         chosen.add(0)
     full_extra = sum(1 for a in members if a & u_hat == u_hat and a not in chosen)
     return TransversalReport(
-        order=prof.order,
+        order=f.order,
         tilde_u=tilde,
         a_sets=a_sets(f),
         u_hat=u_hat,
@@ -283,12 +279,11 @@ def verify_transversal(f: SetFamily, tr: TransversalReport) -> list[str]:
     issues: list[str] = []
     members = set(f.members)
     nonempty = [a for a in f.members if a]
-    prof = family_profile(f)
-    if tr.order != prof.order:
+    if tr.order != f.order:
         issues.append("order does not match the frequency labeling")
         return issues
     m = f.universe_size
-    rank = prof.rank
+    rank = f.rank
 
     if tr.u_hat & ~tr.tilde_u:
         issues.append("transversal is not a subset of the top-element set")
@@ -338,7 +333,7 @@ def verify_transversal(f: SetFamily, tr: TransversalReport) -> list[str]:
     if full_extra != tr.full_sets_not_in_p:
         issues.append(f"full-set count {tr.full_sets_not_in_p} != recomputed {full_extra}")
 
-    ms = prof.m_sets
+    ms = f.m_sets
     if sorted(tr.a_sets) != elements_of(tr.tilde_u):
         issues.append("a_sets keys differ from the top-element set")
     for x, ax in tr.a_sets.items():
@@ -391,7 +386,7 @@ def counting_audit(f: SetFamily, tr: TransversalReport) -> CountingAudit:
     False bullets and inequality_holds=False.
     """
     m, n, k = f.universe_size, f.n, tr.k
-    counts = family_profile(f).freq
+    counts = f.freq
     c = (max(counts) - m) if m >= 1 else 0
 
     u_hat_elems = elements_of(tr.u_hat)

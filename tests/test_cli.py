@@ -3,11 +3,12 @@
 import hashlib
 import io
 import json
+from dataclasses import replace
 
 import jsonschema
 import pytest
 
-from ucsets import cli, family, search
+from ucsets import bounds, cli, family, search, witnesses
 from ucsets.cli import main
 from ucsets.formats import load_schema
 
@@ -192,6 +193,19 @@ class TestWitness:
                            "--format", "json")
         assert code == 0
         jsonschema.validate(json.loads(out), load_schema("audit"))
+
+    def test_audit_builds_columns_once(self, capsys, monkeypatch, tri_file):
+        built = []
+        real = family._bit_columns
+
+        def counting(members, universe_size):
+            built.append(members)
+            return real(members, universe_size)
+
+        monkeypatch.setattr(family, "_bit_columns", counting)
+        code, _, _ = run(capsys, "witness", tri_file, "--which", "audit")
+        assert code == 0
+        assert built == [(0b01, 0b10, 0b11)]
 
     def test_requires_union_closed(self, capsys, nonuc_file):
         code, _, err = run(capsys, "witness", nonuc_file)
@@ -520,6 +534,73 @@ class TestVerify:
         code, _, err = run(capsys, "verify")
         assert code == 2
         assert "--input" in err
+
+    @pytest.mark.parametrize("argv, option", [
+        (["--random", "--m", "8", "--count", "2", "--mode", "generators",
+          "--filter", "all"], "--mode"),
+        (["--input", "CORPUS", "--m", "3", "--random", "--count", "9"], "--m"),
+        (["--m", "3", "--seed", "5", "--count", "9"], "--seed"),
+        (["--m", "3", "--seed", "0"], "--seed"),
+        (["--random", "--m", "8", "--max-generators", "1"], "--max-generators"),
+    ], ids=["random-mode", "input-m", "enumeration-seed", "enumeration-default-seed",
+            "random-max-generators"])
+    def test_refuses_options_its_source_does_not_read(self, capsys, monkeypatch,
+                                                      tmp_path, argv, option):
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a family was built")
+
+        p = tmp_path / "corpus.ndjson"
+        p.write_text('{"members":[[0],[1],[0,1]],"universe_size":2}\n')
+        for name in ("_read_families", "random_family", "enumerate_union_closed"):
+            monkeypatch.setattr(cli, name, unbuilt)
+        argv = [str(p) if arg == "CORPUS" else arg for arg in argv]
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {option} does not apply to verify ")
+
+    def test_every_failure_line(self, capsys, monkeypatch, tmp_path):
+        # Broken builders make one family raise every kind of failure line.
+        def broken(name, edit):
+            real = getattr(witnesses, name)
+            return lambda *args: edit(real(*args))
+
+        monkeypatch.setattr(search, "frankl_witnesses", lambda f: [])
+        monkeypatch.setattr(bounds, "frankl_witnesses", lambda f: [])
+        monkeypatch.setattr(search, "falgas_ravry_chain", broken(
+            "falgas_ravry_chain", lambda w: replace(w, order=w.order[::-1])))
+        monkeypatch.setattr(search, "minimal_transversal", broken(
+            "minimal_transversal",
+            lambda tr: replace(tr, full_sets_not_in_p=tr.full_sets_not_in_p + 1)))
+        monkeypatch.setattr(search, "counting_audit", broken(
+            "counting_audit", lambda a: replace(a, inequality_holds=False)))
+        p = tmp_path / "corpus.ndjson"
+        p.write_text('{"members":[[2],[1,2],[0,1,2]],"universe_size":3}\n'
+                     '{"members":[[0],[1]],"universe_size":2}\n')
+        label = "{{2},{1,2},{0,1,2}}"
+        code, out, _ = run(capsys, "verify", "--input", str(p))
+        assert code == 3
+        assert out.splitlines() == [
+            "total_families: 2",
+            "union_closed_count: 1",
+            "separating_count: 1",
+            f"FRANKL VIOLATION: {label}",
+            f"INVARIANT FAILURE: {label}: chain: order does not match the frequency labeling",
+            f"INVARIANT FAILURE: {label}: transversal: full-set count 3 != recomputed 2",
+            f"INVARIANT FAILURE: {label}: lemma: top element below half frequency "
+            "despite n <= 2m",
+            f"INVARIANT FAILURE: {label}: applicability: covered family has an empty "
+            "witness set (potential counterexample)",
+            f"AUDIT FAILURE: {label}: inequality",
+            "REJECTED: {{0},{1}}: not union-closed: the union of {0} and {1} is missing",
+            "FAILURES FOUND",
+        ]
+        code, out, _ = run(capsys, "verify", "--input", str(p), "--format", "json")
+        assert code == 3
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("corpus"))
+        assert doc["ok"] is False
+        assert all(doc[key] for key in ("frankl_violations", "invariant_failures",
+                                        "audit_failures", "rejections"))
 
 
 ONE_FAMILY_COMMANDS = [["analyze"], ["closure"], ["quotient"], ["witness", "--which", "chain"],

@@ -43,7 +43,6 @@ from ucsets.family import (
     elements_of,
     elements_text,
     family_label,
-    family_profile,
     join_irreducibles,
 )
 from ucsets.formats import family_to_json_dict, family_to_ndjson, family_to_text
@@ -323,15 +322,13 @@ def test_consecutive_families_keep_their_own_profiles():
         assert element_frequencies(second) == naive_frequencies(second)
         assert m_sets(second) == naive_m_sets(second)
         assert a_sets(second) == naive_a_sets(second)
-    assert family_profile(f) is not family_profile(g)
+    assert f.columns is not g.columns
     assert corpus_verify([f, g]).ok
     broken = make_family([{0}, {1}, {0, 1, 2}])
     rep = corpus_verify([f, broken, g])
     assert rep.rejections == [("{{0},{1},{0,1,2}}",
                                "not union-closed: the union of {0} and {1} is missing")]
     assert rep.separating_count == 2
-    # the profile is kept beside the family, never on it
-    assert set(vars(f)) == {"universe_size", "members"}
 
 
 @SETTINGS

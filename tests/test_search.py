@@ -22,7 +22,7 @@ from ucsets import (
     splitmix64,
     verdict_for,
 )
-from ucsets import bounds, search, witnesses
+from ucsets import bounds, family, search, witnesses
 from ucsets.family import closure_of_masks
 from ucsets.search import (
     CANONICAL_LIMIT,
@@ -354,6 +354,26 @@ class TestOnePass:
                 assert rep.ok and rep.separating_count == 1
                 assert calls["falgas_ravry_chain"] <= 1, f
                 assert calls["minimal_transversal"] == 1, f
+
+    def test_columns_built_once_per_union_closed_family(self, monkeypatch):
+        built = []
+        real = family._bit_columns
+
+        def counting(members, universe_size):
+            built.append(members)
+            return real(members, universe_size)
+
+        monkeypatch.setattr(family, "_bit_columns", counting)
+        tri = make_family([{0}, {1}, {0, 1}])
+        unseparated = make_family([{0, 1}])
+        empty = family_from_masks([])
+        corpus = [tri, family_from_masks([1], universe_size=2), unseparated,
+                  make_family([{0}, {1}]), empty, make_family([{2}, {1, 2}, {0, 1, 2}])]
+        rep = corpus_verify(corpus)
+        assert rep.ok is False and len(rep.rejections) == 2
+        assert rep.union_closed_count == 4
+        assert built == [tri.members, unseparated.members, empty.members,
+                         corpus[-1].members]
 
     def test_broken_chain_is_still_caught(self, monkeypatch):
         real = witnesses.falgas_ravry_chain
