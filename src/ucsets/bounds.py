@@ -32,7 +32,11 @@ SMALL_M_LIMIT = 12
 CALCULUS_M_LIMIT = 1 << 1000
 
 
-def _check_calculus_m(m: int) -> None:
+def _check_m(m: int, least: int = 1, what: str = "f(m, k)") -> None:
+    """The calculus's one range check: least <= m <= CALCULUS_M_LIMIT."""
+    if m < least:
+        raise DomainError(
+            f"m must be at least {least}, got {m}; {what} is undefined for m <= {least - 1}")
     if m > CALCULUS_M_LIMIT:
         raise CapacityError(
             "threshold calculus supports m <= 2^1000, where every value is a finite "
@@ -41,9 +45,7 @@ def _check_calculus_m(m: int) -> None:
 
 def f_m(m: int, k: int) -> float:
     """Evaluate 2^(k-1) + m/(k-2) - k - 3; defined for k >= 3, 1 <= m <= 2^1000."""
-    if m < 1:
-        raise DomainError(f"m must be at least 1, got {m}")
-    _check_calculus_m(m)
+    _check_m(m)
     if k <= 2:
         raise DomainError(f"f(m, k) has a pole at k = 2; got k = {k}")
     return float(1 << (k - 1)) + m / (k - 2) - k - 3
@@ -51,10 +53,8 @@ def f_m(m: int, k: int) -> float:
 
 def k_scan_range(m: int) -> range:
     """Integer k values scanned by min_f: 3 .. ceil(log2 m) + 2 inclusive."""
-    if m < 1:
-        raise DomainError(f"m must be at least 1, got {m}")
-    hi = max(3, math.ceil(math.log2(m)) + 2) if m >= 2 else 3
-    return range(3, hi + 1)
+    _check_m(m)
+    return range(3, max(3, math.ceil(math.log2(m)) + 2) + 1)
 
 
 def min_f(m: int) -> tuple[int, float]:
@@ -66,24 +66,20 @@ def min_f(m: int) -> tuple[int, float]:
     is at most ceil(log2 m), is 4 for m = 13..42 and at least 5 from
     m = 43 on) is verified against this result instead of being baked in.
     """
-    if m < 1:
-        raise DomainError(f"m must be at least 1, got {m}")
+    _check_m(m)
     calc = _calculus(m)
     return calc.k_star, calc.min_f
 
 
 def ieq1_threshold(m: int) -> float:
     """The member-count threshold 2 * (m + min_k f(m, k))."""
-    if m < 1:
-        raise DomainError(f"m must be at least 1, got {m}")
+    _check_m(m)
     return _calculus(m).ieq1_threshold
 
 
 def _log_gap(m: int, what: str) -> float:
     """log2 m - log2 log2 m, undefined for m <= 1; what names the caller's value."""
-    if m <= 1:
-        raise DomainError(f"{what} undefined for m <= 1, got {m}")
-    _check_calculus_m(m)
+    _check_m(m, least=2, what=what)
     lg = math.log2(m)
     return lg - math.log2(lg)
 
@@ -191,9 +187,7 @@ def bound_report(m: int, n: int | None = None) -> BoundReport:
     classifying degenerate families still get a report.  Past 2^1000 the
     floats would overflow, and CapacityError is raised.
     """
-    if m < 0:
-        raise DomainError(f"m must be non-negative, got {m}")
-    _check_calculus_m(m)
+    _check_m(m, least=0, what="the threshold calculus")
     calc = _calculus(m)
     return replace(calc, n=n, f_values=dict(calc.f_values),
                    verdict=verdict_for(m, n) if n is not None else None)

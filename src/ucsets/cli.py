@@ -311,7 +311,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 # The options that only one generated source reads, and their defaults.
-# verify leaves them None, so that it can refuse one its source ignores.
+# verify leaves out every option not given, to refuse one its source ignores.
 _RANDOM_DEFAULTS = {"generators": 10, "seed": 0, "count": 1}
 _ENUMERATION_DEFAULTS = {"mode": "exhaustive", "filter": "separating", "max_generators": None}
 
@@ -319,32 +319,31 @@ _ENUMERATION_DEFAULTS = {"mode": "exhaustive", "filter": "separating", "max_gene
 def _corpus(args: argparse.Namespace) -> Iterator[SetFamily]:
     """The generated families the options name: seeded random ones, or an
     enumeration."""
-    if args.random:
-        return (random_family(args.m, args.generators, args.seed + i)
-                for i in range(args.count))
-    return enumerate_union_closed(args.m, args.mode,
-                                  family_filter=args.filter,
-                                  max_generators=args.max_generators)
+    opts = {**_ENUMERATION_DEFAULTS, **_RANDOM_DEFAULTS, **vars(args)}
+    if opts.get("random"):
+        return (random_family(opts["m"], opts["generators"], opts["seed"] + i)
+                for i in range(opts["count"]))
+    return enumerate_union_closed(opts["m"], opts["mode"],
+                                  family_filter=opts["filter"],
+                                  max_generators=opts["max_generators"])
 
 
 def _verify_families(args: argparse.Namespace) -> Iterable[SetFamily]:
     """The --input or generated families; refuses the options they ignore."""
-    if args.input is not None:
+    given = vars(args)
+    if "input" in given:
         source, unread = "--input", ("m", "random", *_ENUMERATION_DEFAULTS, *_RANDOM_DEFAULTS)
-    elif args.m is None:
+    elif "m" not in given:
         raise DomainError("verify needs --input PATH or --m M")
-    elif args.random:
+    elif "random" in given:
         source, unread = "--random", _ENUMERATION_DEFAULTS
     else:
         source, unread = "--m without --random", _RANDOM_DEFAULTS
     for name in unread:
-        if getattr(args, name) is not None:
+        if name in given:
             raise DomainError(f"--{name.replace('_', '-')} does not apply to verify {source}")
-    if args.input is not None:
+    if "input" in given:
         return _read_families(args.input)
-    for name, default in {**_ENUMERATION_DEFAULTS, **_RANDOM_DEFAULTS}.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
     return _corpus(args)
 
 
@@ -460,12 +459,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=cmd_random, random=True, **_RANDOM_DEFAULTS)
 
-    p = sub.add_parser("verify", help="run the verification battery")
-    p.add_argument("--input", default=None,
+    p = sub.add_parser("verify", help="run the verification battery",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--input",
                    help="family file, JSON document or NDJSON corpus; - for stdin")
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--m", type=int)
     add_enumeration(p)
-    p.add_argument("--random", action="store_true", default=None,
+    p.add_argument("--random", action="store_true",
                    help="verify seeded random families instead of enumerating")
     add_random(p)
     add_format(p)

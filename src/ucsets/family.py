@@ -160,14 +160,6 @@ class SetFamily:
         return tuple(sorted(range(len(freq)), key=lambda x: (freq[x], x)))
 
     @cached_property
-    def rank(self) -> tuple[int, ...]:
-        """Position of each element in order."""
-        rank = [0] * len(self.columns)
-        for r, x in enumerate(self.order):
-            rank[x] = r
-        return tuple(rank)
-
-    @cached_property
     def tops(self) -> tuple[int, ...]:
         """Index mask of the members whose highest-ranked element is x."""
         tops = [0] * len(self.columns)
@@ -236,7 +228,7 @@ def family_label(f: SetFamily) -> str:
 
 def is_union_closed(f: SetFamily) -> bool:
     """True when the union of every two members is again a member."""
-    return find_union_gap(f) is None
+    return join_irreducibles(f) is not None
 
 
 def join_irreducibles(f: SetFamily) -> list[int] | None:

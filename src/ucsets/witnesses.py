@@ -78,9 +78,12 @@ def falgas_ravry_chain(f: SetFamily) -> ChainWitness:
     m = f.universe_size
     members = f.members
     pair_witnesses: dict[tuple[int, int], int] = {}
-    for i in range(1, m + 1):
+    chain = [f.covered_mask] if m else []
+    # Rank m has no pairs (i, j) with j > i, so no entry of its own.
+    for i in range(1, m):
         xi = order[i - 1]
         avoiding = ~columns[xi]
+        entry = 0
         for j in range(i + 1, m + 1):
             xj = order[j - 1]
             hits = columns[xj] & avoiding
@@ -88,15 +91,9 @@ def falgas_ravry_chain(f: SetFamily) -> ChainWitness:
                 raise PreconditionError(
                     f"elements {xi} and {xj} are not separated: every member "
                     f"containing {xj} also contains {xi}")
-            pair_witnesses[(i, j)] = _first_member(members, hits)
-    chain: list[int] = []
-    if m >= 1:
-        chain.append(f.covered_mask)
-        for i in range(1, m):
-            x = 0
-            for j in range(i + 1, m + 1):
-                x |= pair_witnesses[(i, j)]
-            chain.append(x)
+            witness = pair_witnesses[(i, j)] = _first_member(members, hits)
+            entry |= witness
+        chain.append(entry)
     return ChainWitness(
         order=order,
         chain=tuple(chain),
@@ -283,7 +280,7 @@ def verify_transversal(f: SetFamily, tr: TransversalReport) -> list[str]:
         issues.append("order does not match the frequency labeling")
         return issues
     m = f.universe_size
-    rank = f.rank
+    rank = {x: r for r, x in enumerate(f.order, start=1)}
 
     if tr.u_hat & ~tr.tilde_u:
         issues.append("transversal is not a subset of the top-element set")
@@ -339,12 +336,12 @@ def verify_transversal(f: SetFamily, tr: TransversalReport) -> list[str]:
     for x, ax in tr.a_sets.items():
         if not ax >> x & 1:
             issues.append(f"a_sets[{x}] does not contain {x}")
-        i = rank[x] + 1
+        i = rank[x]
         for j in range(i + 1, m + 1):
             if ax & ~ms[j]:
                 issues.append(f"a_sets[{x}] escapes m_sets[{j}]")
     for x in elements_of(tr.tilde_u):
-        i = rank[x] + 1
+        i = rank[x]
         for j in range(m):
             if j != i and not ms[j] >> x & 1:
                 issues.append(f"top element {x} missing from m_sets[{j}]")

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -70,6 +71,14 @@ class TestAnalyze:
         assert doc["union_closed"] is False
         assert doc["verdict"] is None
         assert doc["notes"] == ["verdict requires a union-closed separating family"]
+
+    def test_not_union_closed_runs_no_pair_scan(self, capsys, monkeypatch, nonuc_file):
+        def pair_scan(f):
+            raise AssertionError("analyze ran the pairwise scan")
+        monkeypatch.setattr(family, "find_union_gap", pair_scan)
+        code, out, _ = run(capsys, "analyze", nonuc_file)
+        assert code == 0
+        assert "union_closed: false" in out.splitlines()
 
     def test_empty_family_rejected(self, capsys, tmp_path):
         p = tmp_path / "empty.txt"
@@ -811,3 +820,28 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be non-negative" in captured.err
+
+
+def _readme_tour():
+    """The README's "Command-line tour" transcript: command -> output text."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Command-line tour", 1)[1]
+    block = tour.split("```text\n", 1)[1].split("```", 1)[0]
+    outputs: dict[str, list[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            lines = outputs[line[2:]] = []
+        else:
+            lines.append(line)
+    # A blank line separates one command's output from the next command.
+    return {cmd: "\n".join(lines).rstrip("\n") + "\n" for cmd, lines in outputs.items()}
+
+
+@pytest.mark.parametrize("command", ["ucsets analyze tri.txt", "ucsets bounds --m 13 --n 40"])
+def test_readme_transcript(capsys, monkeypatch, tmp_path, command):
+    tour = _readme_tour()
+    (tmp_path / "tri.txt").write_text(tour["cat tri.txt"])
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *command.split()[1:])
+    assert (code, err) == (0, "")
+    assert out == tour[command]

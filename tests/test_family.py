@@ -95,6 +95,14 @@ def test_is_union_closed():
     assert not is_union_closed(make_family([{0}, {1}]))
 
 
+def test_is_union_closed_runs_no_pair_scan(monkeypatch):
+    def pair_scan(f):
+        raise AssertionError("is_union_closed ran the pairwise scan")
+    monkeypatch.setattr(family, "find_union_gap", pair_scan)
+    assert not is_union_closed(make_family([{0}, {1}]))
+    assert is_union_closed(TRI)
+
+
 def test_find_union_gap():
     assert find_union_gap(TRI) is None
     gap = find_union_gap(make_family([{0}, {1}]))
