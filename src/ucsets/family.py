@@ -103,8 +103,10 @@ def elements_text(mask: int) -> str:
 class SetFamily:
     """A family of subsets of {0, ..., universe_size-1}, one mask per member.
 
+    `covered_mask`, the union of the members, is set by the validation loop.
     Each part of the derived data below is computed once, on first use, and
-    cached on the instance; equality and hashing use the two fields alone.
+    cached on the instance; equality, hashing and repr use the two fields
+    alone.
     """
 
     universe_size: int
@@ -116,12 +118,17 @@ class SetFamily:
                 f"universe size {self.universe_size} outside 0..{MAX_UNIVERSE}")
         full = (1 << self.universe_size) - 1
         prev = -1
+        cov = 0
         for mask in self.members:
             if mask <= prev:
                 raise ValueError("members must be distinct masks in ascending order")
             if mask & ~full:
                 raise ValueError(f"member {mask:#x} is not a subset of the universe")
             prev = mask
+            cov |= mask
+        # A plain attribute, not a field, so equality, hashing and repr
+        # ignore it; a cached_property cost more than this loop.
+        object.__setattr__(self, "covered_mask", cov)
 
     @property
     def n(self) -> int:
@@ -130,13 +137,6 @@ class SetFamily:
     @property
     def universe_mask(self) -> int:
         return (1 << self.universe_size) - 1
-
-    @cached_property
-    def covered_mask(self) -> int:
-        cov = 0
-        for mask in self.members:
-            cov |= mask
-        return cov
 
     @property
     def covers_universe(self) -> bool:

@@ -14,8 +14,11 @@ recipe, so corpora are bit-identical across runs and platforms.
 from __future__ import annotations
 
 import itertools
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .bounds import applicability
 from .errors import CapacityError, DomainError
@@ -204,6 +207,29 @@ class CorpusReport:
         return not (self.frankl_violations or self.invariant_failures
                     or self.audit_failures or self.rejections)
 
+    def merge(self, later: CorpusReport) -> None:
+        """Add the tallies and failures of the families that came after."""
+        self.total_families += later.total_families
+        self.union_closed_count += later.union_closed_count
+        self.separating_count += later.separating_count
+        self.frankl_violations += later.frankl_violations
+        self.invariant_failures += later.invariant_failures
+        self.audit_failures += later.audit_failures
+        self.rejections += later.rejections
+
+
+# A batch closes once its families hold this many members, counting n + 1
+# per family, so a batch of tiny families still amortises its fork.
+BATCH_MEMBERS = 4096
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity (macOS, Windows)
+        return os.cpu_count() or 1
+
 
 def corpus_verify(corpus: Iterable[SetFamily]) -> CorpusReport:
     """Run the full verification battery over a corpus of families.
@@ -214,12 +240,126 @@ def corpus_verify(corpus: Iterable[SetFamily]) -> CorpusReport:
     checks the witness set (skipped for families with an empty universe,
     where there is no element to find), chain and transversal invariants,
     the counting audit bullets and inequality, the n <= 2m mechanism, and
-    the coverage cross-check.  Failures are data, not exceptions.  Labels
-    are rendered only for the families that get reported: rendering a large
-    family costs more than checking it.
+    the coverage cross-check.  Failures are data, not exceptions.
+
+    The corpus is cut into batches of about BATCH_MEMBERS members, and each
+    batch is verified in a forked child process, at most one per CPU at a
+    time; the parent merges the partial reports in corpus order, so the
+    report is the one a serial sweep gives.  With one CPU, without
+    os.fork, while other threads run, or when the corpus fits in one batch,
+    the sweep runs in this process.  Exceptions are raised as a serial
+    sweep raises them: the first one in corpus order wins, whether the
+    battery raised it in a child or the corpus raised it here.  No child
+    outlives the call.
     """
+    workers = _worker_count()
+    # A forked child has only the forking thread, and a lock another thread
+    # held stays held in the child, so a process with threads forks none.
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return _verify_batch(corpus)
     rep = CorpusReport()
-    for f in corpus:
+    running: deque[tuple[int, BinaryIO]] = deque()
+    batch: list[SetFamily] = []
+    size = 0
+    error: Exception | None = None
+    families = iter(corpus)
+    try:
+        while True:
+            try:
+                f = next(families)
+            except StopIteration:
+                break
+            except Exception as exc:  # raised once the families before it are verified
+                error = exc
+                break
+            batch.append(f)
+            size += f.n + 1
+            if size >= BATCH_MEMBERS:
+                if len(running) == workers:
+                    rep.merge(_collect(running))
+                running.append(_fork(batch))
+                batch, size = [], 0
+        try:
+            tail = _verify_batch(batch)
+        except Exception as exc:  # its families precede the corpus's error
+            tail, error = CorpusReport(), exc
+        while running:
+            rep.merge(_collect(running))
+        if error is not None:
+            raise error
+        rep.merge(tail)
+        return rep
+    finally:
+        _reap(running)
+
+
+def _fork(batch: list[SetFamily]) -> tuple[int, BinaryIO]:
+    """Verify the batch in a child that sends back one pickled outcome:
+    (True, report) or (False, exception)."""
+    import pickle
+
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            try:
+                outcome: tuple[bool, object] = (True, _verify_batch(batch))
+            except Exception as exc:
+                outcome = (False, exc)
+            with os.fdopen(write_end, "wb") as pipe:
+                pickle.dump(outcome, pipe)
+            status = 0
+        finally:
+            # Leave without unwinding into the parent's code or flushing
+            # its buffered files, which the child holds copies of.
+            os._exit(status)
+    os.close(write_end)
+    return pid, os.fdopen(read_end, "rb")
+
+
+def _collect(running: deque[tuple[int, BinaryIO]]) -> CorpusReport:
+    """Wait for the oldest child and return its report, or raise what it
+    raised."""
+    import pickle
+
+    pid, pipe = running[0]
+    with pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    running.popleft()
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise OSError(f"verify worker process {pid} {how} before sending its report")
+    ok, value = pickle.loads(data)  # bytes our own child wrote
+    if not ok:
+        raise value
+    return value
+
+
+def _reap(running: deque[tuple[int, BinaryIO]]) -> None:
+    """Kill and wait for the children still running."""
+    for pid, pipe in running:
+        pipe.close()
+        try:
+            # Signal only a child still running: a pid already waited for
+            # may belong to another process by now.
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                import signal
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass
+    running.clear()
+
+
+def _verify_batch(families: Iterable[SetFamily]) -> CorpusReport:
+    """The battery over families, in this process.  Labels are rendered
+    only for the families that get reported: rendering a large family costs
+    more than checking it."""
+    rep = CorpusReport()
+    for f in families:
         rep.total_families += 1
         if not f.covers_universe:
             missing = elements_of(f.universe_mask & ~f.covered_mask)
