@@ -62,8 +62,10 @@ from .search import (
 from .witnesses import (
     ChainWitness,
     TransversalReport,
+    a_sets,
     counting_audit,
     falgas_ravry_chain,
+    max_index_elements,
     minimal_transversal,
 )
 
@@ -244,27 +246,27 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     return _emit_report(args.format, doc, _quotient_lines(q, doc["classes"]))
 
 
-def _chain_lines(w: ChainWitness) -> Iterator[str]:
+def _chain_lines(f: SetFamily, w: ChainWitness) -> Iterator[str]:
     yield "order: " + " ".join(map(str, w.order))
     for i, entry in enumerate(w.chain):
         yield f"X_{i} = {set_label(entry)}"
-    for i, entry in enumerate(w.m_sets):
+    for i, entry in enumerate(f.m_sets):
         yield f"M_{i} = {set_label(entry)}"
-    yield f"empty_set_member: {_flag(w.empty_set_member)}"
+    yield f"empty_set_member: {_flag(f.members[:1] == (0,))}"
 
 
-def _transversal_lines(tr: TransversalReport) -> Iterator[str]:
-    yield "order: " + " ".join(map(str, tr.order))
-    yield f"tilde_u = {set_label(tr.tilde_u)}"
+def _transversal_lines(f: SetFamily, tr: TransversalReport) -> Iterator[str]:
+    yield "order: " + " ".join(map(str, f.order))
+    yield f"tilde_u = {set_label(max_index_elements(f))}"
     yield f"u_hat = {set_label(tr.u_hat)}"
     yield f"k: {tr.k}"
-    for x, a in sorted(tr.a_sets.items()):
+    for x, a in sorted(a_sets(f).items()):
         yield f"A[{x}] = {set_label(a)}"
     for x, wmask in sorted(tr.singleton_witnesses.items()):
         yield f"witness[{x}] = {set_label(wmask)}"
     for b, p in sorted(tr.pb_family.items()):
         yield f"P[{set_label(b)}] = {set_label(p)}"
-    yield f"empty_set_member: {_flag(tr.empty_set_member)}"
+    yield f"empty_set_member: {_flag(f.members[:1] == (0,))}"
     yield f"full_sets_not_in_p: {tr.full_sets_not_in_p}"
 
 
@@ -285,10 +287,11 @@ def cmd_witness(args: argparse.Namespace) -> int:
     _require_separating(f)
     if args.which == "chain":
         w = falgas_ravry_chain(f)
-        return _emit_report(args.format, chain_to_json(w), _chain_lines(w))
+        return _emit_report(args.format, chain_to_json(f, w), _chain_lines(f, w))
     tr = minimal_transversal(f)
     if args.which == "transversal":
-        return _emit_report(args.format, transversal_to_json(tr), _transversal_lines(tr))
+        return _emit_report(args.format, transversal_to_json(f, tr),
+                            _transversal_lines(f, tr))
     doc = report_to_json(counting_audit(f, tr))
     return _emit_report(args.format, doc, _audit_lines(doc))
 

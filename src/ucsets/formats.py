@@ -27,7 +27,7 @@ from .family import (
     mask_of,
 )
 from .search import CorpusReport
-from .witnesses import ChainWitness, TransversalReport
+from .witnesses import ChainWitness, TransversalReport, a_sets, max_index_elements
 
 FAMILY_FIELDS = frozenset({"universe_size", "members"})
 M_SETS_DEFINITION = ("m_sets[i] is the union of all members NOT containing "
@@ -171,7 +171,7 @@ def _id_key_map(d: dict[int, int]) -> dict[str, list[int]]:
     return {str(x): elements_of(mask) for x, mask in sorted(d.items())}
 
 
-def chain_to_json(w: ChainWitness) -> dict[str, Any]:
+def chain_to_json(f: SetFamily, w: ChainWitness) -> dict[str, Any]:
     return {
         "order": list(w.order),
         "chain": [elements_of(entry) for entry in w.chain],
@@ -179,17 +179,17 @@ def chain_to_json(w: ChainWitness) -> dict[str, Any]:
             f"{i},{j}": elements_of(mask)
             for (i, j), mask in sorted(w.pair_witnesses.items())
         },
-        "m_sets": [elements_of(entry) for entry in w.m_sets],
+        "m_sets": [elements_of(entry) for entry in f.m_sets],
         "m_sets_definition": M_SETS_DEFINITION,
-        "empty_set_member": w.empty_set_member,
+        "empty_set_member": f.members[:1] == (0,),
     }
 
 
-def transversal_to_json(tr: TransversalReport) -> dict[str, Any]:
+def transversal_to_json(f: SetFamily, tr: TransversalReport) -> dict[str, Any]:
     return {
-        "order": list(tr.order),
-        "tilde_u": elements_of(tr.tilde_u),
-        "a_sets": _id_key_map(tr.a_sets),
+        "order": list(f.order),
+        "tilde_u": elements_of(max_index_elements(f)),
+        "a_sets": _id_key_map(a_sets(f)),
         "u_hat": elements_of(tr.u_hat),
         "k": tr.k,
         "singleton_witnesses": _id_key_map(tr.singleton_witnesses),
@@ -197,7 +197,7 @@ def transversal_to_json(tr: TransversalReport) -> dict[str, Any]:
             elements_text(b): elements_of(p)
             for b, p in sorted(tr.pb_family.items())
         },
-        "empty_set_member": tr.empty_set_member,
+        "empty_set_member": f.members[:1] == (0,),
         "full_sets_not_in_p": tr.full_sets_not_in_p,
     }
 

@@ -179,13 +179,10 @@ def random_family(m: int, generators: int, seed: int) -> SetFamily:
         raise CapacityError(f"m must be in 1..{MAX_UNIVERSE}, got {m}")
     if generators < 0:
         raise DomainError(f"generators must be non-negative, got {generators}")
-    stream = splitmix64(seed)
     full = (1 << m) - 1
-    drawn: list[int] = []
-    while len(drawn) < generators:
-        v = next(stream) & full
-        if v:
-            drawn.append(v)
+    nonzero = filter(None, (v & full for v in splitmix64(seed)))
+    # Drawn lazily, so memory is the closure's whatever the count.
+    drawn = (next(nonzero) for _ in range(generators))
     quotient, _ = separating_quotient(SetFamily(m, tuple(closure_of_masks(drawn))))
     return quotient
 

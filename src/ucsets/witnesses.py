@@ -39,17 +39,13 @@ class ChainWitness:
     entries are pairwise distinct members, so the rank-m element, which lies
     in every entry, has frequency at least m.  pair_witnesses maps 1-based
     rank pairs (i, j), i < j, to a member containing the rank-j element but
-    not the rank-i one.  m_sets[r] is the union of all members omitting the
-    rank-r element (index 0: the universe); these need not be members but
-    bound the chain entries from above.  A trailing empty chain entry would
-    only exist as the empty set, hence the flag instead.
+    not the rank-i one.  The ranks are relative to order, the family's
+    frequency labeling; the family's m_sets bound the entries from above.
     """
 
     order: tuple[int, ...]
     chain: tuple[int, ...]
     pair_witnesses: dict[tuple[int, int], int]
-    m_sets: tuple[int, ...]
-    empty_set_member: bool
 
 
 def m_sets(f: SetFamily) -> tuple[int, ...]:
@@ -94,13 +90,7 @@ def falgas_ravry_chain(f: SetFamily) -> ChainWitness:
             witness = pair_witnesses[(i, j)] = _first_member(members, hits)
             entry |= witness
         chain.append(entry)
-    return ChainWitness(
-        order=order,
-        chain=tuple(chain),
-        pair_witnesses=pair_witnesses,
-        m_sets=f.m_sets,
-        empty_set_member=bool(members and members[0] == 0),
-    )
+    return ChainWitness(order=order, chain=tuple(chain), pair_witnesses=pair_witnesses)
 
 
 def verify_chain_witness(f: SetFamily, w: ChainWitness) -> list[str]:
@@ -143,7 +133,7 @@ def verify_chain_witness(f: SetFamily, w: ChainWitness) -> list[str]:
         if a >> xi & 1 or not a >> xj & 1:
             issues.append(f"pair witness ({i},{j}) fails the containment pattern")
 
-    ms = w.m_sets
+    ms = f.m_sets
     if len(ms) != m + 1:
         issues.append(f"m_sets has {len(ms)} entries, expected {m + 1}")
     else:
@@ -170,25 +160,20 @@ def verify_chain_witness(f: SetFamily, w: ChainWitness) -> list[str]:
 class TransversalReport:
     """A minimal member-hitting subset of the top-ranked elements.
 
-    tilde_u collects the elements that top (by frequency rank) at least one
-    member; every non-empty member meets it.  u_hat is the inclusion-minimal
-    transversal obtained from tilde_u by greedily dropping elements in
+    u_hat is the inclusion-minimal transversal obtained from the family's
+    top-element set (max_index_elements) by greedily dropping elements in
     ascending id order, with k = |u_hat|.  Minimality hands each x in u_hat
     a member whose whole trace on u_hat is {x}; unions of those singleton
     witnesses realize every non-empty intersection pattern B, so pb_family
     has exactly 2**k - 1 pairwise distinct members.  The empty pattern is
-    realizable only by the empty set, hence the flag.  full_sets_not_in_p
-    counts members containing all of u_hat beyond those used in pb_family.
+    realizable only by the empty set.  full_sets_not_in_p counts members
+    containing all of u_hat beyond those used in pb_family and the empty set.
     """
 
-    order: tuple[int, ...]
-    tilde_u: int
-    a_sets: dict[int, int]
     u_hat: int
     k: int
     singleton_witnesses: dict[int, int]
     pb_family: dict[int, int]
-    empty_set_member: bool
     full_sets_not_in_p: int
 
 
@@ -222,8 +207,7 @@ def minimal_transversal(f: SetFamily) -> TransversalReport:
     """
     columns = f.columns
     members = f.members
-    empty_member = bool(members and members[0] == 0)
-    nonempty = ((1 << f.n) - 1) & ~int(empty_member)
+    nonempty = ((1 << f.n) - 1) & ~int(members[:1] == (0,))
     tilde = max_index_elements(f)
     missed = nonempty & ~_meeting(columns, tilde)
     if missed:
@@ -254,21 +238,10 @@ def minimal_transversal(f: SetFamily) -> TransversalReport:
         pb[b] = pb.get(b ^ low, 0) | witnesses[low.bit_length() - 1]
         b = (b - u_hat) & u_hat
 
-    chosen = set(pb.values())
-    if empty_member:
-        chosen.add(0)
+    chosen = set(pb.values()) | {0}
     full_extra = sum(1 for a in members if a & u_hat == u_hat and a not in chosen)
-    return TransversalReport(
-        order=f.order,
-        tilde_u=tilde,
-        a_sets=a_sets(f),
-        u_hat=u_hat,
-        k=k,
-        singleton_witnesses=witnesses,
-        pb_family=pb,
-        empty_set_member=empty_member,
-        full_sets_not_in_p=full_extra,
-    )
+    return TransversalReport(u_hat=u_hat, k=k, singleton_witnesses=witnesses,
+                             pb_family=pb, full_sets_not_in_p=full_extra)
 
 
 def verify_transversal(f: SetFamily, tr: TransversalReport) -> list[str]:
@@ -276,13 +249,11 @@ def verify_transversal(f: SetFamily, tr: TransversalReport) -> list[str]:
     issues: list[str] = []
     members = set(f.members)
     nonempty = [a for a in f.members if a]
-    if tr.order != f.order:
-        issues.append("order does not match the frequency labeling")
-        return issues
     m = f.universe_size
     rank = {x: r for r, x in enumerate(f.order, start=1)}
+    tilde = max_index_elements(f)
 
-    if tr.u_hat & ~tr.tilde_u:
+    if tr.u_hat & ~tilde:
         issues.append("transversal is not a subset of the top-element set")
     for a in nonempty:
         if not a & tr.u_hat and tr.u_hat:
@@ -319,28 +290,24 @@ def verify_transversal(f: SetFamily, tr: TransversalReport) -> list[str]:
             issues.append(f"element {x} lies in {hits} patterns, "
                           f"expected {1 << (tr.k - 1)}")
 
-    if tr.empty_set_member != (0 in members):
-        issues.append("empty-set flag does not match the family")
-
-    chosen = set(tr.pb_family.values())
-    if tr.empty_set_member:
-        chosen.add(0)
+    chosen = set(tr.pb_family.values()) | {0}
     full_extra = sum(1 for a in f.members
                      if a & tr.u_hat == tr.u_hat and a not in chosen)
     if full_extra != tr.full_sets_not_in_p:
         issues.append(f"full-set count {tr.full_sets_not_in_p} != recomputed {full_extra}")
 
     ms = f.m_sets
-    if sorted(tr.a_sets) != elements_of(tr.tilde_u):
+    unions = a_sets(f)
+    if sorted(unions) != elements_of(tilde):
         issues.append("a_sets keys differ from the top-element set")
-    for x, ax in tr.a_sets.items():
+    for x, ax in unions.items():
         if not ax >> x & 1:
             issues.append(f"a_sets[{x}] does not contain {x}")
         i = rank[x]
         for j in range(i + 1, m + 1):
             if ax & ~ms[j]:
                 issues.append(f"a_sets[{x}] escapes m_sets[{j}]")
-    for x in elements_of(tr.tilde_u):
+    for x in elements_of(tilde):
         i = rank[x]
         for j in range(m):
             if j != i and not ms[j] >> x & 1:
@@ -390,7 +357,7 @@ def counting_audit(f: SetFamily, tr: TransversalReport) -> CountingAudit:
     incidence_total = sum(counts[x] for x in u_hat_elems)
     incidence_upper = k * (m + c)
     p_incidences = sum(b.bit_count() for b in tr.pb_family)
-    p_family_size = (1 << k) - 1 + (1 if tr.empty_set_member else 0)
+    p_family_size = (1 << k) - 1 + (f.members[:1] == (0,))
 
     chosen = set(tr.pb_family.values())
     full_extra = tr.full_sets_not_in_p

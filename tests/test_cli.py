@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -451,6 +452,35 @@ def test_family_bytes_pinned(capsys, tmp_path, name):
     assert _report_digest(capsys, argvs) == FAMILY_PINS[name]
 
 
+# sha256 of the chain, transversal and audit documents (JSON, then the
+# witness command's text lines) of the 4 404 families of enumerate --m 4
+# and of random_family(16, 10, 7 + i) for i < 300.  A family without
+# members has no chain.
+WITNESS_DOCUMENTS_PIN = "2d24716b8b861b4245239505cc017a8cc0e34025ec23fb8ec36533798d94adb3"
+
+
+def test_witness_documents_pinned():
+    from ucsets.formats import chain_to_json, report_to_json, to_json, transversal_to_json
+    corpus = itertools.chain(search.enumerate_union_closed(4),
+                             (search.random_family(16, 10, 7 + i) for i in range(300)))
+    h = hashlib.sha256()
+    count = 0
+    for f in corpus:
+        count += 1
+        tr = witnesses.minimal_transversal(f)
+        audit = report_to_json(witnesses.counting_audit(f, tr))
+        documents = [(transversal_to_json(f, tr), cli._transversal_lines(f, tr)),
+                     (audit, cli._audit_lines(audit))]
+        if f.n:  # the chain needs a member
+            w = witnesses.falgas_ravry_chain(f)
+            documents.insert(0, (chain_to_json(f, w), cli._chain_lines(f, w)))
+        for doc, lines in documents:
+            h.update(to_json(doc).encode("utf-8"))
+            h.update("\n".join(lines).encode("utf-8"))
+    assert count == 4704
+    assert h.hexdigest() == WITNESS_DOCUMENTS_PIN
+
+
 class TestVerify:
     def test_enumerated_corpus_ok(self, capsys):
         code, out, _ = run(capsys, "verify", "--m", "3")
@@ -837,7 +867,13 @@ def _readme_tour():
     return {cmd: "\n".join(lines).rstrip("\n") + "\n" for cmd, lines in outputs.items()}
 
 
-@pytest.mark.parametrize("command", ["ucsets analyze tri.txt", "ucsets bounds --m 13 --n 40"])
+@pytest.mark.parametrize("command", [
+    "ucsets analyze tri.txt",
+    "ucsets witness tri.txt --which chain",
+    "ucsets witness tri.txt --which transversal",
+    "ucsets witness tri.txt --which audit",
+    "ucsets bounds --m 13 --n 40",
+])
 def test_readme_transcript(capsys, monkeypatch, tmp_path, command):
     tour = _readme_tour()
     (tmp_path / "tri.txt").write_text(tour["cat tri.txt"])

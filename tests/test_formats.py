@@ -201,7 +201,7 @@ class TestRounding:
 
 class TestReportSerialization:
     def test_chain_document(self):
-        doc = chain_to_json(falgas_ravry_chain(TRI))
+        doc = chain_to_json(TRI, falgas_ravry_chain(TRI))
         assert set(doc) == {"order", "chain", "pair_witnesses", "m_sets",
                             "m_sets_definition", "empty_set_member"}
         assert doc["order"] == [0, 1]
@@ -209,7 +209,7 @@ class TestReportSerialization:
         assert doc["m_sets_definition"] == M_SETS_DEFINITION
 
     def test_transversal_document(self):
-        doc = transversal_to_json(minimal_transversal(TRI))
+        doc = transversal_to_json(TRI, minimal_transversal(TRI))
         assert set(doc) == {"order", "tilde_u", "a_sets", "u_hat", "k",
                             "singleton_witnesses", "pb_family",
                             "empty_set_member", "full_sets_not_in_p"}
@@ -251,8 +251,8 @@ class TestStableEncoding:
             to_json({"x": float("nan")})
 
     def test_deterministic(self):
-        doc = chain_to_json(falgas_ravry_chain(TRI))
-        assert to_json(doc) == to_json(chain_to_json(falgas_ravry_chain(TRI)))
+        doc = chain_to_json(TRI, falgas_ravry_chain(TRI))
+        assert to_json(doc) == to_json(chain_to_json(TRI, falgas_ravry_chain(TRI)))
 
 
 class TestBundledSchemas:
@@ -279,8 +279,8 @@ class TestBundledSchemas:
 
     def test_report_documents_validate(self):
         cases = [
-            ("chain", chain_to_json(falgas_ravry_chain(TRI))),
-            ("transversal", transversal_to_json(minimal_transversal(TRI))),
+            ("chain", chain_to_json(TRI, falgas_ravry_chain(TRI))),
+            ("transversal", transversal_to_json(TRI, minimal_transversal(TRI))),
             ("audit", report_to_json(counting_audit(TRI, minimal_transversal(TRI)))),
             ("bounds", report_to_json(bound_report(13, 40))),
             ("bounds", report_to_json(bound_report(0))),
@@ -291,9 +291,9 @@ class TestBundledSchemas:
 
     def test_report_documents_validate_on_random(self):
         f = random_family(12, 7, 5)
-        jsonschema.validate(chain_to_json(falgas_ravry_chain(f)),
+        jsonschema.validate(chain_to_json(f, falgas_ravry_chain(f)),
                             load_schema("chain"))
-        jsonschema.validate(transversal_to_json(minimal_transversal(f)),
+        jsonschema.validate(transversal_to_json(f, minimal_transversal(f)),
                             load_schema("transversal"))
         jsonschema.validate(report_to_json(counting_audit(f, minimal_transversal(f))),
                             load_schema("audit"))

@@ -1,5 +1,6 @@
 """Enumeration, canonical forms, the seeded generator, corpus verification."""
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -227,6 +228,16 @@ class TestRandomFamily:
     def test_zero_generators(self):
         f = random_family(5, 0, 1)
         assert f.universe_size == 0 and f.n == 0
+
+    def test_draws_are_not_collected(self):
+        # At m = 4 the closure holds at most 15 members, however many draws.
+        tracemalloc.start()
+        try:
+            random_family(4, 100_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 250_000
 
     def test_domain_and_capacity(self):
         with pytest.raises(CapacityError):

@@ -18,6 +18,7 @@ from ucsets import (
     verify_chain_witness,
     verify_transversal,
 )
+from ucsets.formats import transversal_to_json
 
 CHAIN = make_family([{2}, {1, 2}, {0, 1, 2}])
 TRI = make_family([{0}, {1}, {0, 1}])
@@ -33,7 +34,7 @@ class TestChain:
         w = falgas_ravry_chain(CHAIN)
         assert list(w.chain) == masks([{0, 1, 2}, {1, 2}, {2}])
         assert w.order == (0, 1, 2)
-        assert not w.empty_set_member
+        assert 0 not in CHAIN.members
 
     def test_tri_family(self):
         w = falgas_ravry_chain(TRI)
@@ -112,7 +113,7 @@ class TestTransversal:
 
     def test_chain_family(self):
         tr = minimal_transversal(CHAIN)
-        assert tr.tilde_u == 0b100
+        assert max_index_elements(CHAIN) == 0b100
         assert tr.u_hat == 0b100
         assert tr.k == 1
         assert tr.singleton_witnesses == {2: 0b100}
@@ -135,7 +136,7 @@ class TestTransversal:
     def test_empty_set_member_flag(self):
         f = make_family([set(), {0}])
         tr = minimal_transversal(f)
-        assert tr.empty_set_member
+        assert transversal_to_json(f, tr)["empty_set_member"] is True
         assert tr.u_hat == 0b1
         assert verify_transversal(f, tr) == []
 
@@ -157,8 +158,8 @@ class TestTransversal:
                          {0, 2, 3}, {0, 1, 2, 3}])
         tr = minimal_transversal(f)
         assert tr.u_hat == 0b011
-        assert tr.tilde_u == 0b111
-        bloated = replace(tr, u_hat=tr.tilde_u, k=3)
+        assert max_index_elements(f) == 0b111
+        bloated = replace(tr, u_hat=0b111, k=3)
         issues = verify_transversal(f, bloated)
         assert any("not inclusion-minimal" in s for s in issues)
 
@@ -170,6 +171,38 @@ class TestTransversal:
 
     def test_determinism(self):
         assert minimal_transversal(TRI) == minimal_transversal(TRI)
+
+
+class TestVerifiersReadFamilyData:
+    """The verifiers check the family's own cached data: a wrong m_sets or
+    tops planted on a family must be reported against an honest witness."""
+
+    @staticmethod
+    def planted(**cached):
+        f = make_family([{0}, {1}, {0, 1}])  # TRI: m_sets (0b11, 0b10, 0b01)
+        f.__dict__.update(cached)
+        return f
+
+    def test_m_sets_entry_holding_its_avoided_element(self):
+        f = self.planted(m_sets=(0b11, 0b11, 0b01))
+        assert verify_chain_witness(f, falgas_ravry_chain(TRI)) == [
+            "m_sets[1] contains its avoided element"]
+
+    def test_a_sets_escaping_a_higher_m_set(self):
+        f = self.planted(m_sets=(0b11, 0b10, 0))
+        assert verify_transversal(f, minimal_transversal(TRI)) == [
+            "a_sets[0] escapes m_sets[2]"]
+
+    def test_top_element_missing_from_an_m_set(self):
+        f = self.planted(m_sets=(0b11, 0, 0b01))
+        assert verify_transversal(f, minimal_transversal(TRI)) == [
+            "top element 1 missing from m_sets[1]"]
+
+    def test_transversal_outside_the_top_element_set(self):
+        # every member topped by element 1: the top-element set is {1}
+        f = self.planted(tops=(0, 0b111))
+        assert verify_transversal(f, minimal_transversal(TRI)) == [
+            "transversal is not a subset of the top-element set"]
 
 
 class TestCountingAudit:
