@@ -5,8 +5,8 @@ main member-count threshold 2*(m + min_k f(m, k)).  Its closed-form
 relaxation 2*(m + m/(log2 m - log2 log2 m)) is cheaper to state; both are
 computed here, with the applicability verdicts that rest on them.
 
-Float inequalities involving an integer member count use an absolute
-tolerance of 1e-9: n is within a threshold t iff n <= floor(t + 1e-9).
+The theorem verdict and the minimizer k* are decided exactly, in integers
+and error-bounded decimals; floats are only the printed values.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from functools import lru_cache
 from .errors import CapacityError, ContradictionError, DomainError
 from .family import SetFamily, frankl_witnesses
 from .witnesses import falgas_ravry_chain, verify_chain_witness
-
-TOLERANCE = 1e-9
 
 VERDICT_SMALL_M = "covered-by-small-m"
 VERDICT_LEMMA = "covered-by-lemma"
@@ -54,7 +52,7 @@ def f_m(m: int, k: int) -> float:
 def k_scan_range(m: int) -> range:
     """Integer k values scanned by min_f: 3 .. ceil(log2 m) + 2 inclusive."""
     _check_m(m)
-    return range(3, max(3, math.ceil(math.log2(m)) + 2) + 1)
+    return range(3, max(3, (m - 1).bit_length() + 2) + 1)
 
 
 def min_f(m: int) -> tuple[int, float]:
@@ -67,14 +65,14 @@ def min_f(m: int) -> tuple[int, float]:
     m = 43 on) is verified against this result instead of being baked in.
     """
     _check_m(m)
-    calc = _calculus(m)
+    calc, _ = _calculus(m)
     return calc.k_star, calc.min_f
 
 
 def ieq1_threshold(m: int) -> float:
     """The member-count threshold 2 * (m + min_k f(m, k))."""
     _check_m(m)
-    return _calculus(m).ieq1_threshold
+    return _calculus(m)[0].ieq1_threshold
 
 
 def _log_gap(m: int, what: str) -> float:
@@ -98,9 +96,33 @@ def k_prime(m: int) -> float:
     return _log_gap(m, "k'") + 2.0
 
 
-def within_threshold(n: int, t: float) -> bool:
-    """Integer-vs-float comparison used by all verdicts: n <= floor(t + tol)."""
-    return n <= math.floor(t + TOLERANCE)
+def _theorem_gap(m: int) -> int:
+    """floor(2m / (log2 m - log2 log2 m)), the most by which the theorem lets n pass 2m.
+
+    For m >= 13.  At m = 2^(2^j) the denominator is the integer 2^j - j.
+    Elsewhere the quotient q is irrational, so decimals settle its floor.
+    Each step below is correctly rounded, a relative error of at most
+    5*10^-prec, and for m >= 13 the chain keeps q within 15 such errors of
+    its value.  The floor is taken when q*(1 - eps) and q*(1 + eps) agree
+    on it, eps = 10^(3-prec) covering twice that error plus the rounding of
+    the two products; otherwise the precision doubles.
+    """
+    lg = m.bit_length() - 1
+    if m == 1 << lg and lg & (lg - 1) == 0:
+        return 2 * m // (lg - lg.bit_length() + 1)
+    from decimal import Decimal, localcontext
+    with localcontext() as ctx:
+        # m's digits plus a guard: q's fraction is then resolved to about 1e-7.
+        ctx.prec = len(str(m)) + 10
+        while True:
+            ln2 = Decimal(2).ln()
+            log_m = Decimal(m).ln() / ln2
+            q = 2 * m / (log_m - log_m.ln() / ln2)
+            eps = Decimal(1).scaleb(3 - ctx.prec)
+            floor = int(q * (1 - eps))
+            if floor == int(q * (1 + eps)):
+                return floor
+            ctx.prec *= 2
 
 
 def lemma_bound(f: SetFamily) -> bool:
@@ -144,22 +166,26 @@ def verdict_for(m: int, n: int) -> str:
         return VERDICT_SMALL_M
     if n <= 2 * m:
         return VERDICT_LEMMA
-    if within_threshold(n, _calculus(m).closed_form_threshold):
+    if n - 2 * m <= _calculus(m)[1]:
         return VERDICT_THEOREM
     return VERDICT_NOT_COVERED
 
 
 @lru_cache(maxsize=256)
-def _calculus(m: int) -> BoundReport:
-    """The report without n: each m-dependent value, evaluated once per m.
+def _calculus(m: int) -> tuple[BoundReport, int | None]:
+    """The report without n and the theorem gap: each evaluated once per m.
 
-    Callers check 0 <= m; each report gets its own copy of f_values.
+    Callers check 0 <= m; each report gets its own copy of f_values.  The
+    gap is None where the small-m verdict makes it moot.
     """
     notes: list[str] = []
     if m >= 1:
         f_values = {k: f_m(m, k) for k in k_scan_range(m)}
-        # min keeps the first of equal values: ties go to the smaller k.
-        k_star = min(f_values, key=f_values.__getitem__)
+        # Ranked by f(m, k) + 3 times a common multiple of every k - 2, an
+        # exact integer; min keeps the first of equal values, so ties go to
+        # the smaller k.
+        scale = math.lcm(*(k - 2 for k in f_values))
+        k_star = min(f_values, key=lambda k: m * scale // (k - 2) + ((1 << (k - 1)) - k) * scale)
         fmin = f_values[k_star]
         ieq1 = 2.0 * (m + fmin)
     else:
@@ -174,9 +200,10 @@ def _calculus(m: int) -> BoundReport:
         kp = closed = None
         if m == 1:
             notes.append("closed-form threshold undefined for m <= 1")
-    return BoundReport(m=m, n=None, f_values=f_values, k_star=k_star, min_f=fmin,
-                       ieq1_threshold=ieq1, k_prime=kp, closed_form_threshold=closed,
-                       verdict=None, alarm=None, notes=tuple(notes))
+    report = BoundReport(m=m, n=None, f_values=f_values, k_star=k_star, min_f=fmin,
+                         ieq1_threshold=ieq1, k_prime=kp, closed_form_threshold=closed,
+                         verdict=None, alarm=None, notes=tuple(notes))
+    return report, _theorem_gap(m) if m > SMALL_M_LIMIT else None
 
 
 def bound_report(m: int, n: int | None = None) -> BoundReport:
@@ -188,7 +215,7 @@ def bound_report(m: int, n: int | None = None) -> BoundReport:
     floats would overflow, and CapacityError is raised.
     """
     _check_m(m, least=0, what="the threshold calculus")
-    calc = _calculus(m)
+    calc, _ = _calculus(m)
     return replace(calc, n=n, f_values=dict(calc.f_values),
                    verdict=verdict_for(m, n) if n is not None else None)
 

@@ -275,13 +275,15 @@ def find_union_gap(f: SetFamily) -> tuple[int, int] | None:
     return None
 
 
-def closure_of_masks(masks: Iterable[int]) -> list[int]:
+def closure_of_masks(masks: Iterable[int], saturated: int = 0) -> list[int]:
     """Union-closure of the given masks, sorted ascending.
 
     Incremental: if C is already union-closed, then C + g closes as
     C | {g} | {g|c for c in C}, so one pass over the generators suffices.
     Raises CapacityError before a fold could take the closure past
-    MAX_MEMBERS members.
+    MAX_MEMBERS members.  When every mask is a non-empty subset of an
+    s-element set, saturated = 2^s - 1 stops reading masks once the closure
+    holds all of them, since no later mask could change it.
     """
     closed: set[int] = set()
     for g in masks:
@@ -292,6 +294,8 @@ def closure_of_masks(masks: Iterable[int]) -> list[int]:
                 f"union closure could exceed the {MAX_MEMBERS}-member budget")
         closed |= {g | c for c in closed}
         closed.add(g)
+        if len(closed) == saturated:
+            break
     return sorted(closed)
 
 

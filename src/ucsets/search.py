@@ -170,7 +170,8 @@ def random_family(m: int, generators: int, seed: int) -> SetFamily:
 
     Draws `generators` non-empty subsets of an m-element universe from the
     splitmix64 stream (each draw takes the low m bits of the next output,
-    redrawing zero), closes them under union, and takes the separating
+    redrawing zero; drawing stops early once the closure holds all 2^m - 1
+    of them), closes them under union, and takes the separating
     quotient, which drops unused elements and collapses duplicate
     membership columns.  The same (m, generators, seed) triple yields a
     bit-identical family everywhere.
@@ -183,7 +184,7 @@ def random_family(m: int, generators: int, seed: int) -> SetFamily:
     nonzero = filter(None, (v & full for v in splitmix64(seed)))
     # Drawn lazily, so memory is the closure's whatever the count.
     drawn = (next(nonzero) for _ in range(generators))
-    quotient, _ = separating_quotient(SetFamily(m, tuple(closure_of_masks(drawn))))
+    quotient, _ = separating_quotient(SetFamily(m, tuple(closure_of_masks(drawn, full))))
     return quotient
 
 

@@ -2,10 +2,13 @@
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ucsets import bounds
+from ucsets import bounds, cli
 from ucsets import (
     BoundReport,
     CapacityError,
@@ -23,16 +26,18 @@ from ucsets import (
     min_f,
     union_closure,
     verdict_for,
-    within_threshold,
     VERDICT_LEMMA,
     VERDICT_NOT_COVERED,
     VERDICT_SMALL_M,
     VERDICT_THEOREM,
 )
-from ucsets.bounds import SMALL_M_LIMIT, TOLERANCE, _log_gap, k_scan_range
+from ucsets.bounds import CALCULUS_M_LIMIT, SMALL_M_LIMIT, _log_gap, k_scan_range
 
 # Numeric checks of the derivation's intermediate steps, kept as test
 # oracles: the library computes thresholds and verdicts, not these.
+
+# Slack for comparing one float derivation step with another.
+TOLERANCE = 1e-9
 
 # Uniform k' grid over which maxmin_check takes the max-min.
 MAXMIN_GRID_POINTS = 201
@@ -136,6 +141,8 @@ class TestCostFunction:
         assert list(k_scan_range(1)) == [3]
         assert list(k_scan_range(2)) == [3]
         assert list(k_scan_range(8192)) == list(range(3, 16))
+        # ceil(log2 m) is 61 here; a float log2 rounds it down to 60
+        assert k_scan_range(2 ** 60 + 1)[-1] == 63
         with pytest.raises(DomainError):
             k_scan_range(0)
 
@@ -253,20 +260,6 @@ class TestHuFraction:
         assert all(0 < v < 0.5 for v in vals)
 
 
-class TestWithinThreshold:
-    def test_exact_and_tolerance(self):
-        assert within_threshold(40, 40.0)
-        assert not within_threshold(41, 40.9)
-        # a 1e-10 shortfall is absorbed by the 1e-9 tolerance
-        assert within_threshold(41, 40.9999999999)
-        assert within_threshold(41, 41 - 1e-12)
-        assert not within_threshold(41, 41 - 1e-6)
-
-    def test_plain_cases(self):
-        assert within_threshold(5, 7.2)
-        assert not within_threshold(8, 7.2)
-
-
 class TestLemmaBound:
     def test_holds(self):
         assert lemma_bound(CHAIN)
@@ -297,6 +290,84 @@ class TestVerdicts:
         assert 26 < math.floor(t) == 40
         for n in range(27, 41):
             assert verdict_for(13, n) == VERDICT_THEOREM
+
+
+def tie_point(k: int) -> int:
+    """(2^(k-1) - 1)(k-2)(k-1): the m at which f(m, k) == f(m, k+1)."""
+    return ((1 << (k - 1)) - 1) * (k - 2) * (k - 1)
+
+
+def least_k_oracle(m: int) -> int:
+    """The least k >= 3 with m <= tie_point(k), where f(m, k) <= f(m, k+1)."""
+    k = 3
+    while tie_point(k) < m:
+        k += 1
+    return k
+
+
+def theorem_gap_oracle(m: int) -> int:
+    """floor(2m / (log2 m - log2 log2 m)) from 1000-digit decimals.
+
+    A quotient within 10^-900 of an integer is taken as that integer, which
+    is exact at m = 2^(2^j), where the denominator is an integer.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 1000
+        ln2 = Decimal(2).ln()
+        log_m = Decimal(m).ln() / ln2
+        q = 2 * m / (log_m - log_m.ln() / ln2)
+        nearest = q.to_integral_value()
+        return int(nearest if abs(q - nearest) < Decimal(10) ** -900 else q)
+
+
+# The last k whose tie point + 1 is inside the calculus's range.
+LAST_TIE_K = max(k for k in range(3, 1002) if tie_point(k) < CALCULUS_M_LIMIT)
+
+
+class TestExactDecisions:
+    """Cases where a float threshold or a float argmin got the answer wrong."""
+
+    @pytest.mark.parametrize("m, n, verdict", [
+        (2 ** 60, 2_348_470_305_640_223_594, VERDICT_NOT_COVERED),
+        (2 ** 60, 2_348_470_305_640_223_593, VERDICT_THEOREM),
+        (2 ** 45 - 1, 72_149_864_014_774, VERDICT_NOT_COVERED),
+        (2 ** 64, 37_529_582_770_650_467_080, VERDICT_THEOREM),
+        (2 ** 64, 37_529_582_770_650_467_081, VERDICT_NOT_COVERED),
+        (16, 48, VERDICT_THEOREM),
+        (16, 49, VERDICT_NOT_COVERED),
+        (256, 614, VERDICT_THEOREM),
+        (256, 615, VERDICT_NOT_COVERED),
+    ])
+    def test_verdict_at_threshold(self, m, n, verdict):
+        assert verdict_for(m, n) == verdict
+
+    def test_verdict_through_cli(self, capsys):
+        for n, verdict in ((2_348_470_305_640_223_594, VERDICT_NOT_COVERED),
+                           (2_348_470_305_640_223_593, VERDICT_THEOREM)):
+            assert cli.main(["bounds", "--m", str(2 ** 60), "--n", str(n)]) == 0
+            assert f"verdict: {verdict}" in capsys.readouterr().out.splitlines()
+
+    def test_argmin_past_float_resolution(self):
+        assert min_f(183068686023373)[0] == least_k_oracle(183068686023373) == 39
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(3, LAST_TIE_K), offset=st.sampled_from((-1, 0, 1)))
+    @example(k=3, offset=-1)
+    @example(k=LAST_TIE_K, offset=1)
+    def test_argmin_at_tie_points(self, k, offset):
+        m = tie_point(k) + offset
+        assert min_f(m)[0] == least_k_oracle(m) == (k if offset <= 0 else k + 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(SMALL_M_LIMIT + 1, CALCULUS_M_LIMIT))
+    @example(m=2 ** 60)
+    @example(m=2 ** 45 - 1)
+    @example(m=2 ** 512)
+    @example(m=CALCULUS_M_LIMIT)
+    def test_verdict_at_threshold_against_oracle(self, m):
+        floor = 2 * m + theorem_gap_oracle(m)
+        assert verdict_for(m, floor) == VERDICT_THEOREM
+        assert verdict_for(m, floor + 1) == VERDICT_NOT_COVERED
 
 
 class TestBoundReport:

@@ -9,7 +9,7 @@ import pathlib
 
 import ucsets
 
-PUBLIC_API_SIZE = 62
+PUBLIC_API_SIZE = 61
 
 
 def imported_public_names():

@@ -239,6 +239,28 @@ class TestRandomFamily:
             tracemalloc.stop()
         assert peak < 250_000
 
+    def test_draws_stop_at_saturation(self, monkeypatch):
+        # Once the closure holds all 15 non-empty subsets of a 4-element
+        # universe no draw can change it, so none is taken.
+        drawn = []
+
+        def spy(seed):
+            for v in splitmix64(seed):
+                drawn.append(v)
+                yield v
+
+        prefix = []
+        for v in splitmix64(0):
+            prefix.append(v & 15)
+            if len(closure_of_masks(filter(None, prefix))) == 15:
+                break
+        everything = [v & 15 for v, _ in zip(splitmix64(0), range(2_000))]
+        monkeypatch.setattr(search, "splitmix64", spy)
+        f = random_family(4, 100_000, 0)
+        assert len(drawn) == len(prefix) < 100
+        assert f.members == tuple(closure_of_masks(filter(None, everything))) \
+            == tuple(range(1, 16))
+
     def test_domain_and_capacity(self):
         with pytest.raises(CapacityError):
             random_family(0, 3, 1)

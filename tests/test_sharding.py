@@ -158,6 +158,22 @@ def test_no_pool_modules_are_loaded():
     assert loaded.strip() == "[]"
 
 
+def test_parser_loads_no_exact_arithmetic():
+    # The threshold calculus imports decimal when it first computes a
+    # theorem gap; building the CLI parser must pay for no exact arithmetic.
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from ucsets.cli import build_parser\n"
+        "build_parser()\n"
+        "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))\n"
+    )
+    src = str(Path(ucsets.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script, src], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 # -- failures ------------------------------------------------------------
 
 BUDGET = 64
