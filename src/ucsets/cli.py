@@ -52,22 +52,8 @@ from .formats import (
     to_json,
     transversal_to_json,
 )
-from .search import (
-    FILTERS,
-    CorpusReport,
-    corpus_verify,
-    enumerate_union_closed,
-    random_family,
-)
-from .witnesses import (
-    ChainWitness,
-    TransversalReport,
-    a_sets,
-    counting_audit,
-    falgas_ravry_chain,
-    max_index_elements,
-    minimal_transversal,
-)
+from .search import FILTERS, corpus_verify, enumerate_union_closed, random_family
+from .witnesses import counting_audit, falgas_ravry_chain, minimal_transversal
 
 
 def _open_source(path: str):
@@ -168,17 +154,20 @@ def _flag(value: bool) -> str:
     return str(value).lower()
 
 
+def _set(ids: list[int]) -> str:
+    """A document's id list as a label: ``{0,1}``, and ``{}`` for the empty set."""
+    return "{" + ",".join(map(str, ids)) + "}"
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     f = load_family(args.path)
     if f.n == 0:
         raise PreconditionError("empty family")
-    uc = is_union_closed(f)
-    sep = is_separating(f)
     doc: dict[str, Any] = {
         "m": f.universe_size,
         "n": f.n,
-        "union_closed": uc,
-        "separating": sep,
+        "union_closed": is_union_closed(f),
+        "separating": is_separating(f),
         "frequencies": {str(x): c for x, c in enumerate(f.freq)},
         "order": list(f.order),
         "frankl_witnesses": frankl_witnesses(f),
@@ -186,24 +175,26 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "alarm": None,
         "notes": ["verdict requires a union-closed separating family"],
     }
-    if uc and sep:
+    if doc["union_closed"] and doc["separating"]:
         rep = applicability(f)
         doc.update(verdict=rep.verdict, alarm=rep.alarm, notes=list(rep.notes))
-    lines = [
-        f"m: {doc['m']}",
-        f"n: {doc['n']}",
-        f"union_closed: {_flag(uc)}",
-        f"separating: {_flag(sep)}",
-        "frequencies: " + " ".join(f"{x}:{c}" for x, c in doc["frequencies"].items()),
-        "order: " + " ".join(map(str, doc["order"])),
-        "frankl_witnesses: " + " ".join(map(str, doc["frankl_witnesses"])),
-    ]
+    return _emit_report(args.format, doc, _analyze_lines(doc))
+
+
+def _analyze_lines(doc: dict[str, Any]) -> Iterator[str]:
+    yield f"m: {doc['m']}"
+    yield f"n: {doc['n']}"
+    yield f"union_closed: {_flag(doc['union_closed'])}"
+    yield f"separating: {_flag(doc['separating'])}"
+    yield "frequencies: " + " ".join(f"{x}:{c}" for x, c in doc["frequencies"].items())
+    yield "order: " + " ".join(map(str, doc["order"]))
+    yield "frankl_witnesses: " + " ".join(map(str, doc["frankl_witnesses"]))
     if doc["verdict"] is not None:
-        lines.append(f"verdict: {doc['verdict']}")
+        yield f"verdict: {doc['verdict']}"
     if doc["alarm"]:
-        lines.append(f"alarm: {doc['alarm']}")
-    lines += [f"note: {note}" for note in doc["notes"]]
-    return _emit_report(args.format, doc, lines)
+        yield f"alarm: {doc['alarm']}"
+    for note in doc["notes"]:
+        yield f"note: {note}"
 
 
 def _family_lines(f: SetFamily) -> Iterator[str]:
@@ -246,28 +237,30 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     return _emit_report(args.format, doc, _quotient_lines(q, doc["classes"]))
 
 
-def _chain_lines(f: SetFamily, w: ChainWitness) -> Iterator[str]:
-    yield "order: " + " ".join(map(str, w.order))
-    for i, entry in enumerate(w.chain):
-        yield f"X_{i} = {set_label(entry)}"
-    for i, entry in enumerate(f.m_sets):
-        yield f"M_{i} = {set_label(entry)}"
-    yield f"empty_set_member: {_flag(f.members[:1] == (0,))}"
+def _chain_lines(doc: dict[str, Any]) -> Iterator[str]:
+    yield "order: " + " ".join(map(str, doc["order"]))
+    for i, ids in enumerate(doc["chain"]):
+        yield f"X_{i} = {_set(ids)}"
+    for i, ids in enumerate(doc["m_sets"]):
+        yield f"M_{i} = {_set(ids)}"
+    yield f"empty_set_member: {_flag(doc['empty_set_member'])}"
 
 
-def _transversal_lines(f: SetFamily, tr: TransversalReport) -> Iterator[str]:
-    yield "order: " + " ".join(map(str, f.order))
-    yield f"tilde_u = {set_label(max_index_elements(f))}"
-    yield f"u_hat = {set_label(tr.u_hat)}"
-    yield f"k: {tr.k}"
-    for x, a in sorted(a_sets(f).items()):
-        yield f"A[{x}] = {set_label(a)}"
-    for x, wmask in sorted(tr.singleton_witnesses.items()):
-        yield f"witness[{x}] = {set_label(wmask)}"
-    for b, p in sorted(tr.pb_family.items()):
-        yield f"P[{set_label(b)}] = {set_label(p)}"
-    yield f"empty_set_member: {_flag(f.members[:1] == (0,))}"
-    yield f"full_sets_not_in_p: {tr.full_sets_not_in_p}"
+def _transversal_lines(doc: dict[str, Any]) -> Iterator[str]:
+    """The document's maps in their insertion order, which is numeric; its
+    JSON text sorts their keys as strings."""
+    yield "order: " + " ".join(map(str, doc["order"]))
+    yield f"tilde_u = {_set(doc['tilde_u'])}"
+    yield f"u_hat = {_set(doc['u_hat'])}"
+    yield f"k: {doc['k']}"
+    for x, ids in doc["a_sets"].items():
+        yield f"A[{x}] = {_set(ids)}"
+    for x, ids in doc["singleton_witnesses"].items():
+        yield f"witness[{x}] = {_set(ids)}"
+    for b, ids in doc["pb_family"].items():
+        yield "P[{" + b + "}] = " + _set(ids)
+    yield f"empty_set_member: {_flag(doc['empty_set_member'])}"
+    yield f"full_sets_not_in_p: {doc['full_sets_not_in_p']}"
 
 
 def _audit_lines(doc: dict[str, Any]) -> Iterator[str]:
@@ -286,14 +279,14 @@ def cmd_witness(args: argparse.Namespace) -> int:
     _require_union_closed(f)
     _require_separating(f)
     if args.which == "chain":
-        w = falgas_ravry_chain(f)
-        return _emit_report(args.format, chain_to_json(f, w), _chain_lines(f, w))
-    tr = minimal_transversal(f)
-    if args.which == "transversal":
-        return _emit_report(args.format, transversal_to_json(f, tr),
-                            _transversal_lines(f, tr))
-    doc = report_to_json(counting_audit(f, tr))
-    return _emit_report(args.format, doc, _audit_lines(doc))
+        doc, lines = chain_to_json(f, falgas_ravry_chain(f)), _chain_lines
+    else:
+        tr = minimal_transversal(f)
+        if args.which == "transversal":
+            doc, lines = transversal_to_json(f, tr), _transversal_lines
+        else:
+            doc, lines = report_to_json(counting_audit(f, tr)), _audit_lines
+    return _emit_report(args.format, doc, lines(doc))
 
 
 def _bounds_lines(doc: dict[str, Any]) -> Iterator[str]:
@@ -367,25 +360,24 @@ def cmd_random(args: argparse.Namespace) -> int:
     return 0
 
 
-def _corpus_lines(rep: CorpusReport) -> Iterator[str]:
-    yield f"total_families: {rep.total_families}"
-    yield f"union_closed_count: {rep.union_closed_count}"
-    yield f"separating_count: {rep.separating_count}"
-    for label in rep.frankl_violations:
+def _corpus_lines(doc: dict[str, Any]) -> Iterator[str]:
+    yield f"total_families: {doc['total_families']}"
+    yield f"union_closed_count: {doc['union_closed_count']}"
+    yield f"separating_count: {doc['separating_count']}"
+    for label in doc["frankl_violations"]:
         yield f"FRANKL VIOLATION: {label}"
-    for label, name in rep.invariant_failures:
+    for label, name in doc["invariant_failures"]:
         yield f"INVARIANT FAILURE: {label}: {name}"
-    for label, name in rep.audit_failures:
+    for label, name in doc["audit_failures"]:
         yield f"AUDIT FAILURE: {label}: {name}"
-    for label, reason in rep.rejections:
+    for label, reason in doc["rejections"]:
         yield f"REJECTED: {label}: {reason}"
-    yield "ok" if rep.ok else "FAILURES FOUND"
+    yield "ok" if doc["ok"] else "FAILURES FOUND"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    rep = corpus_verify(_verify_families(args))
-    return _emit_report(args.format, corpus_to_json(rep), _corpus_lines(rep),
-                        0 if rep.ok else 3)
+    doc = corpus_to_json(corpus_verify(_verify_families(args)))
+    return _emit_report(args.format, doc, _corpus_lines(doc), 0 if doc["ok"] else 3)
 
 
 def _count(text: str) -> int:

@@ -17,10 +17,10 @@ import itertools
 import os
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import BinaryIO, Iterable, Iterator
 
-from .bounds import applicability
+from .bounds import applicability, bound_report
 from .errors import CapacityError, DomainError
 from .family import (
     MAX_UNIVERSE,
@@ -207,13 +207,10 @@ class CorpusReport:
 
     def merge(self, later: CorpusReport) -> None:
         """Add the tallies and failures of the families that came after."""
-        self.total_families += later.total_families
-        self.union_closed_count += later.union_closed_count
-        self.separating_count += later.separating_count
-        self.frankl_violations += later.frankl_violations
-        self.invariant_failures += later.invariant_failures
-        self.audit_failures += later.audit_failures
-        self.rejections += later.rejections
+        for name in (f.name for f in fields(self)):
+            value = getattr(self, name)
+            value += getattr(later, name)  # counts add, failure lists extend
+            setattr(self, name, value)
 
 
 # A batch closes once its families hold this many members, counting n + 1
@@ -243,7 +240,9 @@ def corpus_verify(corpus: Iterable[SetFamily]) -> CorpusReport:
     The corpus is cut into batches of about BATCH_MEMBERS members, and each
     batch is verified in a forked child process, at most one per CPU at a
     time; the parent merges the partial reports in corpus order, so the
-    report is the one a serial sweep gives.  With one CPU, without
+    report is the one a serial sweep gives.  The parent fills the threshold
+    calculus for each universe size before it forks a batch holding it, so
+    the children inherit it.  With one CPU, without
     os.fork, while other threads run, or when the corpus fits in one batch,
     the sweep runs in this process.  Exceptions are raised as a serial
     sweep raises them: the first one in corpus order wins, whether the
@@ -261,6 +260,7 @@ def corpus_verify(corpus: Iterable[SetFamily]) -> CorpusReport:
     size = 0
     error: Exception | None = None
     families = iter(corpus)
+    sizes: set[int] = set()
     try:
         while True:
             try:
@@ -270,6 +270,9 @@ def corpus_verify(corpus: Iterable[SetFamily]) -> CorpusReport:
             except Exception as exc:  # raised once the families before it are verified
                 error = exc
                 break
+            if f.universe_size not in sizes:  # forked children inherit its calculus
+                sizes.add(f.universe_size)
+                bound_report(f.universe_size)
             batch.append(f)
             size += f.n + 1
             if size >= BATCH_MEMBERS:

@@ -469,11 +469,12 @@ def test_witness_documents_pinned():
         count += 1
         tr = witnesses.minimal_transversal(f)
         audit = report_to_json(witnesses.counting_audit(f, tr))
-        documents = [(transversal_to_json(f, tr), cli._transversal_lines(f, tr)),
+        transversal_doc = transversal_to_json(f, tr)
+        documents = [(transversal_doc, cli._transversal_lines(transversal_doc)),
                      (audit, cli._audit_lines(audit))]
         if f.n:  # the chain needs a member
-            w = witnesses.falgas_ravry_chain(f)
-            documents.insert(0, (chain_to_json(f, w), cli._chain_lines(f, w)))
+            chain_doc = chain_to_json(f, witnesses.falgas_ravry_chain(f))
+            documents.insert(0, (chain_doc, cli._chain_lines(chain_doc)))
         for doc, lines in documents:
             h.update(to_json(doc).encode("utf-8"))
             h.update("\n".join(lines).encode("utf-8"))

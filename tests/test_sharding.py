@@ -21,8 +21,9 @@ from ucsets import (
     find_union_gap,
     is_separating,
     make_family,
+    random_family,
 )
-from ucsets import search
+from ucsets import bounds, search
 from ucsets.cli import main
 from ucsets.formats import family_to_ndjson
 from ucsets.search import CorpusReport
@@ -132,6 +133,27 @@ def test_one_cpu_threads_or_no_fork_run_in_this_process(monkeypatch, forked):
     monkeypatch.delattr(os, "fork")
     assert corpus_verify(corpus).total_families == len(corpus)
     assert forked == []
+
+
+@pytest.fixture()
+def cold_calculus():
+    bounds._calculus.cache_clear()
+    yield
+    bounds._calculus.cache_clear()
+
+
+def test_children_inherit_the_threshold_calculus(monkeypatch, cold_calculus, forked):
+    # Each theorem gap is computed in the parent, before the first batch
+    # holding its universe size is forked; a child computing one fails.
+    parent, real = os.getpid(), bounds._theorem_gap
+
+    def in_parent(m):
+        assert os.getpid() == parent, f"theorem gap for m = {m} computed in a child"
+        return real(m)
+    monkeypatch.setattr(bounds, "_theorem_gap", in_parent)
+    shard(monkeypatch, 512)
+    assert corpus_verify([random_family(16, 10, 7 + i) for i in range(60)]).ok
+    assert len(forked) >= 2
 
 
 def test_no_pool_modules_are_loaded():
