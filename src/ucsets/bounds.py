@@ -223,14 +223,23 @@ def bound_report(m: int, n: int | None = None) -> BoundReport:
 def applicability(f: SetFamily) -> BoundReport:
     """Classify a family against the coverage rules and cross-check it.
 
-    pre: f union-closed, separating, validated.  Whenever the verdict says
-    the family is covered, its witness set must be non-empty; an empty one
-    would be a potential counterexample and is flagged as an alarm.  Only
-    that alarm, which no correct family raises, costs a second report.
+    pre: f union-closed, separating, validated.  The report carries the
+    _coverage_alarm of f; only that alarm, which no correct family raises,
+    costs a second report.
+    """
+    rep = bound_report(f.universe_size, f.n)
+    alarm = _coverage_alarm(f)
+    return replace(rep, alarm=alarm) if alarm else rep
+
+
+def _coverage_alarm(f: SetFamily) -> str | None:
+    """The alarm of a family the coverage rules call covered whose witness
+    set is empty, a potential counterexample; None for every other family.
+
+    pre: as for applicability.  The corpus battery asks for this alone,
+    without the rest of the report.
     """
     m, n = f.universe_size, f.n
-    rep = bound_report(m, n)
-    if rep.verdict == VERDICT_NOT_COVERED or n < 1 or m < 1 or frankl_witnesses(f):
-        return rep
-    return replace(
-        rep, alarm="covered family has an empty witness set (potential counterexample)")
+    if n < 1 or m < 1 or verdict_for(m, n) == VERDICT_NOT_COVERED or frankl_witnesses(f):
+        return None
+    return "covered family has an empty witness set (potential counterexample)"

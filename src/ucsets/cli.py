@@ -57,9 +57,11 @@ from .witnesses import counting_audit, falgas_ravry_chain, minimal_transversal
 
 
 def _open_source(path: str):
+    """The input file, or stdin for "-"; a file's leading UTF-8 byte-order
+    mark is dropped."""
     if path == "-":
         return contextlib.nullcontext(sys.stdin)
-    return open(path, "r", encoding="utf-8")
+    return open(path, "r", encoding="utf-8-sig")
 
 
 def _warn(message: str) -> None:

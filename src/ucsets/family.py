@@ -11,6 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, DomainError
@@ -56,8 +57,10 @@ def _byte_ids() -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 @lru_cache(maxsize=1)
 def _byte_text() -> tuple[tuple[str, ...], ...]:
-    """Table [k][b]: the ids of _byte_ids()[k][b] as comma-joined text."""
-    return tuple(tuple(",".join(map(str, ids)) for ids in table) for table in _byte_ids())
+    """Table [k][b]: the ids of _byte_ids()[k][b] as text, each followed by
+    a comma ("" for byte 0), so the fragments of a mask's bytes concatenate."""
+    return tuple(tuple("".join(f"{x}," for x in ids) for ids in table)
+                 for table in _byte_ids())
 
 
 def elements_of(mask: int) -> list[int]:
@@ -84,19 +87,18 @@ def elements_text(mask: int) -> str:
     """The ascending element ids of a mask, comma-joined: "0,3,9" ("" for 0).
 
     Equal to ",".join(map(str, elements_of(mask))), built from one text
-    fragment per non-zero byte.
+    fragment per byte.  Families render all their members at once through
+    _member_texts; this is for single masks.
     """
     parts = []
     for text in _byte_text():
         if not mask:
             break
-        byte = mask & 0xFF
-        if byte:
-            parts.append(text[byte])
+        parts.append(text[mask & 0xFF])
         mask >>= 8
     if mask:
-        parts += [str(x + MAX_UNIVERSE) for x in elements_of(mask)]
-    return ",".join(parts)
+        parts += [f"{x + MAX_UNIVERSE}," for x in elements_of(mask)]
+    return "".join(parts)[:-1]
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,7 @@ def set_label(mask: int) -> str:
 
 def family_label(f: SetFamily) -> str:
     """Compact one-line rendering, e.g. ``{{2},{1,2},{0,1,2}}``."""
-    return "{" + ",".join(map(set_label, f.members)) + "}"
+    return "{{" + "},{".join(_member_texts(f)) + "}}" if f.members else "{}"
 
 
 def is_union_closed(f: SetFamily) -> bool:
@@ -327,6 +329,28 @@ def _bit_columns(members: tuple[int, ...], universe_size: int) -> tuple[int, ...
         for b in range(min(8, universe_size - 8 * k)):
             columns.append(int(plane.translate(_BIT_DIGITS[b]), 2))
     return tuple(columns)
+
+
+def _member_texts(f: SetFamily) -> list[str]:
+    """elements_text of every member, in member order, without a Python
+    loop over the members.
+
+    The members are packed as in _bit_columns, and byte plane k maps
+    through the text table of ids 8k..8k+7.  Zipping the planes gives each
+    member its fragments, which concatenate to its ids with one trailing
+    comma to strip.  Only the planes up to the highest id any member holds
+    are read; below id 8 the masks index the first table directly.
+    """
+    members = f.members
+    tables = _byte_text()
+    if f.covered_mask <= 0xFF:
+        texts = map(tables[0].__getitem__, members)
+    else:
+        packed = struct.pack(f"<{len(members)}Q", *members)
+        planes = tables[:(f.covered_mask.bit_length() + 7) // 8]
+        texts = map("".join, zip(*[map(table.__getitem__, packed[k::8])
+                                   for k, table in enumerate(planes)]))
+    return list(map(str.rstrip, texts, repeat(",")))
 
 
 def element_frequencies(f: SetFamily) -> list[int]:

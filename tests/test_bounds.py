@@ -24,6 +24,7 @@ from ucsets import (
     lemma_bound,
     make_family,
     min_f,
+    random_family,
     union_closure,
     verdict_for,
     VERDICT_LEMMA,
@@ -473,3 +474,20 @@ class TestApplicability:
     def test_no_alarm_on_degenerate(self):
         rep = applicability(family_from_masks([0]))
         assert rep.alarm is None
+
+    def test_coverage_alarm_is_the_report_alarm(self, separating_corpora, monkeypatch):
+        # The battery asks for the alarm alone; with every witness set
+        # emptied, the covered families alarm and the rest stay quiet.
+        families = [f for corpus in separating_corpora.values() for f in corpus]
+        families += [random_family(13, 6, seed) for seed in (4, 19, 26)]
+        families += [random_family(16, 10, seed) for seed in range(3)]
+        verdicts = {applicability(f).verdict for f in families}
+        assert verdicts == {VERDICT_SMALL_M, VERDICT_LEMMA, VERDICT_THEOREM,
+                            VERDICT_NOT_COVERED}
+        for emptied in (False, True):
+            if emptied:
+                monkeypatch.setattr(bounds, "frankl_witnesses", lambda f: [])
+            alarms = [bounds._coverage_alarm(f) for f in families]
+            assert alarms == [applicability(f).alarm for f in families]
+            assert any(alarms) == emptied
+        assert not all(alarms)

@@ -682,6 +682,19 @@ class TestReader:
         assert (code, out) == (1, "")
         assert "corpus" in err
 
+    @pytest.mark.parametrize("command, content", [
+        (["verify", "--input"], '{"members":[[0],[0,1]],"universe_size":2}\n'),
+        (["analyze"], TRI_TEXT),
+    ], ids=["verify-ndjson", "analyze-text"])
+    def test_a_leading_byte_order_mark_is_dropped(self, capsys, tmp_path, command,
+                                                  content):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text(content, encoding="utf-8")
+        marked.write_text("\ufeff" + content, encoding="utf-8")
+        expected = run(capsys, *command, str(plain))
+        assert expected[0] == 0
+        assert run(capsys, *command, str(marked)) == expected
+
     def test_bad_first_line_stops_reading(self, capsys, monkeypatch):
         family_line = '{"members":[[0]],"universe_size":1}\n'
         monkeypatch.setattr("sys.stdin", FirstLineOnly("{not json\n", family_line * 3))

@@ -23,6 +23,8 @@ from ucsets import (
     corpus_verify,
     to_json,
 )
+from ucsets import formats
+from ucsets.cli import main
 from ucsets.errors import UnfinishedJSONError
 from ucsets.formats import (
     M_SETS_DEFINITION,
@@ -139,6 +141,13 @@ class TestJsonFamilies:
             family_from_json_dict({"universe_size": 1, "members": [[64]]})
         with pytest.raises(FamilyParseError, match="universe_size"):
             family_from_json_dict({"universe_size": 1, "members": [[0, 1]]})
+
+    def test_list_subclass_members_are_read(self):
+        class Ids(list):
+            pass
+
+        doc = {"universe_size": 3, "members": [Ids([1]), [0, 1], Ids([])]}
+        assert family_from_json_dict(doc) == family_from_masks([0b10, 0b11, 0], 3)
 
     @pytest.mark.parametrize("members, message", [
         ([[0], [0]], "members[1] repeats members[0]"),
@@ -297,3 +306,35 @@ class TestBundledSchemas:
                             load_schema("transversal"))
         jsonschema.validate(report_to_json(counting_audit(f, minimal_transversal(f))),
                             load_schema("audit"))
+
+
+class TestCorpusDecoding:
+    """Corpus families are decoded a family at a time; the per-member loop
+    that names the first malformed member runs only for malformed input."""
+
+    @pytest.fixture()
+    def fallbacks(self, monkeypatch):
+        calls = []
+        real = formats._checked_masks
+        monkeypatch.setattr(formats, "_checked_masks",
+                            lambda members: calls.append(members) or real(members))
+        return calls
+
+    @pytest.mark.parametrize("command", [
+        ["enumerate", "--m", "4"],
+        ["random", "--m", "64", "--generators", "20", "--seed", "7"],
+    ], ids=" ".join)
+    def test_generated_corpora_skip_the_member_loop(self, capsys, tmp_path, fallbacks,
+                                                    command):
+        assert main(command + ["--format", "json"]) == 0
+        p = tmp_path / "corpus.ndjson"
+        p.write_text(capsys.readouterr().out)
+        assert main(["verify", "--input", str(p), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["total_families"] == len(p.read_text().splitlines()) > 0
+        assert fallbacks == []
+
+    def test_malformed_members_take_the_member_loop(self, fallbacks):
+        with pytest.raises(FamilyParseError, match=r"members\[1\] must be an array"):
+            family_from_json_dict({"universe_size": 2, "members": [[0], [True]]})
+        assert fallbacks == [[[0], [True]]]

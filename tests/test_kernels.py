@@ -9,7 +9,9 @@ compared with a scan over every subfamily code for m <= 4.  Generator mode
 filters that stream by join-irreducible count; its reference closes every
 small set of masks.  Member masks are unpacked and written a byte at a
 time; the per-bit loop and the per-id joins are their references, on masks
-of up to 130 bits and families over up to 64 elements.
+of up to 130 bits and families over up to 64 elements.  Family documents
+are decoded a family at a time; a per-id reader is their reference, on
+well-formed and malformed documents alike.
 """
 
 import itertools
@@ -38,14 +40,21 @@ from ucsets import (
     separating_quotient,
     union_closure,
 )
+from ucsets.errors import FamilyParseError
 from ucsets.family import (
+    _member_texts,
     closure_of_masks,
     elements_of,
     elements_text,
     family_label,
     join_irreducibles,
 )
-from ucsets.formats import family_to_json_dict, family_to_ndjson, family_to_text
+from ucsets.formats import (
+    family_from_json_dict,
+    family_to_json_dict,
+    family_to_ndjson,
+    family_to_text,
+)
 from ucsets.witnesses import (
     a_sets,
     falgas_ravry_chain,
@@ -228,6 +237,64 @@ def compact_json(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def naive_read(doc):
+    """The family of a JSON family document, checked one id at a time.
+
+    Faults are named in reading order: the document, then each member's ids
+    in turn, a repeated id once its member is read, the universe size, and
+    last a repeated member.
+    """
+    if not isinstance(doc, dict):
+        raise FamilyParseError("family document must be a JSON object")
+    extra = sorted(set(doc) - {"universe_size", "members"})
+    if extra:
+        raise FamilyParseError(f"unknown family fields {extra}")
+    missing = sorted({"universe_size", "members"} - set(doc))
+    if missing:
+        raise FamilyParseError(f"missing family fields {missing}")
+    m, members = doc["universe_size"], doc["members"]
+    if type(m) is bool or not isinstance(m, int):
+        raise FamilyParseError("universe_size must be an integer")
+    if not isinstance(members, list):
+        raise FamilyParseError("members must be an array of arrays")
+    masks = []
+    for i, ids in enumerate(members):
+        if not isinstance(ids, list):
+            raise FamilyParseError(f"members[{i}] must be an array of integers")
+        mask, repeated = 0, None
+        for x in ids:
+            if type(x) is not int:
+                raise FamilyParseError(f"members[{i}] must be an array of integers")
+            if x < 0:
+                raise FamilyParseError(f"members[{i}] contains a negative element id")
+            if x >= 64:
+                raise FamilyParseError(f"members[{i}] exceeds the 64-element capacity")
+            if mask >> x & 1 and repeated is None:
+                repeated = x
+            mask |= 1 << x
+        if repeated is not None:
+            raise FamilyParseError(f"members[{i}] repeats element id {repeated}")
+        masks.append(mask)
+    used = max(masks, default=0).bit_length()
+    if m < used:
+        raise FamilyParseError(
+            f"universe_size {m} too small for members using {used} elements")
+    if m > 64:
+        raise FamilyParseError(f"universe size {m} outside 0..64")
+    for j, mask in enumerate(masks):
+        if mask in masks[:j]:
+            raise FamilyParseError(f"members[{j}] repeats members[{masks.index(mask)}]")
+    return SetFamily(m, tuple(sorted(masks)))
+
+
+def read_outcome(reader, doc):
+    try:
+        f = reader(doc)
+    except FamilyParseError as exc:
+        return "error", str(exc)
+    return "family", f.universe_size, f.members
+
+
 # -- strategies ------------------------------------------------------------
 
 
@@ -247,6 +314,61 @@ def wide_families(draw):
     m = draw(st.integers(0, 64))
     masks = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=24))
     return family_from_masks(masks, universe_size=m)
+
+
+@st.composite
+def byte_sparse_families(draw):
+    """Families over m <= 64 elements whose member bytes are often zero,
+    the low bytes included."""
+    m = draw(st.integers(0, 64))
+    byte = st.one_of(st.just(0), st.integers(1, 255))
+    masks = draw(st.lists(st.lists(byte, min_size=8, max_size=8), max_size=24))
+    full = (1 << m) - 1
+    return family_from_masks([int.from_bytes(bytes(b), "little") & full for b in masks], m)
+
+
+BAD_IDS = [True, False, 1.0, 2.5, -1, 64, 1 << 70, "0", None, [0], {}]
+BAD_MEMBERS = [0, 1.0, True, "0", None, {"0": 1}, [[0]]]
+BAD_UNIVERSES = [True, 3.0, "4", None, -1, 65, 1 << 70]
+
+
+@st.composite
+def family_documents(draw):
+    """JSON family documents as json.loads returns them: well-formed ones,
+    members in canonical order or as drawn, and ones with a few faults put
+    in at drawn places: a malformed id, member or universe size, a
+    repeated id or member, a missing or unknown field."""
+    m = draw(st.integers(0, 64))
+    ids = st.integers(0, max(m - 1, 0))
+    members = draw(st.lists(st.lists(ids, unique=True, max_size=8), max_size=12))
+    if draw(st.booleans()):
+        masks = sorted({sum(1 << x for x in member) for member in members})
+        members = [elements_of(mask) for mask in masks]
+    doc = {"universe_size": m, "members": members}
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(["id", "repeat-id", "member", "repeat-member",
+                                      "universe", "field"]))
+        lists = [member for member in members if type(member) is list]
+        if fault in ("id", "repeat-id") and lists:
+            member = draw(st.sampled_from(lists))
+            at = draw(st.integers(0, len(member)))
+            if fault == "id":
+                member.insert(at, draw(st.sampled_from(BAD_IDS)))
+            elif member:
+                member.insert(at, draw(st.sampled_from(member)))
+        elif fault in ("member", "repeat-member"):
+            at = draw(st.integers(0, len(members)))
+            if fault == "member":
+                members.insert(at, draw(st.sampled_from(BAD_MEMBERS)))
+            elif lists:
+                members.insert(at, list(draw(st.sampled_from(lists))))
+        elif fault == "universe":
+            doc["universe_size"] = draw(st.sampled_from(BAD_UNIVERSES))
+        elif fault == "field":
+            del doc[draw(st.sampled_from(sorted(doc)))]
+            field = draw(st.sampled_from(["extra", "members", "universe_size"]))
+            doc[field] = draw(st.sampled_from([[], 0]))
+    return doc
 
 
 def separating_union_closed(f):
@@ -385,6 +507,8 @@ CODEC_EDGES = [
     family_from_masks([1 << 63, 0xFF << 56, 0x0101010101010101]),
     family_from_masks([1], 3),
     family_from_masks([], 5),
+    family_from_masks([0x100, 0xFF00, 1 << 40 | 1 << 8], 41),
+    family_from_masks([0, 1 << 12, 0x1F00], 13),
 ]
 
 
@@ -403,6 +527,8 @@ def test_elements_match_per_bit_loop_at_byte_and_word_edges(mask):
 
 
 def check_codec(f):
+    texts = [naive_text(mask) for mask in f.members]
+    assert _member_texts(f) == [elements_text(mask) for mask in f.members] == texts
     line = family_to_ndjson(f)
     assert line == naive_ndjson(f) == compact_json(family_to_json_dict(f))
     assert family_to_text(f) == naive_family_text(f)
@@ -416,8 +542,39 @@ def test_writers_match_per_id_joins(f):
     check_codec(f)
 
 
+@SETTINGS
+@given(byte_sparse_families())
+def test_writers_match_per_id_joins_on_sparse_bytes(f):
+    check_codec(f)
+
+
 @pytest.mark.parametrize("f", CODEC_EDGES, ids=[
     "empty-family", "empty-member", "empty-and-full-64", "full-64",
-    "top-bytes", "padded-3", "padded-empty"])
+    "top-bytes", "padded-3", "padded-empty", "zero-low-bytes", "partial-byte-13"])
 def test_writers_match_per_id_joins_on_edge_families(f):
     check_codec(f)
+
+
+@pytest.mark.parametrize("m", range(65))
+def test_writers_match_per_id_joins_at_every_universe_size(m):
+    full = (1 << m) - 1
+    masks = [0, full, 1 << max(m - 1, 0), 0x5555555555555555 & full, full & ~0xFF]
+    check_codec(family_from_masks([mask & full for mask in masks], m))
+
+
+@SETTINGS
+@given(family_documents())
+def test_reader_matches_per_id_reference(doc):
+    assert read_outcome(family_from_json_dict, doc) == read_outcome(naive_read, doc)
+
+
+@pytest.mark.parametrize("members", [
+    [[0], [True]], [[1.0]], [[-1]], [[0, 64]], [[1, 0, 1]], [[0], [1], [0]],
+    [[0], 0], [[0, [1]]], [[0], [[1]]], [[], []], [[2, 0, 63], [1], []],
+], ids=["true", "float", "negative", "past-capacity", "repeated-id",
+        "repeated-member", "non-list-member", "nested-list", "nested-member",
+        "two-empty-members", "well-formed-unsorted"])
+@pytest.mark.parametrize("m", [0, 3, 64])
+def test_reader_matches_per_id_reference_on_edge_documents(members, m):
+    doc = {"universe_size": m, "members": members}
+    assert read_outcome(family_from_json_dict, doc) == read_outcome(naive_read, doc)
