@@ -18,10 +18,7 @@ from .bounds import (
     bound_report,
     closed_form_threshold,
     f_m,
-    ieq1_threshold,
     k_prime,
-    lemma_bound,
-    min_f,
     verdict_for,
 )
 from .errors import (
@@ -33,18 +30,14 @@ from .errors import (
 )
 from .family import (
     MAX_UNIVERSE,
-    FrequencyProfile,
     SetFamily,
-    column_signatures,
     drop_unused_elements,
-    element_frequencies,
     elements_of,
     family_from_masks,
     family_label,
     find_union_gap,
     find_unseparated_pair,
     frankl_witnesses,
-    frequency_profile,
     is_separating,
     is_union_closed,
     make_family,
@@ -72,11 +65,8 @@ from .witnesses import (
     ChainWitness,
     CountingAudit,
     TransversalReport,
-    a_sets,
     counting_audit,
     falgas_ravry_chain,
-    m_sets,
-    max_index_elements,
     minimal_transversal,
     verify_chain_witness,
     verify_transversal,
@@ -93,7 +83,6 @@ __all__ = [
     "CountingAudit",
     "DomainError",
     "FamilyParseError",
-    "FrequencyProfile",
     "MAX_UNIVERSE",
     "PreconditionError",
     "SetFamily",
@@ -102,16 +91,13 @@ __all__ = [
     "VERDICT_NOT_COVERED",
     "VERDICT_SMALL_M",
     "VERDICT_THEOREM",
-    "a_sets",
     "applicability",
     "bound_report",
     "canonical_form",
     "closed_form_threshold",
-    "column_signatures",
     "corpus_verify",
     "counting_audit",
     "drop_unused_elements",
-    "element_frequencies",
     "elements_of",
     "enumerate_union_closed",
     "f_m",
@@ -124,17 +110,11 @@ __all__ = [
     "find_union_gap",
     "find_unseparated_pair",
     "frankl_witnesses",
-    "frequency_profile",
-    "ieq1_threshold",
     "is_separating",
     "is_union_closed",
     "k_prime",
-    "lemma_bound",
-    "m_sets",
     "make_family",
     "mask_of",
-    "max_index_elements",
-    "min_f",
     "minimal_transversal",
     "parse_family_json",
     "parse_family_text",

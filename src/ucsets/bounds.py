@@ -50,29 +50,9 @@ def f_m(m: int, k: int) -> float:
 
 
 def k_scan_range(m: int) -> range:
-    """Integer k values scanned by min_f: 3 .. ceil(log2 m) + 2 inclusive."""
+    """Integer k values scanned for k*: 3 .. ceil(log2 m) + 2 inclusive."""
     _check_m(m)
     return range(3, max(3, (m - 1).bit_length() + 2) + 1)
-
-
-def min_f(m: int) -> tuple[int, float]:
-    """Minimize f(m, k) over the integer scan range; ties pick the smaller k.
-
-    The scan deliberately starts at k = 3 rather than assuming where the
-    minimum lands, so the location claim checked by the test suite (the
-    minimizer equals the least k >= 3 with (2^(k-1) - 1)(k-2)(k-1) >= m,
-    is at most ceil(log2 m), is 4 for m = 13..42 and at least 5 from
-    m = 43 on) is verified against this result instead of being baked in.
-    """
-    _check_m(m)
-    calc, _ = _calculus(m)
-    return calc.k_star, calc.min_f
-
-
-def ieq1_threshold(m: int) -> float:
-    """The member-count threshold 2 * (m + min_k f(m, k))."""
-    _check_m(m)
-    return _calculus(m)[0].ieq1_threshold
 
 
 def _log_gap(m: int, what: str) -> float:
@@ -183,7 +163,12 @@ def _calculus(m: int) -> tuple[BoundReport, int | None]:
         f_values = {k: f_m(m, k) for k in k_scan_range(m)}
         # Ranked by f(m, k) + 3 times a common multiple of every k - 2, an
         # exact integer; min keeps the first of equal values, so ties go to
-        # the smaller k.
+        # the smaller k.  The scan deliberately starts at k = 3 rather than
+        # assuming where the minimum lands, so the location claim checked by
+        # the test suite (k* equals the least k >= 3 with
+        # (2^(k-1) - 1)(k-2)(k-1) >= m, is at most ceil(log2 m), is 4 for
+        # m = 13..42 and at least 5 from m = 43 on) is verified against
+        # this result instead of being baked in.
         scale = math.lcm(*(k - 2 for k in f_values))
         k_star = min(f_values, key=lambda k: m * scale // (k - 2) + ((1 << (k - 1)) - k) * scale)
         fmin = f_values[k_star]

@@ -70,7 +70,8 @@ def elements_of(mask: int) -> list[int]:
     a table of the ids each byte value holds (Warren, Hacker's Delight,
     ch. 5), stopping once no set bit is left.  Higher bits, which no family
     member has, are unpacked the same way 64 bits at a time, so every mask
-    gets the exact answer.
+    gets the exact answer.  A negative mask, whose shifts never reach 0,
+    raises DomainError.
     """
     out: list[int] = []
     for ids in _byte_ids():
@@ -79,6 +80,8 @@ def elements_of(mask: int) -> list[int]:
         out += ids[mask & 0xFF]
         mask >>= 8
     if mask:
+        if mask < 0:
+            raise DomainError("masks must be non-negative")
         out += [x + MAX_UNIVERSE for x in elements_of(mask)]
     return out
 
@@ -86,19 +89,10 @@ def elements_of(mask: int) -> list[int]:
 def elements_text(mask: int) -> str:
     """The ascending element ids of a mask, comma-joined: "0,3,9" ("" for 0).
 
-    Equal to ",".join(map(str, elements_of(mask))), built from one text
-    fragment per byte.  Families render all their members at once through
-    _member_texts; this is for single masks.
+    For single masks; families render all their members at once through
+    _member_texts.
     """
-    parts = []
-    for text in _byte_text():
-        if not mask:
-            break
-        parts.append(text[mask & 0xFF])
-        mask >>= 8
-    if mask:
-        parts += [f"{x + MAX_UNIVERSE}," for x in elements_of(mask)]
-    return "".join(parts)[:-1]
+    return ",".join(map(str, elements_of(mask)))
 
 
 @dataclass(frozen=True)

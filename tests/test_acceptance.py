@@ -11,14 +11,12 @@ import time
 
 from ucsets import (
     counting_audit,
-    element_frequencies,
     enumerate_union_closed,
     falgas_ravry_chain,
     family_from_masks,
     family_to_json_dict,
     family_to_text,
     frankl_witnesses,
-    min_f,
     minimal_transversal,
     parse_family_json,
     parse_family_text,
@@ -31,9 +29,9 @@ from ucsets import (
     verify_transversal,
     closed_form_threshold,
     f_m,
-    ieq1_threshold,
 )
-from ucsets.bounds import k_scan_range
+from ucsets.bounds import bound_report, k_scan_range
+from ucsets.family import element_frequencies
 
 from conftest import (
     RANDOM_CORPUS_GENERATORS,
@@ -135,7 +133,7 @@ def _tie_low_minimizer(m: int) -> int:
 def test_criterion_5_bound_calculus():
     """Threshold value, convexity, minimizer location, threshold ordering.
 
-    Minimizer location, for every m: (a) min_f agrees with the integer
+    Minimizer location, for every m: (a) k* agrees with the integer
     oracle; (b) it is at most ceil(log2 m), two steps inside the scan range,
     so the scan finds the global minimum; (c) it is 4 for m <= 42, since
     f(m, 4) - f(m, 5) = m/6 - 7; (d) it is at least 5 for m >= 43, so the
@@ -157,7 +155,8 @@ def test_criterion_5_bound_calculus():
         if any(d2 < d1 - TOLERANCE for d1, d2 in zip(diffs, diffs[1:])):
             failures.append(f"f_{m} is not discretely convex on the scan range")
 
-        k_star, fmin = min_f(m)
+        rep = bound_report(m)
+        k_star, fmin = rep.k_star, rep.min_f
         ceil_lg = math.ceil(math.log2(m))
         oracle = _tie_low_minimizer(m)
         if k_star != oracle:
@@ -171,7 +170,7 @@ def test_criterion_5_bound_calculus():
         if m >= 43 and k_star < 5:
             argmin_misses.append(f"m={m}: argmin {k_star} < 5 for m >= 43")
 
-        if ieq1_threshold(m) < closed_form_threshold(m) - 1e-9:
+        if rep.ieq1_threshold < closed_form_threshold(m) - 1e-9:
             failures.append(f"threshold ordering fails at m={m}")
 
         lg = math.log2(m)

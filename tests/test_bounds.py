@@ -19,11 +19,8 @@ from ucsets import (
     closed_form_threshold,
     f_m,
     family_from_masks,
-    ieq1_threshold,
     k_prime,
-    lemma_bound,
     make_family,
-    min_f,
     random_family,
     union_closure,
     verdict_for,
@@ -32,7 +29,7 @@ from ucsets import (
     VERDICT_SMALL_M,
     VERDICT_THEOREM,
 )
-from ucsets.bounds import CALCULUS_M_LIMIT, SMALL_M_LIMIT, _log_gap, k_scan_range
+from ucsets.bounds import CALCULUS_M_LIMIT, SMALL_M_LIMIT, _log_gap, k_scan_range, lemma_bound
 
 # Numeric checks of the derivation's intermediate steps, kept as test
 # oracles: the library computes thresholds and verdicts, not these.
@@ -82,7 +79,7 @@ class MaxMinCheck:
 
 
 def maxmin_check(m: int) -> MaxMinCheck:
-    """Check min_f(m) >= max over k' of min(2^(k'-1), m/(k'-2)) numerically.
+    """Check min_k f(m, k) >= max over k' of min(2^(k'-1), m/(k'-2)) numerically.
 
     k' is sampled on a uniform grid of MAXMIN_GRID_POINTS over
     [3, log2 m + 2].  Also checks the final lower bound
@@ -90,7 +87,7 @@ def maxmin_check(m: int) -> MaxMinCheck:
     turn relies on.
     """
     final_lower = m / _log_gap(m, "check")
-    _, fmin = min_f(m)
+    fmin = bound_report(m).min_f
     lo, hi = 3.0, max(3.0, math.log2(m) + 2.0)
     best = -math.inf
     for i in range(MAXMIN_GRID_POINTS):
@@ -150,32 +147,35 @@ class TestCostFunction:
 
 class TestMinF:
     def test_examples(self):
-        assert min_f(13) == (4, 7.5)
-        k, v = min_f(100)
-        assert k == 5 and v == pytest.approx(41.333333333333336)
-        assert min_f(8192)[0] == 9
+        rep = bound_report(13)
+        assert (rep.k_star, rep.min_f) == (4, 7.5)
+        rep = bound_report(100)
+        assert rep.k_star == 5 and rep.min_f == pytest.approx(41.333333333333336)
+        assert bound_report(8192).k_star == 9
 
     def test_tie_picks_smaller_k(self):
         # f(42, 4) == f(42, 5) == 22.0 exactly; the tie resolves downward
         assert f_m(42, 4) == f_m(42, 5) == 22.0
-        assert min_f(42) == (4, 22.0)
+        rep = bound_report(42)
+        assert (rep.k_star, rep.min_f) == (4, 22.0)
 
     def test_band_edge(self):
         # the smallest m where the minimizer moves past k = 4
-        assert min_f(42)[0] == 4
-        assert min_f(43)[0] == 5
+        assert bound_report(42).k_star == 4
+        assert bound_report(43).k_star == 5
 
     def test_is_true_minimum_over_scan(self):
         for m in (13, 42, 43, 100, 8192):
-            k_star, v = min_f(m)
+            rep = bound_report(m)
+            k_star, v = rep.k_star, rep.min_f
             assert v == min(f_m(m, k) for k in k_scan_range(m))
             assert f_m(m, k_star) == v
 
 
 class TestThresholds:
     def test_ieq1(self):
-        assert ieq1_threshold(13) == 41.0
-        assert ieq1_threshold(100) == pytest.approx(2 * (100 + 41 + 1 / 3))
+        assert bound_report(13).ieq1_threshold == 41.0
+        assert bound_report(100).ieq1_threshold == pytest.approx(2 * (100 + 41 + 1 / 3))
 
     def test_closed_form(self):
         assert closed_form_threshold(13) == pytest.approx(40.34, abs=0.01)
@@ -191,7 +191,7 @@ class TestThresholds:
 
     def test_ieq1_dominates_closed_form(self):
         for m in (13, 16, 42, 43, 100, 1000, 10**4, 10**6):
-            assert ieq1_threshold(m) >= closed_form_threshold(m) - TOLERANCE
+            assert bound_report(m).ieq1_threshold >= closed_form_threshold(m) - TOLERANCE
 
     def test_closed_form_exceeds_lemma_range(self):
         # the threshold only matters beyond n = 2m; it must sit above that
@@ -349,7 +349,7 @@ class TestExactDecisions:
             assert f"verdict: {verdict}" in capsys.readouterr().out.splitlines()
 
     def test_argmin_past_float_resolution(self):
-        assert min_f(183068686023373)[0] == least_k_oracle(183068686023373) == 39
+        assert bound_report(183068686023373).k_star == least_k_oracle(183068686023373) == 39
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(3, LAST_TIE_K), offset=st.sampled_from((-1, 0, 1)))
@@ -357,7 +357,7 @@ class TestExactDecisions:
     @example(k=LAST_TIE_K, offset=1)
     def test_argmin_at_tie_points(self, k, offset):
         m = tie_point(k) + offset
-        assert min_f(m)[0] == least_k_oracle(m) == (k if offset <= 0 else k + 1)
+        assert bound_report(m).k_star == least_k_oracle(m) == (k if offset <= 0 else k + 1)
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.integers(SMALL_M_LIMIT + 1, CALCULUS_M_LIMIT))
@@ -420,8 +420,7 @@ class TestBoundReport:
         # Past about 2^1022 these overflow float conversion; the limit is
         # checked in the library, not only by the bounds command.
         for call in (lambda: bound_report(m, 5), lambda: bound_report(m),
-                     lambda: ieq1_threshold(m), lambda: f_m(m, 3),
-                     lambda: min_f(m), lambda: closed_form_threshold(m),
+                     lambda: f_m(m, 3), lambda: closed_form_threshold(m),
                      lambda: k_prime(m), lambda: kprime_check(m),
                      lambda: maxmin_check(m)):
             with pytest.raises(CapacityError, match=r"m <= 2\^1000"):
@@ -437,8 +436,6 @@ class TestBoundReport:
         first = bound_report(97, 300)
         evaluated = len(calls)
         assert evaluated == len(k_scan_range(97))
-        assert min_f(97) == (first.k_star, first.min_f)
-        assert ieq1_threshold(97) == first.ieq1_threshold
         second = bound_report(97, 150)
         third = bound_report(97, 200)
         assert len(calls) == evaluated

@@ -4,16 +4,13 @@ from ucsets import (
     CapacityError,
     DomainError,
     SetFamily,
-    column_signatures,
     drop_unused_elements,
-    element_frequencies,
     elements_of,
     family_from_masks,
     family_label,
     find_union_gap,
     find_unseparated_pair,
     frankl_witnesses,
-    frequency_profile,
     is_separating,
     is_union_closed,
     make_family,
@@ -22,7 +19,12 @@ from ucsets import (
     union_closure,
 )
 from ucsets import family
-from ucsets.family import closure_of_masks
+from ucsets.family import (
+    closure_of_masks,
+    column_signatures,
+    element_frequencies,
+    frequency_profile,
+)
 
 CHAIN = make_family([{2}, {1, 2}, {0, 1, 2}])
 TRI = make_family([{0}, {1}, {0, 1}])
@@ -33,6 +35,15 @@ def test_mask_helpers_round_trip():
     assert elements_of(0b100101) == [0, 2, 5]
     assert mask_of([]) == 0
     assert elements_of(0) == []
+
+
+@pytest.mark.parametrize("mask", [-1, -256, -(1 << 70)], ids=["-1", "-256", "-2^70"])
+@pytest.mark.parametrize("unpack", [elements_of, family.elements_text, family.set_label],
+                         ids=["elements_of", "elements_text", "set_label"])
+def test_negative_masks_are_a_domain_error(unpack, mask):
+    # Shifting a negative mask never reaches 0, so the unpacking must stop.
+    with pytest.raises(DomainError, match="masks must be non-negative"):
+        unpack(mask)
 
 
 def test_mask_of_takes_only_ints():

@@ -25,15 +25,12 @@ from hypothesis import strategies as st
 from ucsets import (
     SetFamily,
     canonical_form,
-    column_signatures,
     corpus_verify,
     drop_unused_elements,
-    element_frequencies,
     enumerate_union_closed,
     family_from_masks,
     find_union_gap,
     find_unseparated_pair,
-    frequency_profile,
     is_separating,
     is_union_closed,
     make_family,
@@ -44,9 +41,12 @@ from ucsets.errors import FamilyParseError
 from ucsets.family import (
     _member_texts,
     closure_of_masks,
+    column_signatures,
+    element_frequencies,
     elements_of,
     elements_text,
     family_label,
+    frequency_profile,
     join_irreducibles,
 )
 from ucsets.formats import (

@@ -9,7 +9,7 @@ import pathlib
 
 import ucsets
 
-PUBLIC_API_SIZE = 61
+PUBLIC_API_SIZE = 51
 
 
 def imported_public_names():

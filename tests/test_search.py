@@ -16,7 +16,6 @@ from ucsets import (
     family_from_masks,
     find_union_gap,
     is_separating,
-    lemma_bound,
     make_family,
     minimal_transversal,
     random_family,
@@ -418,7 +417,7 @@ class TestOnePass:
         tri = make_family([{0}, {1}, {0, 1}])
         monkeypatch.setattr(bounds, "falgas_ravry_chain", duplicated)
         with pytest.raises(ContradictionError):
-            lemma_bound(tri)
+            bounds.lemma_bound(tri)
         monkeypatch.setattr(search, "falgas_ravry_chain", duplicated)
         rep = corpus_verify([tri])
         assert ("{{0},{1},{0,1}}", "chain: chain entries are not pairwise distinct") \

@@ -5,20 +5,18 @@ import pytest
 from ucsets import (
     ContradictionError,
     PreconditionError,
-    a_sets,
     counting_audit,
     elements_of,
     falgas_ravry_chain,
-    m_sets,
     make_family,
     mask_of,
-    max_index_elements,
     minimal_transversal,
     union_closure,
     verify_chain_witness,
     verify_transversal,
 )
 from ucsets.formats import transversal_to_json
+from ucsets.witnesses import a_sets, m_sets, max_index_elements
 
 CHAIN = make_family([{2}, {1, 2}, {0, 1, 2}])
 TRI = make_family([{0}, {1}, {0, 1}])
