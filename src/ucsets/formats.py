@@ -221,7 +221,7 @@ def _id_key_map(d: dict[int, int]) -> dict[str, list[int]]:
 
 def chain_to_json(f: SetFamily, w: ChainWitness) -> dict[str, Any]:
     return {
-        "order": list(w.order),
+        "order": list(f.order),
         "chain": [elements_of(entry) for entry in w.chain],
         "pair_witnesses": {
             f"{i},{j}": elements_of(mask)
@@ -239,8 +239,9 @@ def transversal_to_json(f: SetFamily, tr: TransversalReport) -> dict[str, Any]:
         "tilde_u": elements_of(max_index_elements(f)),
         "a_sets": _id_key_map(a_sets(f)),
         "u_hat": elements_of(tr.u_hat),
-        "k": tr.k,
-        "singleton_witnesses": _id_key_map(tr.singleton_witnesses),
+        "k": tr.u_hat.bit_count(),
+        "singleton_witnesses": _id_key_map(
+            {x: tr.pb_family[1 << x] for x in elements_of(tr.u_hat)}),
         "pb_family": {
             elements_text(b): elements_of(p)
             for b, p in sorted(tr.pb_family.items())

@@ -89,7 +89,9 @@ def enumerate_union_closed(m: int, mode: str = "exhaustive", *,
         raise DomainError(f"unknown mode {mode!r}; expected exhaustive or generators")
     if mode == "exhaustive" and max_generators is not None:
         raise DomainError("max_generators applies to generator mode only")
-    if not 0 <= m <= EXHAUSTIVE_LIMIT:
+    if m < 0:
+        raise DomainError(f"m must be at least 0, got {m}")
+    if m > EXHAUSTIVE_LIMIT:
         raise CapacityError(f"{mode} enumeration supports m <= {EXHAUSTIVE_LIMIT}, got {m}")
     stream = _enumerate_exhaustive(m, family_filter)
     return stream if mode == "exhaustive" else _generated_classes(stream, max_generators)
@@ -176,7 +178,9 @@ def random_family(m: int, generators: int, seed: int) -> SetFamily:
     membership columns.  The same (m, generators, seed) triple yields a
     bit-identical family everywhere.
     """
-    if not 1 <= m <= MAX_UNIVERSE:
+    if m < 1:
+        raise DomainError(f"m must be at least 1, got {m}")
+    if m > MAX_UNIVERSE:
         raise CapacityError(f"m must be in 1..{MAX_UNIVERSE}, got {m}")
     if generators < 0:
         raise DomainError(f"generators must be non-negative, got {generators}")
@@ -398,7 +402,7 @@ def _verify_batch(families: Iterable[SetFamily]) -> CorpusReport:
             rep.audit_failures.append((family_label(f), "inequality"))
 
         if 1 <= f.n <= 2 * f.universe_size:
-            if 2 * f.freq[w.order[-1]] < f.n:
+            if 2 * f.freq[f.order[-1]] < f.n:
                 rep.invariant_failures.append((
                     family_label(f),
                     "lemma: top element below half frequency despite n <= 2m"))

@@ -39,11 +39,10 @@ class ChainWitness:
     entries are pairwise distinct members, so the rank-m element, which lies
     in every entry, has frequency at least m.  pair_witnesses maps 1-based
     rank pairs (i, j), i < j, to a member containing the rank-j element but
-    not the rank-i one.  The ranks are relative to order, the family's
-    frequency labeling; the family's m_sets bound the entries from above.
+    not the rank-i one.  The ranks are relative to the family's frequency
+    labeling f.order; the family's m_sets bound the entries from above.
     """
 
-    order: tuple[int, ...]
     chain: tuple[int, ...]
     pair_witnesses: dict[tuple[int, int], int]
 
@@ -90,7 +89,7 @@ def falgas_ravry_chain(f: SetFamily) -> ChainWitness:
             witness = pair_witnesses[(i, j)] = _first_member(members, hits)
             entry |= witness
         chain.append(entry)
-    return ChainWitness(order=order, chain=tuple(chain), pair_witnesses=pair_witnesses)
+    return ChainWitness(chain=tuple(chain), pair_witnesses=pair_witnesses)
 
 
 def verify_chain_witness(f: SetFamily, w: ChainWitness) -> list[str]:
@@ -98,10 +97,7 @@ def verify_chain_witness(f: SetFamily, w: ChainWitness) -> list[str]:
     issues: list[str] = []
     m = f.universe_size
     members = set(f.members)
-    order = w.order
-    if order != f.order:
-        issues.append("order does not match the frequency labeling")
-        return issues
+    order = f.order
     suffix = [0] * (m + 1)
     for r in range(m - 1, -1, -1):
         suffix[r] = suffix[r + 1] | (1 << order[r])
@@ -162,17 +158,16 @@ class TransversalReport:
 
     u_hat is the inclusion-minimal transversal obtained from the family's
     top-element set (max_index_elements) by greedily dropping elements in
-    ascending id order, with k = |u_hat|.  Minimality hands each x in u_hat
-    a member whose whole trace on u_hat is {x}; unions of those singleton
-    witnesses realize every non-empty intersection pattern B, so pb_family
-    has exactly 2**k - 1 pairwise distinct members.  The empty pattern is
-    realizable only by the empty set.  full_sets_not_in_p counts members
-    containing all of u_hat beyond those used in pb_family and the empty set.
+    ascending id order; k = |u_hat| is u_hat.bit_count().  Minimality hands
+    each x in u_hat a member whose whole trace on u_hat is {x}, the singleton
+    witness pb_family[1 << x]; unions of those witnesses realize every
+    non-empty intersection pattern B, so pb_family has exactly 2**k - 1
+    pairwise distinct members.  The empty pattern is realizable only by the
+    empty set.  full_sets_not_in_p counts members containing all of u_hat
+    beyond those used in pb_family and the empty set.
     """
 
     u_hat: int
-    k: int
-    singleton_witnesses: dict[int, int]
     pb_family: dict[int, int]
     full_sets_not_in_p: int
 
@@ -218,7 +213,6 @@ def minimal_transversal(f: SetFamily) -> TransversalReport:
         cand = u_hat & ~(1 << x)
         if _meeting(columns, cand) == nonempty:
             u_hat = cand
-    k = u_hat.bit_count()
 
     witnesses: dict[int, int] = {}
     for x in elements_of(u_hat):
@@ -240,8 +234,7 @@ def minimal_transversal(f: SetFamily) -> TransversalReport:
 
     chosen = set(pb.values()) | {0}
     full_extra = sum(1 for a in members if a & u_hat == u_hat and a not in chosen)
-    return TransversalReport(u_hat=u_hat, k=k, singleton_witnesses=witnesses,
-                             pb_family=pb, full_sets_not_in_p=full_extra)
+    return TransversalReport(u_hat=u_hat, pb_family=pb, full_sets_not_in_p=full_extra)
 
 
 def verify_transversal(f: SetFamily, tr: TransversalReport) -> list[str]:
@@ -265,15 +258,8 @@ def verify_transversal(f: SetFamily, tr: TransversalReport) -> list[str]:
         if all(a & cand for a in nonempty):
             issues.append(f"transversal is not inclusion-minimal: {x} is removable")
 
-    if sorted(tr.singleton_witnesses) != elements_of(tr.u_hat):
-        issues.append("singleton witness keys differ from the transversal")
-    for x, w in tr.singleton_witnesses.items():
-        if w not in members:
-            issues.append(f"singleton witness for {x} is not a member")
-        if w & tr.u_hat != 1 << x:
-            issues.append(f"singleton witness for {x} has the wrong trace")
-
-    if len(tr.pb_family) != (1 << tr.k) - 1:
+    k = tr.u_hat.bit_count()
+    if len(tr.pb_family) != (1 << k) - 1:
         issues.append("pattern family does not cover every non-empty pattern")
     if len(set(tr.pb_family.values())) != len(tr.pb_family):
         issues.append("pattern family members are not pairwise distinct")
@@ -286,9 +272,9 @@ def verify_transversal(f: SetFamily, tr: TransversalReport) -> list[str]:
             issues.append(f"pattern member for {b:#x} has trace != pattern")
     for x in elements_of(tr.u_hat):
         hits = sum(1 for b in tr.pb_family if b >> x & 1)
-        if hits != 1 << (tr.k - 1):
+        if hits != 1 << (k - 1):
             issues.append(f"element {x} lies in {hits} patterns, "
-                          f"expected {1 << (tr.k - 1)}")
+                          f"expected {1 << (k - 1)}")
 
     chosen = set(tr.pb_family.values()) | {0}
     full_extra = sum(1 for a in f.members
@@ -297,10 +283,7 @@ def verify_transversal(f: SetFamily, tr: TransversalReport) -> list[str]:
         issues.append(f"full-set count {tr.full_sets_not_in_p} != recomputed {full_extra}")
 
     ms = f.m_sets
-    unions = a_sets(f)
-    if sorted(unions) != elements_of(tilde):
-        issues.append("a_sets keys differ from the top-element set")
-    for x, ax in unions.items():
+    for x, ax in a_sets(f).items():
         if not ax >> x & 1:
             issues.append(f"a_sets[{x}] does not contain {x}")
         i = rank[x]
@@ -349,7 +332,7 @@ def counting_audit(f: SetFamily, tr: TransversalReport) -> CountingAudit:
     transversal.  Never raises on a violated summary claim; those become
     False bullets and inequality_holds=False.
     """
-    m, n, k = f.universe_size, f.n, tr.k
+    m, n, k = f.universe_size, f.n, tr.u_hat.bit_count()
     counts = f.freq
     c = (max(counts) - m) if m >= 1 else 0
 

@@ -82,7 +82,7 @@ def test_criterion_2_chain_witness_suite(separating_corpora):
                 failures.append(f"{f.members}: {issues[0]}")
                 continue
             if f.universe_size >= 1:
-                top = w.order[-1]
+                top = f.order[-1]
                 if element_frequencies(f)[top] < f.universe_size:
                     failures.append(
                         f"{f.members}: top element frequency below m")

@@ -64,6 +64,13 @@ class TestAnalyze:
         assert doc["verdict"] == "covered-by-small-m"
         assert doc["alarm"] is None
 
+    def test_alarm_line(self, capsys, monkeypatch, tri_file):
+        monkeypatch.setattr(bounds, "frankl_witnesses", lambda f: [])
+        code, out, _ = run(capsys, "analyze", tri_file)
+        assert code == 0
+        assert ("alarm: covered family has an empty witness set (potential counterexample)"
+                in out.splitlines())
+
     def test_not_union_closed_reports_no_verdict(self, capsys, nonuc_file):
         code, out, _ = run(capsys, "analyze", nonuc_file, "--format", "json")
         assert code == 0
@@ -307,6 +314,16 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--m", "5")
         assert code == 2
         assert "m <= 4" in err
+
+    @pytest.mark.parametrize("argv, least", [
+        (["enumerate", "--m", "-1"], 0),
+        (["verify", "--m", "-1"], 0),
+        (["random", "--m", "0"], 1),
+        (["random", "--m", "-1"], 1),
+    ], ids=["enumerate", "verify", "random-0", "random-negative"])
+    def test_size_below_the_domain_exit(self, capsys, argv, least):
+        m = argv[-1]
+        assert run(capsys, *argv) == (2, "", f"error: m must be at least {least}, got {m}\n")
 
     def test_generator_budget_exit(self, capsys, monkeypatch):
         # Refused at the call: fail at once if a stream starts instead.
@@ -604,15 +621,21 @@ class TestVerify:
             real = getattr(witnesses, name)
             return lambda *args: edit(real(*args))
 
+        def audit_then_zero_frequencies(f, tr):
+            # The n <= 2m lemma check reads the family's frequencies next.
+            a = witnesses.counting_audit(f, tr)
+            f.__dict__["freq"] = (0,) * f.universe_size
+            return replace(a, inequality_holds=False,
+                           bullets_ok={**a.bullets_ok, "full_sets": False})
+
         monkeypatch.setattr(search, "frankl_witnesses", lambda f: [])
         monkeypatch.setattr(bounds, "frankl_witnesses", lambda f: [])
         monkeypatch.setattr(search, "falgas_ravry_chain", broken(
-            "falgas_ravry_chain", lambda w: replace(w, order=w.order[::-1])))
+            "falgas_ravry_chain", lambda w: replace(w, pair_witnesses={})))
         monkeypatch.setattr(search, "minimal_transversal", broken(
             "minimal_transversal",
             lambda tr: replace(tr, full_sets_not_in_p=tr.full_sets_not_in_p + 1)))
-        monkeypatch.setattr(search, "counting_audit", broken(
-            "counting_audit", lambda a: replace(a, inequality_holds=False)))
+        monkeypatch.setattr(search, "counting_audit", audit_then_zero_frequencies)
         p = tmp_path / "corpus.ndjson"
         p.write_text('{"members":[[2],[1,2],[0,1,2]],"universe_size":3}\n'
                      '{"members":[[0],[1]],"universe_size":2}\n')
@@ -624,12 +647,14 @@ class TestVerify:
             "union_closed_count: 1",
             "separating_count: 1",
             f"FRANKL VIOLATION: {label}",
-            f"INVARIANT FAILURE: {label}: chain: order does not match the frequency labeling",
+            f"INVARIANT FAILURE: {label}: chain: pair witness keys are not exactly the "
+            "rank pairs i<j",
             f"INVARIANT FAILURE: {label}: transversal: full-set count 3 != recomputed 2",
             f"INVARIANT FAILURE: {label}: lemma: top element below half frequency "
             "despite n <= 2m",
             f"INVARIANT FAILURE: {label}: applicability: covered family has an empty "
             "witness set (potential counterexample)",
+            f"AUDIT FAILURE: {label}: full_sets",
             f"AUDIT FAILURE: {label}: inequality",
             "REJECTED: {{0},{1}}: not union-closed: the union of {0} and {1} is missing",
             "FAILURES FOUND",
@@ -864,6 +889,15 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be non-negative" in captured.err
+
+    def test_non_integer_count_rejected_by_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["random", "--m", "8", "--count", "2.5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: argument --count: invalid int value: '2.5'\n")
 
 
 def _readme_tour():

@@ -94,6 +94,14 @@ def test_family_from_masks_padding_gate():
         family_from_masks([0b111], universe_size=2)
 
 
+def test_family_from_masks_range():
+    with pytest.raises(DomainError, match=r"^masks must be non-negative$"):
+        family_from_masks([0b1, -1])
+    with pytest.raises(CapacityError, match=r"^members use more than 64 elements$"):
+        family_from_masks([0b1, 1 << 64])
+    assert family_from_masks([1 << 63]).universe_size == 64
+
+
 def test_family_label():
     assert family_label(CHAIN) == "{{2},{1,2},{0,1,2}}"
     assert family_label(make_family([set()])) == "{{}}"

@@ -14,6 +14,7 @@ are decoded a family at a time; a per-id reader is their reference, on
 well-formed and malformed documents alike.
 """
 
+import copy
 import itertools
 import json
 from functools import lru_cache
@@ -158,17 +159,19 @@ def naive_pair_witnesses(f):
             for i in range(1, m + 1) for j in range(i + 1, m + 1)}
 
 
-def naive_pb_family(tr):
+def naive_pb_family(f, u_hat):
     """P_b for every non-empty b inside u_hat: the union of the singleton
-    witnesses of b's elements, in ascending order of b."""
-    xs = naive_elements(tr.u_hat)
+    witnesses of b's elements, in ascending order of b.  The singleton
+    witness of x is the smallest member whose trace on u_hat is {x}."""
+    xs = naive_elements(u_hat)
+    witness = {x: min(a for a in f.members if a & u_hat == 1 << x) for x in xs}
     out = {}
     for b in sorted(sum(1 << x for x in combo)
                     for size in range(1, len(xs) + 1)
                     for combo in itertools.combinations(xs, size)):
         p = 0
         for x in naive_elements(b):
-            p |= tr.singleton_witnesses[x]
+            p |= witness[x]
         out[b] = p
     return out
 
@@ -353,13 +356,13 @@ def family_documents(draw):
             member = draw(st.sampled_from(lists))
             at = draw(st.integers(0, len(member)))
             if fault == "id":
-                member.insert(at, draw(st.sampled_from(BAD_IDS)))
+                member.insert(at, copy.deepcopy(draw(st.sampled_from(BAD_IDS))))
             elif member:
                 member.insert(at, draw(st.sampled_from(member)))
         elif fault in ("member", "repeat-member"):
             at = draw(st.integers(0, len(members)))
             if fault == "member":
-                members.insert(at, draw(st.sampled_from(BAD_MEMBERS)))
+                members.insert(at, copy.deepcopy(draw(st.sampled_from(BAD_MEMBERS))))
             elif lists:
                 members.insert(at, list(draw(st.sampled_from(lists))))
         elif fault == "universe":
@@ -429,7 +432,7 @@ def test_pb_family_matches_per_pattern_union(f):
     g = separating_union_closed(f)
     if g.n >= 1:
         tr = minimal_transversal(g)
-        expected = naive_pb_family(tr)
+        expected = naive_pb_family(g, tr.u_hat)
         assert tr.pb_family == expected
         assert list(tr.pb_family) == list(expected)
 
@@ -560,6 +563,29 @@ def test_writers_match_per_id_joins_at_every_universe_size(m):
     full = (1 << m) - 1
     masks = [0, full, 1 << max(m - 1, 0), 0x5555555555555555 & full, full & ~0xFF]
     check_codec(family_from_masks([mask & full for mask in masks], m))
+
+
+def test_family_documents_copy_their_fault_pools():
+    # A fault put in by reference could be edited by a later fault, and the
+    # edit would change the pool that later examples and replays draw from.
+    pools = copy.deepcopy((BAD_IDS, BAD_MEMBERS))
+    mutable = {id(x) for x in BAD_IDS + BAD_MEMBERS if isinstance(x, (list, dict))}
+
+    def parts(x):
+        yield x
+        if isinstance(x, dict):
+            x = list(x.values())
+        if isinstance(x, list):
+            for y in x:
+                yield from parts(y)
+
+    @settings(max_examples=500, database=None, deadline=None, derandomize=True)
+    @given(family_documents())
+    def draw_documents(doc):
+        assert not any(id(x) in mutable for x in parts(doc))
+
+    draw_documents()
+    assert (BAD_IDS, BAD_MEMBERS) == pools
 
 
 @SETTINGS

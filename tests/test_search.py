@@ -85,6 +85,11 @@ class TestExhaustiveEnumeration:
         with pytest.raises(CapacityError, match="m <= 4"):
             list(enumerate_union_closed(EXHAUSTIVE_LIMIT + 1))
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "generators"])
+    def test_negative_m_is_a_domain_error(self, mode):
+        with pytest.raises(DomainError, match=r"^m must be at least 0, got -1$"):
+            enumerate_union_closed(-1, mode=mode)
+
     def test_bad_filter_and_mode(self):
         with pytest.raises(DomainError, match="filter"):
             list(enumerate_union_closed(2, family_filter="spanning"))
@@ -261,7 +266,7 @@ class TestRandomFamily:
             == tuple(range(1, 16))
 
     def test_domain_and_capacity(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(DomainError, match=r"^m must be at least 1, got 0$"):
             random_family(0, 3, 1)
         with pytest.raises(CapacityError):
             random_family(65, 3, 1)
@@ -354,7 +359,7 @@ def test_theorem_band_seed_grid(m, g):
     got = [verdict_for(f.universe_size, f.n) for f in families]
     assert Counter(got) == verdicts
     band = [f for f, v in zip(families, got) if v == bounds.VERDICT_THEOREM]
-    assert Counter(minimal_transversal(f).k for f in band) == k_histogram
+    assert Counter(minimal_transversal(f).u_hat.bit_count() for f in band) == k_histogram
     assert corpus_verify(band).ok
 
 

@@ -31,7 +31,7 @@ class TestChain:
     def test_chain_family(self):
         w = falgas_ravry_chain(CHAIN)
         assert list(w.chain) == masks([{0, 1, 2}, {1, 2}, {2}])
-        assert w.order == (0, 1, 2)
+        assert CHAIN.order == (0, 1, 2)
         assert 0 not in CHAIN.members
 
     def test_tri_family(self):
@@ -59,7 +59,7 @@ class TestChain:
         f = union_closure(make_family([{1}, {1, 3}, {0, 1, 3}, {2, 1, 3, 0}]))
         w = falgas_ravry_chain(f)
         for (i, j), a in w.pair_witnesses.items():
-            xi, xj = w.order[i - 1], w.order[j - 1]
+            xi, xj = f.order[i - 1], f.order[j - 1]
             candidates = [b for b in f.members
                           if not b >> xi & 1 and b >> xj & 1]
             assert a == min(candidates)
@@ -83,6 +83,29 @@ class TestChain:
     def test_determinism(self):
         assert falgas_ravry_chain(CHAIN) == falgas_ravry_chain(CHAIN)
 
+    # CHAIN's honest witness: chain (0b111, 0b110, 0b100), pair witnesses
+    # {(1, 2): 0b110, (1, 3): 0b100, (2, 3): 0b100}.
+    @pytest.mark.parametrize("edit, issues", [
+        (dict(chain=(0b011, 0b110, 0b100)),
+         ["chain[0] is not the universe", "chain[0] is not a member",
+          "chain[0] misses a higher-ranked element"]),
+        (dict(chain=(0b111, 0b110, 0b101)),
+         ["chain[2] is not a member", "chain[2] is not contained in m_sets[2]"]),
+        (dict(chain=(0b111, 0b100, 0b100)),
+         ["chain[1] misses a higher-ranked element",
+          "chain entries are not pairwise distinct"]),
+        (dict(pair_witnesses={(1, 2): 0b110, (2, 3): 0b100}),
+         ["pair witness keys are not exactly the rank pairs i<j"]),
+        (dict(pair_witnesses={(1, 2): 0b010, (1, 3): 0b100, (2, 3): 0b100}),
+         ["pair witness (1,2) is not a member"]),
+        (dict(pair_witnesses={(1, 2): 0b110, (1, 3): 0b100, (2, 3): 0b110}),
+         ["pair witness (2,3) fails the containment pattern"]),
+    ], ids=["chain0-not-universe", "not-a-member", "misses-higher-rank", "pair-keys",
+            "pair-not-a-member", "pair-pattern"])
+    def test_verify_names_each_planted_fault(self, edit, issues):
+        w = replace(falgas_ravry_chain(CHAIN), **edit)
+        assert verify_chain_witness(CHAIN, w) == issues
+
 
 class TestMSets:
     def test_chain_family(self):
@@ -104,8 +127,6 @@ class TestTransversal:
     def test_tri_family(self):
         tr = minimal_transversal(TRI)
         assert tr.u_hat == 0b11
-        assert tr.k == 2
-        assert tr.singleton_witnesses == {0: 0b01, 1: 0b10}
         assert tr.pb_family == {0b01: 0b01, 0b10: 0b10, 0b11: 0b11}
         assert tr.full_sets_not_in_p == 0
 
@@ -113,13 +134,11 @@ class TestTransversal:
         tr = minimal_transversal(CHAIN)
         assert max_index_elements(CHAIN) == 0b100
         assert tr.u_hat == 0b100
-        assert tr.k == 1
-        assert tr.singleton_witnesses == {2: 0b100}
+        assert tr.pb_family[0b100] == 0b100
 
     def test_single_member(self):
         tr = minimal_transversal(SINGLE)
         assert tr.u_hat == 0b1
-        assert tr.k == 1
 
     def test_max_index_elements(self):
         assert max_index_elements(CHAIN) == 0b100
@@ -141,7 +160,7 @@ class TestTransversal:
     def test_degenerate_families(self):
         for f in (make_family([]), make_family([set()])):
             tr = minimal_transversal(f)
-            assert tr.k == 0
+            assert tr.u_hat.bit_count() == 0
             assert tr.pb_family == {}
             assert verify_transversal(f, tr) == []
 
@@ -157,9 +176,26 @@ class TestTransversal:
         tr = minimal_transversal(f)
         assert tr.u_hat == 0b011
         assert max_index_elements(f) == 0b111
-        bloated = replace(tr, u_hat=0b111, k=3)
+        bloated = replace(tr, u_hat=0b111)
         issues = verify_transversal(f, bloated)
         assert any("not inclusion-minimal" in s for s in issues)
+
+    # TRI's honest report: u_hat 0b11, pb_family {0b01: 0b01, 0b10: 0b10,
+    # 0b11: 0b11}, no full set beyond pb_family.
+    @pytest.mark.parametrize("edit, issues", [
+        (dict(u_hat=0b01, pb_family={0b01: 0b01}, full_sets_not_in_p=1),
+         ["member 0x2 avoids the transversal"]),
+        (dict(u_hat=0, pb_family={}, full_sets_not_in_p=3),
+         ["empty transversal with non-empty members present"]),
+        (dict(pb_family={0b01: 0b01, 0b10: 0b10, 0b111: 0b11}),
+         ["pattern 0x7 is not a non-empty transversal subset",
+          "pattern member for 0x7 has trace != pattern"]),
+        (dict(pb_family={0b01: 0b01, 0b10: 0b10, 0b11: 0b111}, full_sets_not_in_p=1),
+         ["pattern member for 0x3 is not a member"]),
+    ], ids=["member-avoids", "empty", "pattern-outside", "pattern-not-a-member"])
+    def test_verify_names_each_planted_fault(self, edit, issues):
+        tr = replace(minimal_transversal(TRI), **edit)
+        assert verify_transversal(TRI, tr) == issues
 
     def test_verify_flags_wrong_trace(self):
         tr = minimal_transversal(TRI)
@@ -172,14 +208,44 @@ class TestTransversal:
 
 
 class TestVerifiersReadFamilyData:
-    """The verifiers check the family's own cached data: a wrong m_sets or
-    tops planted on a family must be reported against an honest witness."""
+    """The verifiers check the family's own cached data: a wrong m_sets,
+    tops or freq planted on a family must be reported against an honest
+    witness."""
 
     @staticmethod
     def planted(**cached):
         f = make_family([{0}, {1}, {0, 1}])  # TRI: m_sets (0b11, 0b10, 0b01)
         f.__dict__.update(cached)
         return f
+
+    @pytest.mark.parametrize("m_sets_, issues", [
+        ((0b11, 0b10), ["m_sets has 2 entries, expected 3"]),
+        ((0b01, 0b10, 0b01),
+         ["m_sets[0] is not the universe", "chain[0] is not contained in m_sets[0]"]),
+        ((0b11, 0b00, 0b01),
+         ["m_sets[1] misses a higher-ranked element",
+          "chain[1] is not contained in m_sets[1]"]),
+    ], ids=["length", "m0-not-universe", "misses-higher-rank"])
+    def test_m_sets_faults(self, m_sets_, issues):
+        f = self.planted(m_sets=m_sets_)
+        assert verify_chain_witness(f, falgas_ravry_chain(TRI)) == issues
+
+    def test_top_element_below_the_universe_size(self):
+        f = self.planted(freq=(1, 1))  # the tie keeps the order (0, 1)
+        assert verify_chain_witness(f, falgas_ravry_chain(TRI)) == [
+            "top element 1 has frequency below the universe size 2"]
+
+    def test_member_avoiding_every_top_element(self):
+        # every member topped by element 0: the member {1} avoids {0}
+        with pytest.raises(ContradictionError,
+                           match=r"^member 0x2 avoids every top-ranked element$"):
+            minimal_transversal(self.planted(tops=(0b111, 0)))
+
+    def test_a_set_missing_its_element(self):
+        # element 0 said to top the member {1}
+        f = self.planted(tops=(0b010, 0b101))
+        assert verify_transversal(f, minimal_transversal(TRI)) == [
+            "a_sets[0] does not contain 0", "a_sets[0] escapes m_sets[2]"]
 
     def test_m_sets_entry_holding_its_avoided_element(self):
         f = self.planted(m_sets=(0b11, 0b11, 0b01))
