@@ -14,7 +14,7 @@ import argparse
 import contextlib
 import itertools
 import sys
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .bounds import applicability, bound_report
 from .errors import (
@@ -75,7 +75,30 @@ def _ndjson_family(doc: Any, lineno: int) -> SetFamily:
         raise FamilyParseError(str(exc), line=lineno) from None
 
 
-def _read_families(path: str, single: bool = False) -> Iterator[SetFamily]:
+class _Line(NamedTuple):
+    """An NDJSON corpus line, read but not yet decoded (search.Undecoded)."""
+
+    lineno: int
+    text: str
+
+    @property
+    def n(self) -> int:
+        """The member count: one "[" opens the members array and one opens
+        each member, which is exact on every well-formed family line."""
+        return self.text.count("[") - 1
+
+    def decode(self) -> SetFamily:
+        return _ndjson_family(decode_json(self.text, self.lineno), self.lineno)
+
+
+def _one_object(line: str) -> bool:
+    """Whether the line opens with "{", closes with "}" and holds no other
+    brace.  Its decoding then cannot fail at its end: a "}" inside a string
+    leaves the string unterminated, which fails at its opening quote."""
+    return line[0] == "{" and line[-1] == "}" and line.count("{") == 1 == line.count("}")
+
+
+def _read_families(path: str, single: bool = False) -> Iterator[SetFamily | _Line]:
     """The families of a family file, a JSON document or an NDJSON corpus.
 
     The first non-blank line alone decides the form.  When it does not
@@ -85,8 +108,15 @@ def _read_families(path: str, single: bool = False) -> Iterator[SetFamily]:
     families are needed; errors name the line.  When its decoding fails
     exactly at its end, the whole input is one JSON document, such as the
     indented output of closure --format json.  Any other failure is an
-    error on that line.  With single, an NDJSON input is refused as a
-    corpus once a second non-blank line is read, before it is decoded.
+    error on that line.
+
+    Without single, NDJSON lines are yielded undecoded, as _Line entries
+    that corpus_verify weighs by their "[" count and decodes in the batch
+    that verifies them.  A first line that passes _one_object is NDJSON
+    whatever it holds, so it is not decoded here either; any other first
+    line is decoded here to tell the three forms apart.  With single, every
+    line is decoded here, and an NDJSON input is refused as a corpus once a
+    second non-blank line is read, before it is decoded.
     """
     with _open_source(path) as fh:
         head = ""
@@ -107,20 +137,24 @@ def _read_families(path: str, single: bool = False) -> Iterator[SetFamily]:
                  for line in raw.splitlines())
         numbered = ((lineno, line) for lineno, line in enumerate(lines, start=1) if line)
         lineno, line = next(numbered)  # within head, which is not blank
-        try:
-            first = [decode_json(line, lineno)]
-        except UnfinishedJSONError:
-            yield parse_family_json(head + fh.read())
-            return
-        # Dropped and popped, so that neither the first line nor its decoded
-        # document outlives its family.
-        del head, line
-        yield _ndjson_family(first.pop(), lineno)
+        if not single and _one_object(line):
+            del head
+            yield _Line(lineno, line)
+        else:
+            try:
+                first = [decode_json(line, lineno)]
+            except UnfinishedJSONError:
+                yield parse_family_json(head + fh.read())
+                return
+            # Dropped and popped, so that neither the first line nor its
+            # decoded document outlives its family.
+            del head, line
+            yield _ndjson_family(first.pop(), lineno)
         for lineno, line in numbered:
             if single:
                 raise FamilyParseError("input is a corpus of several families; "
                                        "only verify --input reads corpora")
-            yield _ndjson_family(decode_json(line, lineno), lineno)
+            yield _Line(lineno, line)
 
 
 def load_family(path: str) -> SetFamily:
@@ -326,7 +360,7 @@ def _corpus(args: argparse.Namespace) -> Iterator[SetFamily]:
                                   max_generators=opts["max_generators"])
 
 
-def _verify_families(args: argparse.Namespace) -> Iterable[SetFamily]:
+def _verify_families(args: argparse.Namespace) -> Iterable[SetFamily | _Line]:
     """The --input or generated families; refuses the options they ignore."""
     given = vars(args)
     if "input" in given:

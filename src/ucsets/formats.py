@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
+from functools import reduce
 from itertools import chain
+from operator import or_
 from typing import Any
 
 from .errors import CapacityError, DomainError, FamilyParseError, UnfinishedJSONError
@@ -40,7 +42,9 @@ def parse_members_text(text: str) -> list[int]:
     """Parse the text format into raw member masks, one per member line.
 
     Duplicates are preserved in file order so callers can warn about them;
-    build a family with make-family semantics via parse_family_text.
+    build a family with make-family semantics via parse_family_text.  A
+    line's ids are converted and ORed by builtins; only a line that fails
+    goes through _checked_mask, which names its first bad id.
     """
     masks: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -50,12 +54,21 @@ def parse_members_text(text: str) -> list[int]:
         if line == "-":
             masks.append(0)
             continue
+        tokens = line.replace(",", " ").split()
         try:
-            masks.append(mask_of(_element_id(token, lineno)
-                                 for token in line.replace(",", " ").split()))
-        except (DomainError, CapacityError) as exc:
-            raise FamilyParseError(str(exc), line=lineno) from None
+            masks.append(reduce(or_, map(_id_bit, map(int, tokens)), 0))
+        except (ValueError, KeyError):  # not an int, or no id in 0..63
+            masks.append(_checked_mask(tokens, lineno))
     return masks
+
+
+def _checked_mask(tokens: list[str], lineno: int) -> int:
+    """The mask of one line's id tokens, one id at a time; raises
+    FamilyParseError naming the first bad id and the line."""
+    try:
+        return mask_of(_element_id(token, lineno) for token in tokens)
+    except (DomainError, CapacityError) as exc:
+        raise FamilyParseError(str(exc), line=lineno) from None
 
 
 def _element_id(token: str, lineno: int) -> int:

@@ -18,7 +18,7 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass, field, fields
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, Protocol
 
 from .bounds import _coverage_alarm, bound_report
 from .errors import CapacityError, DomainError
@@ -222,6 +222,20 @@ class CorpusReport:
 BATCH_MEMBERS = 4096
 
 
+class Undecoded(Protocol):
+    """A family still in its input form, such as an NDJSON corpus line.
+
+    n is the member count it weighs toward its batch; decode() builds the
+    family, or raises what reading it raises, in the process that verifies
+    its batch.
+    """
+
+    @property
+    def n(self) -> int: ...
+
+    def decode(self) -> SetFamily: ...
+
+
 def _worker_count() -> int:
     """The CPUs this process may run on."""
     try:
@@ -230,7 +244,7 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def corpus_verify(corpus: Iterable[SetFamily]) -> CorpusReport:
+def corpus_verify(corpus: Iterable[SetFamily | Undecoded]) -> CorpusReport:
     """Run the full verification battery over a corpus of families.
 
     Families must be validated and union-closed; offenders are rejected
@@ -241,17 +255,22 @@ def corpus_verify(corpus: Iterable[SetFamily]) -> CorpusReport:
     the counting audit bullets and inequality, the n <= 2m mechanism, and
     the coverage cross-check.  Failures are data, not exceptions.
 
+    A corpus entry may also be Undecoded, such as an NDJSON line the CLI
+    read but did not decode: it weighs its n toward its batch, and the
+    batch decodes it where it is verified, so forked children decode their
+    own lines and a decoding error is raised in its place in corpus order.
+
     The corpus is cut into batches of about BATCH_MEMBERS members, and each
     batch is verified in a forked child process, at most one per CPU at a
     time; the parent merges the partial reports in corpus order, so the
     report is the one a serial sweep gives.  The parent fills the threshold
-    calculus for each universe size before it forks a batch holding it, so
-    the children inherit it.  With one CPU, without
+    calculus for each universe size of a built family before it forks a
+    batch holding it, so the children inherit it; a child computes it for
+    the universe sizes of the entries it decodes.  With one CPU, without
     os.fork, while other threads run, or when the corpus fits in one batch,
     the sweep runs in this process.  Exceptions are raised as a serial
-    sweep raises them: the first one in corpus order wins, whether the
-    battery raised it in a child or the corpus raised it here.  No child
-    outlives the call.
+    sweep raises them: the first one in corpus order wins, whether a child
+    raised it or the corpus raised it here.  No child outlives the call.
     """
     workers = _worker_count()
     # A forked child has only the forking thread, and a lock another thread
@@ -260,7 +279,7 @@ def corpus_verify(corpus: Iterable[SetFamily]) -> CorpusReport:
         return _verify_batch(corpus)
     rep = CorpusReport()
     running: deque[tuple[int, BinaryIO]] = deque()
-    batch: list[SetFamily] = []
+    batch: list[SetFamily | Undecoded] = []
     size = 0
     error: Exception | None = None
     families = iter(corpus)
@@ -274,7 +293,8 @@ def corpus_verify(corpus: Iterable[SetFamily]) -> CorpusReport:
             except Exception as exc:  # raised once the families before it are verified
                 error = exc
                 break
-            if f.universe_size not in sizes:  # forked children inherit its calculus
+            if isinstance(f, SetFamily) and f.universe_size not in sizes:
+                # forked children inherit its calculus
                 sizes.add(f.universe_size)
                 bound_report(f.universe_size)
             batch.append(f)
@@ -298,7 +318,7 @@ def corpus_verify(corpus: Iterable[SetFamily]) -> CorpusReport:
         _reap(running)
 
 
-def _fork(batch: list[SetFamily]) -> tuple[int, BinaryIO]:
+def _fork(batch: list[SetFamily | Undecoded]) -> tuple[int, BinaryIO]:
     """Verify the batch in a child that sends back one pickled outcome:
     (True, report) or (False, exception)."""
     import pickle
@@ -359,12 +379,15 @@ def _reap(running: deque[tuple[int, BinaryIO]]) -> None:
     running.clear()
 
 
-def _verify_batch(families: Iterable[SetFamily]) -> CorpusReport:
-    """The battery over families, in this process.  Labels are rendered
-    only for the families that get reported: rendering a large family costs
-    more than checking it."""
+def _verify_batch(families: Iterable[SetFamily | Undecoded]) -> CorpusReport:
+    """The battery over families, in this process, decoding each Undecoded
+    entry when its turn comes.  Labels are rendered only for the families
+    that get reported: rendering a large family costs more than checking
+    it."""
     rep = CorpusReport()
     for f in families:
+        if not isinstance(f, SetFamily):
+            f = f.decode()
         rep.total_families += 1
         if not f.covers_universe:
             missing = elements_of(f.universe_mask & ~f.covered_mask)

@@ -4,6 +4,8 @@ import json
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ucsets import (
     FamilyParseError,
@@ -23,8 +25,8 @@ from ucsets import (
     corpus_verify,
     to_json,
 )
-from ucsets import formats
-from ucsets.cli import main
+from ucsets import formats, search
+from ucsets.cli import _one_object, main
 from ucsets.errors import UnfinishedJSONError
 from ucsets.formats import (
     M_SETS_DEFINITION,
@@ -194,6 +196,70 @@ class TestJsonFamilies:
         assert str(info.value).startswith("line 1: invalid JSON: ")
 
 
+# Pieces of JSON text, broken ones included, and no braces: strings,
+# escapes, numbers and literals cut short, arrays left open.
+JSON_PIECES = st.sampled_from([
+    '"', "\\", "\\u", "\\u00", '\\"', "[", "]", ":", ",", " ", "\t", "0", "1", "-", ".",
+    "e", "+", "t", "true", "nul", "null", "NaN", "Infinity", '"members"', '"universe_size"',
+    '"a"', "[[0,1],[2]]", "x", "\u00e9", "/",
+])
+BRACELESS = (st.lists(JSON_PIECES, max_size=12).map("".join)
+             | st.text(max_size=20).map(lambda t: t.replace("{", "").replace("}", "")))
+
+
+@settings(max_examples=500, deadline=None)
+@given(BRACELESS)
+@example("")
+@example('"')
+@example('"a":"')
+@example('"a":[1,')
+@example('"a":1,')
+@example('"a\\')
+def test_one_braced_object_never_decodes_unfinished(inner):
+    # The reader takes such a first line for NDJSON without decoding it;
+    # that is sound only while its decoding cannot fail at its end.
+    text = "{" + inner + "}"
+    assert _one_object(text)
+    try:
+        decode_json(text, line=1)
+    except UnfinishedJSONError:
+        pytest.fail(f"{text!r} decodes as unfinished")
+    except FamilyParseError:
+        pass
+
+
+class TestFirstLine:
+    """A first line that does not open and close as one object is decoded
+    while the input is read, as it always was."""
+
+    def test_indented_document_reads_as_one_family(self, capsys, tmp_path):
+        assert main(["random", "--m", "6", "--format", "json"]) == 0
+        ndjson = tmp_path / "family.ndjson"
+        ndjson.write_text(capsys.readouterr().out)
+        assert main(["closure", str(ndjson), "--format", "json"]) == 0
+        document = tmp_path / "family.json"
+        document.write_text(capsys.readouterr().out)
+        assert document.read_text().startswith("{\n  ")
+        assert not _one_object(document.read_text().splitlines()[0])
+        for path in (ndjson, document):
+            assert main(["verify", "--input", str(path)]) == 0
+            assert capsys.readouterr() == (
+                "total_families: 1\nunion_closed_count: 1\nseparating_count: 1\nok\n", "")
+
+    @pytest.mark.parametrize("text, err", [
+        ('{"universe_size": 2, "note": {"by": "hand"},\n "members": [[0], [1], [0, 1]]}\n',
+         "error: unknown family fields ['note']\n"),
+        ('{"universe_size": 2, "note": {}, "members": [[0]]}\n{"members":[[0]]}\n',
+         "error: line 1: unknown family fields ['note']\n"),
+    ], ids=["document", "ndjson"])
+    def test_a_nested_object_on_the_first_line(self, capsys, tmp_path, text, err):
+        assert not _one_object(text.splitlines()[0])
+        p = tmp_path / "input.json"
+        p.write_text(text)
+        assert main(["verify", "--input", str(p)]) == 1
+        assert capsys.readouterr() == ("", err)
+
+
 class TestRounding:
     def test_round12(self):
         assert round12(1 / 3) == 0.333333333333
@@ -325,7 +391,9 @@ class TestCorpusDecoding:
         ["random", "--m", "64", "--generators", "20", "--seed", "7"],
     ], ids=" ".join)
     def test_generated_corpora_skip_the_member_loop(self, capsys, tmp_path, fallbacks,
-                                                    command):
+                                                    monkeypatch, command):
+        # One process, so the lines are decoded where the spy sees them.
+        monkeypatch.setattr(search, "_worker_count", lambda: 1)
         assert main(command + ["--format", "json"]) == 0
         p = tmp_path / "corpus.ndjson"
         p.write_text(capsys.readouterr().out)

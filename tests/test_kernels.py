@@ -11,7 +11,9 @@ small set of masks.  Member masks are unpacked and written a byte at a
 time; the per-bit loop and the per-id joins are their references, on masks
 of up to 130 bits and families over up to 64 elements.  Family documents
 are decoded a family at a time; a per-id reader is their reference, on
-well-formed and malformed documents alike.
+well-formed and malformed documents alike.  The text form is read a line
+at a time; a per-token loop is its reference, on well-formed texts and on
+texts with bad ids.
 """
 
 import copy
@@ -55,6 +57,7 @@ from ucsets.formats import (
     family_to_json_dict,
     family_to_ndjson,
     family_to_text,
+    parse_members_text,
 )
 from ucsets.witnesses import (
     a_sets,
@@ -290,6 +293,33 @@ def naive_read(doc):
     return SetFamily(m, tuple(sorted(masks)))
 
 
+def naive_members_text(text):
+    """The member masks of the text form, one id token at a time; the first
+    bad id is named with its line."""
+    masks = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line == "-":
+            masks.append(0)
+            continue
+        mask = 0
+        for token in line.replace(",", " ").split():
+            try:
+                x = int(token)
+            except ValueError:
+                raise FamilyParseError(f"invalid element id {token!r}", line=lineno) from None
+            if x < 0:
+                raise FamilyParseError(f"negative element id {x}", line=lineno)
+            if x >= 64:
+                raise FamilyParseError(f"element id {x} exceeds the 64-element capacity",
+                                       line=lineno)
+            mask |= 1 << x
+        masks.append(mask)
+    return masks
+
+
 def read_outcome(reader, doc):
     try:
         f = reader(doc)
@@ -372,6 +402,31 @@ def family_documents(draw):
             field = draw(st.sampled_from(["extra", "members", "universe_size"]))
             doc[field] = draw(st.sampled_from([[], 0]))
     return doc
+
+
+# Id tokens as the text form may hold them: plain ids, ids that int()
+# reads in another spelling, and bad ones.
+ID_TOKENS = st.one_of(
+    st.integers(0, 63).map(str),
+    st.sampled_from(["007", "+3", "1_0", "\u0663", "-0", "-1", "64", "99", "x", "1.0",
+                     "-", "0x1", "9" * 5000]))
+SEPARATORS = st.sampled_from([",", " ", ", ", "\t", ",,"])
+
+
+@st.composite
+def text_lines(draw):
+    """One line of the text form: ids between separators, maybe with a
+    comment after them, or an empty-set, blank or comment line."""
+    kind = draw(st.sampled_from(["ids", "ids", "ids", "-", " - ", "", "# note"]))
+    if kind != "ids":
+        return kind
+    line = "".join(token + draw(SEPARATORS) for token in draw(st.lists(ID_TOKENS, max_size=8)))
+    if draw(st.booleans()):
+        line += "# " + draw(ID_TOKENS)
+    return line
+
+
+member_texts = st.lists(text_lines(), max_size=10).map("\n".join)
 
 
 def separating_union_closed(f):
@@ -592,6 +647,19 @@ def test_family_documents_copy_their_fault_pools():
 @given(family_documents())
 def test_reader_matches_per_id_reference(doc):
     assert read_outcome(family_from_json_dict, doc) == read_outcome(naive_read, doc)
+
+
+def text_outcome(reader, text):
+    try:
+        return "masks", reader(text)
+    except FamilyParseError as exc:
+        return "error", str(exc)
+
+
+@SETTINGS
+@given(wide_families().map(family_to_text) | member_texts)
+def test_text_reader_matches_per_token_reference(text):
+    assert text_outcome(parse_members_text, text) == text_outcome(naive_members_text, text)
 
 
 @pytest.mark.parametrize("members", [

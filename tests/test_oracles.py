@@ -1,5 +1,6 @@
-"""Independent oracles for the sweeps: pinned audit statistics and two
-proven cases of the union-closed conjecture.
+"""Independent oracles for the sweeps: pinned audit statistics, the audit's
+slack split term by term, and two proven cases of the union-closed
+conjecture.
 
 The two theorems are checked by counting memberships over f.members
 directly, never through SetFamily.freq or SetFamily.columns, so every hit
@@ -7,6 +8,7 @@ also cross-checks the bit-sliced frequencies.  A miss is a bug in the code.
 """
 
 from collections import Counter
+from itertools import combinations
 
 from ucsets import counting_audit, enumerate_union_closed, frankl_witnesses, minimal_transversal
 
@@ -33,6 +35,69 @@ def test_audit_statistics_random_m16(random_corpus):
     ks, slack = _audit_statistics(random_corpus[:300])
     assert ks == {1: 6, 2: 235, 3: 59}
     assert slack == 1
+
+
+def _slack_terms(f, u_hat):
+    """The four terms of the counting audit's slack rhs - n, one per
+    inequality of the counting step, counted over f.members.
+
+    s_cap: k(m + c) less the frequencies of the transversal's elements.
+    s_full: (k - 1) times the members containing all of u_hat, outside the
+    pattern family, beyond the m - k the audit needs.  s_touch: |a & u_hat|
+    - 1 over the other non-empty members a outside the pattern family.
+    s_empty: 1 when the empty set is not a member.  The pattern family holds
+    the unions of the singleton witnesses, the smallest member whose trace
+    on u_hat is {x}.
+    """
+    m, k = f.universe_size, u_hat.bit_count()
+    freq = [_count(f, x) for x in range(m)]
+    c = max(freq) - m
+    xs = [x for x in range(m) if u_hat >> x & 1]
+    witness = [min(a for a in f.members if a & u_hat == 1 << x) for x in xs]
+    patterns = {_union(combo) for size in range(1, k + 1)
+                for combo in combinations(witness, size)}
+    rest = [a for a in f.members if a and a not in patterns]
+    s_cap = k * (m + c) - sum(freq[x] for x in xs)
+    s_full = (k - 1) * (sum(1 for a in rest if a & u_hat == u_hat) - (m - k))
+    s_touch = sum((a & u_hat).bit_count() - 1 for a in rest if a & u_hat != u_hat)
+    s_empty = int(0 not in f.members)
+    return s_cap, s_full, s_touch, s_empty
+
+
+def _union(masks):
+    out = 0
+    for a in masks:
+        out |= a
+    return out
+
+
+def _slacks(families):
+    """The audit's slack rhs - n and the k of each family, after checking
+    that the slack is the sum of its four terms."""
+    out = []
+    for f in families:
+        tr = minimal_transversal(f)
+        audit = counting_audit(f, tr)
+        terms = _slack_terms(f, tr.u_hat)
+        assert audit.rhs - f.n == sum(terms), (f, terms)
+        out.append((audit.rhs - f.n, tr.u_hat.bit_count()))
+    return out
+
+
+def test_audit_slack_terms_exhaustive_m1_to_m4(separating_corpora):
+    families = [f for m in range(1, 5) for f in separating_corpora[m]
+                if f.n >= 1 and f.universe_size >= 1]
+    slacks = _slacks(families)
+    assert len(slacks) == 4508
+    tight = Counter(k for slack, k in slacks if slack == 0)
+    assert sum(tight.values()) == 718
+    assert dict(tight) == {1: 322, 2: 374, 3: 21, 4: 1}
+    assert min(slack for slack, _ in slacks) == 0
+
+
+def test_audit_slack_terms_random_m16(random_corpus):
+    slacks = _slacks(random_corpus[:300])
+    assert min(slack for slack, _ in slacks) == 1
 
 
 def _count(f, x):

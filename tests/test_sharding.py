@@ -24,8 +24,9 @@ from ucsets import (
     random_family,
 )
 from ucsets import bounds, search
-from ucsets.cli import main
-from ucsets.formats import family_to_ndjson
+from ucsets.cli import _Line, main
+from ucsets.errors import FamilyParseError, UnfinishedJSONError
+from ucsets.formats import corpus_to_json, family_to_ndjson, to_json
 from ucsets.search import CorpusReport
 
 
@@ -232,7 +233,7 @@ def plant(monkeypatch, path, families, contradiction_batch, bad_line_batch):
 
 @pytest.mark.parametrize("contradiction_batch, code", [
     (0, 3),     # a child raises before the corpus does
-    (2, 3),     # the partial batch, verified here, raises before the corpus does
+    (2, 3),     # a child raises on the batch of the bad line, before that line
     (None, 1),  # the corpus raises
 ])
 def test_first_failure_in_corpus_order_wins(contradiction_batch, code, capsys,
@@ -249,8 +250,89 @@ def test_first_failure_in_corpus_order_wins(contradiction_batch, code, capsys,
     assert serial.out == "" and "Traceback" not in serial.err
     assert serial.err.startswith("internal contradiction: planted" if code == 3
                                  else "error: line ")
-    assert len(forked) == 2
+    # Every batch is forked, the bad line's too, until the parent collects
+    # the batch of the first failure, once two later batches are full.
+    first = 0 if contradiction_batch == 0 else 2
+    assert len(forked) == first + 2
     assert_no_children()
+
+
+def write_ndjson(path, families):
+    path.write_text("".join(family_to_ndjson(f) + "\n" for f in families))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("budget", [256, 512])
+def test_sharded_ndjson_input_gives_the_inline_report(budget, workers, capsys, monkeypatch,
+                                                      forked, random_corpus, tmp_path):
+    corpus = mixed_corpus(random_corpus)
+    path = tmp_path / "mixed.ndjson"
+    write_ndjson(path, corpus)
+    argv = ["verify", "--input", str(path), "--format", "json"]
+    inline(monkeypatch)
+    expected = to_json(corpus_to_json(corpus_verify(corpus))) + "\n"
+    assert main(argv) == 3
+    assert capsys.readouterr() == (expected, "")
+    assert forked == []
+    shard(monkeypatch, budget, workers)
+    assert main(argv) == 3
+    assert capsys.readouterr() == (expected, "")
+    assert_no_children()
+    # Each line weighs its member count, so the batches are cut where the
+    # families' n + 1 cuts them, and every family reaches a child undecoded.
+    starts = batch_starts(corpus, budget)
+    assert [len(b) for b in forked] == [b - a for a, b in zip(starts, starts[1:])]
+    assert all(type(line) is _Line for batch in forked for line in batch)
+
+
+@pytest.mark.parametrize("where", ["first-line", "forked", "tail"])
+def test_a_malformed_line_fails_as_in_one_process(where, capsys, monkeypatch, forked,
+                                                  m3_corpus):
+    path, families = m3_corpus
+    starts = batch_starts(families, BUDGET)
+    lines = path.read_text().splitlines(keepends=True)
+    # "{not json}" opens and closes as one object, so even as line 1 it is
+    # not decoded while the input is read.
+    at = {"first-line": 0, "forked": starts[1] + 1, "tail": starts[-1] + 1}[where]
+    assert at < len(lines)
+    lines.insert(at, "{not json}\n")
+    path.write_text("".join(lines))
+    argv = ["verify", "--input", str(path)]
+    inline(monkeypatch)
+    assert main(argv) == 1
+    serial = capsys.readouterr()
+    assert serial.out == ""
+    assert serial.err.startswith(f"error: line {at + 1}: invalid JSON: ")
+    shard(monkeypatch, BUDGET, workers=2)
+    assert main(argv) == 1
+    assert capsys.readouterr() == serial
+    assert_no_children()
+    in_child = any(line.lineno == at + 1 for batch in forked for line in batch)
+    assert in_child == (where != "tail")
+
+
+@pytest.mark.parametrize("text, error", [
+    ("{not json}", FamilyParseError),
+    ('{"members":[[0]', UnfinishedJSONError),
+    ('{"members":[[0,0]],"universe_size":1}', FamilyParseError),
+], ids=["not-json", "unfinished", "repeated-id"])
+def test_a_decode_error_in_a_child_keeps_its_type_message_and_line(text, error,
+                                                                   monkeypatch, forked):
+    family = '{"members":[[0],[1],[0,1]],"universe_size":2}'
+    corpus = [_Line(i, family) for i in range(1, 40)]
+    corpus.insert(2, _Line(99, text))
+    inline(monkeypatch)
+    with pytest.raises(FamilyParseError) as serial:
+        corpus_verify(corpus)
+    shard(monkeypatch, 16, workers=2)
+    with pytest.raises(FamilyParseError) as sharded:
+        corpus_verify(corpus)
+    assert_no_children()
+    assert corpus[2] in forked[0]
+    assert type(sharded.value) is type(serial.value) is error
+    assert str(sharded.value) == str(serial.value)
+    assert str(serial.value).startswith("line 99: ")
+    assert sharded.value.line == serial.value.line == 99
 
 
 @pytest.mark.parametrize("death, how", [
