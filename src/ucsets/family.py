@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import CapacityError, DomainError
 
 MAX_UNIVERSE = 64
+# BITS[x] is 1 << x, looked up rather than shifted in the per-element loops.
+BITS = tuple(1 << x for x in range(MAX_UNIVERSE))
 # Member budget of a union closure: folding in one generator at most
 # doubles the closure, so the check runs before the set grows.
 MAX_MEMBERS = 1 << 20
@@ -95,14 +97,35 @@ def elements_text(mask: int) -> str:
     return ",".join(map(str, elements_of(mask)))
 
 
+class _derived:
+    """functools.cached_property without its lock: the value is computed on
+    first access and stored in the instance dict, where it shadows this
+    non-data descriptor from then on.  On Python 3.11 cached_property takes
+    an RLock on each first access, which costs more than most of the values
+    it caches on a small family."""
+
+    def __init__(self, func: Callable[[Any], Any]) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class SetFamily:
     """A family of subsets of {0, ..., universe_size-1}, one mask per member.
 
-    `covered_mask`, the union of the members, is set by the validation loop.
-    Each part of the derived data below is computed once, on first use, and
-    cached on the instance; equality, hashing and repr use the two fields
-    alone.
+    `covered_mask`, the union of the members, is set by the validation loop
+    and `n`, the member count, next to it.  Each part of the derived data
+    below is computed once, on first use, and cached on the instance;
+    equality, hashing and repr use the two fields alone.
     """
 
     universe_size: int
@@ -122,13 +145,10 @@ class SetFamily:
                 raise ValueError(f"member {mask:#x} is not a subset of the universe")
             prev = mask
             cov |= mask
-        # A plain attribute, not a field, so equality, hashing and repr
-        # ignore it; a cached_property cost more than this loop.
+        # Plain attributes, not fields, so equality, hashing and repr
+        # ignore them; set here, they cost less than a lazy attribute.
         object.__setattr__(self, "covered_mask", cov)
-
-    @property
-    def n(self) -> int:
-        return len(self.members)
+        object.__setattr__(self, "n", len(self.members))
 
     @property
     def universe_mask(self) -> int:
@@ -139,44 +159,50 @@ class SetFamily:
         """True when every element id occurs in at least one member."""
         return self.covered_mask == self.universe_mask
 
-    @cached_property
+    @_derived
     def columns(self) -> tuple[int, ...]:
         """columns[x] has bit i set when member i contains element x."""
         return _bit_columns(self.members, self.universe_size)
 
-    @cached_property
+    @_derived
     def freq(self) -> tuple[int, ...]:
         """Number of members containing each element (column popcounts)."""
-        return tuple(col.bit_count() for col in self.columns)
+        return tuple(map(int.bit_count, self.columns))
 
-    @cached_property
+    @_derived
     def order(self) -> tuple[int, ...]:
-        """Elements sorted by frequency, ties broken by lower id first."""
+        """Elements sorted by frequency, ties broken by lower id first (the
+        sort is stable and the ids come in ascending order)."""
         freq = self.freq
-        return tuple(sorted(range(len(freq)), key=lambda x: (freq[x], x)))
+        return tuple(sorted(range(len(freq)), key=freq.__getitem__))
 
-    @cached_property
+    @_derived
     def tops(self) -> tuple[int, ...]:
         """Index mask of the members whose highest-ranked element is x."""
-        tops = [0] * len(self.columns)
+        columns = self.columns
+        tops = [0] * len(columns)
         untopped = (1 << self.n) - 1
         for x in reversed(self.order):
-            tops[x] = self.columns[x] & untopped
-            untopped &= ~self.columns[x]
+            tops[x] = columns[x] & untopped
+            untopped &= ~columns[x]
         return tuple(tops)
 
-    @cached_property
+    @_derived
     def m_sets(self) -> tuple[int, ...]:
         """Per rank r in 1..m, the union of the members omitting the element
         order[r-1]; entry 0 is the covered elements.
 
         The members omitting x cover y iff y's column is not inside x's.
         """
-        out = [sum(1 << y for y, col in enumerate(self.columns) if col)]
+        columns = self.columns
+        out = [self.covered_mask]
         for x in self.order:
-            outside = ~self.columns[x]
-            out.append(sum(1 << y for y, col in enumerate(self.columns)
-                           if col & outside))
+            outside = ~columns[x]
+            union = 0
+            for y, col in enumerate(columns):
+                if col & outside:
+                    union |= BITS[y]
+            out.append(union)
         return tuple(out)
 
 

@@ -12,17 +12,12 @@ runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from itertools import accumulate, combinations, compress
+from operator import and_, or_
 
 from .errors import ContradictionError, PreconditionError
-from .family import SetFamily, elements_of
-
-
-def _meeting(columns: tuple[int, ...], mask: int) -> int:
-    """Index mask of the members that meet mask (the OR of its columns)."""
-    out = 0
-    for x in elements_of(mask):
-        out |= columns[x]
-    return out
+from .family import BITS, SetFamily, elements_of
 
 
 def _first_member(members: tuple[int, ...], indices: int) -> int:
@@ -86,61 +81,96 @@ def falgas_ravry_chain(f: SetFamily) -> ChainWitness:
                 raise PreconditionError(
                     f"elements {xi} and {xj} are not separated: every member "
                     f"containing {xj} also contains {xi}")
-            witness = pair_witnesses[(i, j)] = _first_member(members, hits)
+            # the smallest member among hits (inlined: m(m-1)/2 calls)
+            witness = pair_witnesses[(i, j)] = members[(hits & -hits).bit_length() - 1]
             entry |= witness
         chain.append(entry)
     return ChainWitness(chain=tuple(chain), pair_witnesses=pair_witnesses)
 
 
 def verify_chain_witness(f: SetFamily, w: ChainWitness) -> list[str]:
-    """Re-check every chain invariant; returns human-readable violations."""
+    """Re-check every chain invariant; returns human-readable violations.
+
+    Each group of checks is first decided by one test over the whole chain,
+    pair witnesses or m_sets against the ranks' bits; only a group that
+    fails is walked entry by entry to name its violations, in the order of
+    the groups below.
+    """
     issues: list[str] = []
     m = f.universe_size
-    members = set(f.members)
     order = f.order
-    suffix = [0] * (m + 1)
-    for r in range(m - 1, -1, -1):
-        suffix[r] = suffix[r + 1] | (1 << order[r])
-
+    chain = w.chain
     expected_len = m if f.n >= 1 else 0
-    if len(w.chain) != expected_len:
-        issues.append(f"chain has {len(w.chain)} entries, expected {expected_len}")
+    if len(chain) != expected_len:
+        issues.append(f"chain has {len(chain)} entries, expected {expected_len}")
         return issues
-    if m >= 1 and f.n >= 1:
-        if w.chain[0] != f.covered_mask:
+
+    members = set(f.members)
+    covered = f.covered_mask
+    ms = f.m_sets
+    bits = list(map(BITS.__getitem__, order))  # by rank, lowest first
+    # One pass from the top rank down, higher holding the elements ranked
+    # above r.  Entry r of the chain or of m_sets holds all of them and not
+    # the rank-r element iff its AND with those and that element is higher;
+    # chain entries that all do so are pairwise distinct.
+    chain_fit = True
+    m_sets_fit = len(ms) == m + 1
+    higher = 0
+    length = len(chain)
+    for r in range(m, 0, -1):
+        below = higher | bits[r - 1]
+        if r < length and chain[r] & below != higher:
+            chain_fit = False
+        if m_sets_fit and (ms[r] & below != higher
+                           or r < length and chain[r] & ~ms[r]):
+            m_sets_fit = False
+        higher = below
+    if chain and not (chain[0] == covered and not higher & ~covered
+                      and chain_fit and members.issuperset(chain)):
+        suffix = _rank_suffixes(bits)
+        if chain[0] != covered:
             issues.append("chain[0] is not the universe")
-        for i, entry in enumerate(w.chain):
+        for i, entry in enumerate(chain):
             if entry not in members:
                 issues.append(f"chain[{i}] is not a member")
             if i >= 1 and entry >> order[i - 1] & 1:
                 issues.append(f"chain[{i}] contains its avoided element {order[i - 1]}")
             if suffix[i] & ~entry:
                 issues.append(f"chain[{i}] misses a higher-ranked element")
-        if len(set(w.chain)) != len(w.chain):
+        if len(set(chain)) != len(chain):
             issues.append("chain entries are not pairwise distinct")
 
-    expected_keys = {(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)}
-    if set(w.pair_witnesses) != expected_keys:
+    pairs, lower, upper = _rank_pairs(m)
+    pw = w.pair_witnesses
+    keys_fit = tuple(pw) == pairs
+    if not keys_fit and set(pw) != set(pairs):
         issues.append("pair witness keys are not exactly the rank pairs i<j")
-    for (i, j), a in w.pair_witnesses.items():
-        if a not in members:
-            issues.append(f"pair witness ({i},{j}) is not a member")
-        xi, xj = order[i - 1], order[j - 1]
-        if a >> xi & 1 or not a >> xj & 1:
-            issues.append(f"pair witness ({i},{j}) fails the containment pattern")
+    # Keyed in rank-pair order, the (i, j) witness holds the rank-j bit and
+    # not the rank-i one.
+    witnesses = pw.values()
+    upper_bits = list(map(bits.__getitem__, upper))
+    if not (keys_fit and members.issuperset(witnesses)
+            and not any(map(and_, witnesses, map(bits.__getitem__, lower)))
+            and list(map(and_, witnesses, upper_bits)) == upper_bits):
+        for (i, j), a in pw.items():
+            if a not in members:
+                issues.append(f"pair witness ({i},{j}) is not a member")
+            xi, xj = order[i - 1], order[j - 1]
+            if a >> xi & 1 or not a >> xj & 1:
+                issues.append(f"pair witness ({i},{j}) fails the containment pattern")
 
-    ms = f.m_sets
     if len(ms) != m + 1:
         issues.append(f"m_sets has {len(ms)} entries, expected {m + 1}")
-    else:
-        if ms[0] != f.covered_mask:
+    elif not (m_sets_fit and ms[0] == covered and not (chain and chain[0] & ~ms[0])):
+        suffix = _rank_suffixes(bits)
+        if ms[0] != covered:
             issues.append("m_sets[0] is not the universe")
         for r in range(1, m + 1):
             if ms[r] >> order[r - 1] & 1:
                 issues.append(f"m_sets[{r}] contains its avoided element")
             if suffix[r] & ~ms[r]:
                 issues.append(f"m_sets[{r}] misses a higher-ranked element")
-        for i, entry in enumerate(w.chain):
+        for i, entry in enumerate(chain):
             if entry & ~ms[i]:
                 issues.append(f"chain[{i}] is not contained in m_sets[{i}]")
 
@@ -150,6 +180,19 @@ def verify_chain_witness(f: SetFamily, w: ChainWitness) -> list[str]:
             issues.append(
                 f"top element {top} has frequency below the universe size {m}")
     return issues
+
+
+def _rank_suffixes(bits: list[int]) -> list[int]:
+    """Entry r: the OR of bits[r:], the elements ranked above r (0 at the end)."""
+    return list(accumulate(reversed(bits), or_, initial=0))[::-1]
+
+
+@lru_cache(maxsize=None)
+def _rank_pairs(m: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]:
+    """The 1-based rank pairs (i, j), i < j <= m, in ascending order, with
+    the 0-based positions i - 1 and j - 1 of each."""
+    pairs = tuple(combinations(range(1, m + 1), 2))
+    return pairs, tuple(i - 1 for i, _ in pairs), tuple(j - 1 for _, j in pairs)
 
 
 @dataclass(frozen=True)
@@ -174,11 +217,7 @@ class TransversalReport:
 
 def max_index_elements(f: SetFamily) -> int:
     """Mask of elements that are the top-ranked element of some member."""
-    tilde = 0
-    for x, topped in enumerate(f.tops):
-        if topped:
-            tilde |= 1 << x
-    return tilde
+    return sum(compress(BITS, f.tops))
 
 
 def a_sets(f: SetFamily) -> dict[int, int]:
@@ -204,19 +243,34 @@ def minimal_transversal(f: SetFamily) -> TransversalReport:
     members = f.members
     nonempty = ((1 << f.n) - 1) & ~int(members[:1] == (0,))
     tilde = max_index_elements(f)
-    missed = nonempty & ~_meeting(columns, tilde)
+    candidates = elements_of(tilde)
+    # later[t]: the members meeting candidates[t:]
+    later = [0] * (len(candidates) + 1)
+    for t in range(len(candidates) - 1, -1, -1):
+        later[t] = later[t + 1] | columns[candidates[t]]
+    missed = nonempty & ~later[0]
     if missed:
         a = _first_member(members, missed)
         raise ContradictionError(f"member {a:#x} avoids every top-ranked element")
+    # Dropping x leaves the members meeting the kept candidates before it
+    # and all candidates after it.
     u_hat = tilde
-    for x in elements_of(tilde):
-        cand = u_hat & ~(1 << x)
-        if _meeting(columns, cand) == nonempty:
-            u_hat = cand
+    kept: list[int] = []
+    meets = 0  # the members meeting the kept candidates
+    for t, x in enumerate(candidates):
+        if meets | later[t + 1] == nonempty:
+            u_hat ^= 1 << x
+        else:
+            kept.append(x)
+            meets |= columns[x]
 
     witnesses: dict[int, int] = {}
-    for x in elements_of(u_hat):
-        exact = columns[x] & ~_meeting(columns, u_hat & ~(1 << x))
+    for x in kept:
+        others = 0  # the members meeting u_hat outside x
+        for y in kept:
+            if y != x:
+                others |= columns[y]
+        exact = columns[x] & ~others
         if not exact:
             raise ContradictionError(
                 f"no member meets the transversal exactly in element {x}; "
@@ -238,67 +292,130 @@ def minimal_transversal(f: SetFamily) -> TransversalReport:
 
 
 def verify_transversal(f: SetFamily, tr: TransversalReport) -> list[str]:
-    """Re-check every transversal invariant; returns violations found."""
+    """Re-check every transversal invariant; returns violations found.
+
+    As for the chain, each group of checks is first decided by one test:
+    over index masks of members from u_hat's columns (their OR holds the
+    members meeting u_hat, their AND those holding all of it), over the
+    pattern family's keys and values, or over ANDs of m_sets; only a group
+    that fails is walked member by member or element by element to name
+    its violations.
+    """
     issues: list[str] = []
-    members = set(f.members)
-    nonempty = [a for a in f.members if a]
+    members = f.members
     m = f.universe_size
-    rank = {x: r for r, x in enumerate(f.order, start=1)}
+    u_hat = tr.u_hat
+    columns = f.columns
+    if u_hat >> m:  # ids past the universe lie in no member
+        columns += (0,) * (u_hat.bit_length() - m)
+    u_columns = list(map(columns.__getitem__, elements_of(u_hat)))
+    every = (1 << f.n) - 1
+    nonempty = every ^ (members[:1] == (0,))
+    hit = twice = 0  # members meeting u_hat at least once, at least twice
+    full = every
+    for column in u_columns:
+        twice |= hit & column
+        hit |= column
+        full &= column
     tilde = max_index_elements(f)
 
-    if tr.u_hat & ~tilde:
+    if u_hat & ~tilde:
         issues.append("transversal is not a subset of the top-element set")
-    for a in nonempty:
-        if not a & tr.u_hat and tr.u_hat:
-            issues.append(f"member {a:#x} avoids the transversal")
-    if not tr.u_hat and nonempty:
+    if u_hat and nonempty & ~hit:
+        for a in members:
+            if a and not a & u_hat:
+                issues.append(f"member {a:#x} avoids the transversal")
+    if not u_hat and nonempty:
         issues.append("empty transversal with non-empty members present")
-    for x in elements_of(tr.u_hat):
-        cand = tr.u_hat & ~(1 << x)
-        if all(a & cand for a in nonempty):
-            issues.append(f"transversal is not inclusion-minimal: {x} is removable")
+    # x is removable when every non-empty member meets u_hat, and none of
+    # them meets it in x alone.
+    once = hit & ~twice
+    if not nonempty & ~hit and not all(map(once.__and__, u_columns)):
+        nonempty_members = [a for a in members if a]
+        for x in elements_of(u_hat):
+            cand = u_hat & ~(1 << x)
+            if all(a & cand for a in nonempty_members):
+                issues.append(f"transversal is not inclusion-minimal: {x} is removable")
 
-    k = tr.u_hat.bit_count()
-    if len(tr.pb_family) != (1 << k) - 1:
+    k = u_hat.bit_count()
+    pb = tr.pb_family
+    patterns = pb.values()
+    member_set = set(members)
+    if len(pb) != (1 << k) - 1:
         issues.append("pattern family does not cover every non-empty pattern")
-    if len(set(tr.pb_family.values())) != len(tr.pb_family):
+    if len(set(patterns)) != len(pb):
         issues.append("pattern family members are not pairwise distinct")
-    for b, p in tr.pb_family.items():
-        if not b or b & ~tr.u_hat:
-            issues.append(f"pattern {b:#x} is not a non-empty transversal subset")
-        if p not in members:
-            issues.append(f"pattern member for {b:#x} is not a member")
-        if p & tr.u_hat != b:
-            issues.append(f"pattern member for {b:#x} has trace != pattern")
-    for x in elements_of(tr.u_hat):
-        hits = sum(1 for b in tr.pb_family if b >> x & 1)
-        if hits != 1 << (k - 1):
-            issues.append(f"element {x} lies in {hits} patterns, "
-                          f"expected {1 << (k - 1)}")
+    traced = list(map(u_hat.__and__, patterns)) == list(pb)  # so the keys lie in u_hat
+    if not (traced and 0 not in pb and member_set.issuperset(patterns)):
+        for b, p in pb.items():
+            if not b or b & ~u_hat:
+                issues.append(f"pattern {b:#x} is not a non-empty transversal subset")
+            if p not in member_set:
+                issues.append(f"pattern member for {b:#x} is not a member")
+            if p & u_hat != b:
+                issues.append(f"pattern member for {b:#x} has trace != pattern")
+    # 2**k - 1 distinct non-empty keys inside u_hat are all its non-empty
+    # subsets, and each element of u_hat lies in half of those.
+    if not (len(pb) == (1 << k) - 1 and 0 not in pb
+            and (traced or not reduce(or_, pb, 0) & ~u_hat)):
+        for x in elements_of(u_hat):
+            hits = sum(1 for b in pb if b >> x & 1)
+            if hits != 1 << (k - 1):
+                issues.append(f"element {x} lies in {hits} patterns, "
+                              f"expected {1 << (k - 1)}")
 
-    chosen = set(tr.pb_family.values()) | {0}
-    full_extra = sum(1 for a in f.members
-                     if a & tr.u_hat == tr.u_hat and a not in chosen)
+    # The members holding all of u_hat, less those that pb_family or the
+    # empty set accounts for.
+    chosen = {0, *patterns} & member_set
+    full_extra = full.bit_count() - list(map(u_hat.__and__, chosen)).count(u_hat)
     if full_extra != tr.full_sets_not_in_p:
         issues.append(f"full-set count {tr.full_sets_not_in_p} != recomputed {full_extra}")
 
     ms = f.m_sets
-    for x, ax in a_sets(f).items():
-        if not ax >> x & 1:
-            issues.append(f"a_sets[{x}] does not contain {x}")
-        i = rank[x]
-        for j in range(i + 1, m + 1):
-            if ax & ~ms[j]:
-                issues.append(f"a_sets[{x}] escapes m_sets[{j}]")
-    for x in elements_of(tilde):
-        i = rank[x]
-        for j in range(m):
-            if j != i and not ms[j] >> x & 1:
-                issues.append(f"top element {x} missing from m_sets[{j}]")
+    order = f.order
+    tops = f.tops
+    # From the top rank down: inside is the AND of the m_sets above the
+    # rank, which must hold the rank's a_set, and higher the elements
+    # ranked above it, which its own m_set must hold.  A top element inside
+    # its a_set, inside m_sets[0] and ranked above every m_set before its
+    # own then lies in every m_set but its own.
+    inside = -1
+    higher = 0
+    a_sets_fit = m_sets_fit = True
+    for r in range(m, 0, -1):
+        x = order[r - 1]
+        topped = tops[x]
+        if topped:
+            ax = 0
+            for y, column in enumerate(columns):
+                if column & topped:
+                    ax |= BITS[y]
+            if not ax >> x & 1 or ax & ~inside:
+                a_sets_fit = False
+        if ms[r] & higher != higher:
+            m_sets_fit = False
+        inside &= ms[r]
+        higher |= BITS[x]
+    if not a_sets_fit:
+        rank = dict(zip(order, range(1, m + 1)))
+        for x, ax in a_sets(f).items():
+            if not ax >> x & 1:
+                issues.append(f"a_sets[{x}] does not contain {x}")
+            i = rank[x]
+            for j in range(i + 1, m + 1):
+                if ax & ~ms[j]:
+                    issues.append(f"a_sets[{x}] escapes m_sets[{j}]")
+    if not (a_sets_fit and m_sets_fit and not tilde & ~ms[0]):
+        rank = dict(zip(order, range(1, m + 1)))
+        for x in elements_of(tilde):
+            i = rank[x]
+            for j in range(m):
+                if j != i and not ms[j] >> x & 1:
+                    issues.append(f"top element {x} missing from m_sets[{j}]")
     return issues
 
 
-@dataclass(frozen=True)
+@dataclass
 class CountingAudit:
     """Frequency-counting ledger comparing n against its structural budget.
 
@@ -308,6 +425,10 @@ class CountingAudit:
     remaining non-empty member spends at least one.  Charging the expected
     m-k full sets gives the budget rhs; the four bullets record whether each
     summary observation held, as report data rather than hard errors.
+
+    Not frozen: a frozen dataclass sets each of its fields through
+    object.__setattr__, which cost more than the audit's own arithmetic on
+    a small family.
     """
 
     m: int
@@ -330,38 +451,51 @@ def counting_audit(f: SetFamily, tr: TransversalReport) -> CountingAudit:
 
     pre: f union-closed, separating, validated, and tr its minimal
     transversal.  Never raises on a violated summary claim; those become
-    False bullets and inequality_holds=False.
+    False bullets and inequality_holds=False.  Members are counted as index
+    masks over u_hat's columns, less the pattern members among them.
     """
-    m, n, k = f.universe_size, f.n, tr.u_hat.bit_count()
+    m, n, u_hat = f.universe_size, f.n, tr.u_hat
+    k = u_hat.bit_count()
     counts = f.freq
     c = (max(counts) - m) if m >= 1 else 0
+    columns = f.columns
+    every = (1 << n) - 1
+    incidence_total = 0
+    capped = True
+    hit = 0  # the members meeting u_hat
+    full = every  # the members holding all of it
+    for x in elements_of(u_hat):
+        incidence_total += counts[x]
+        capped = capped and counts[x] <= m + c
+        hit |= columns[x]
+        full &= columns[x]
+    p_incidences = sum(map(int.bit_count, tr.pb_family))
+    empty_member = f.members[:1] == (0,)
+    nonempty = every ^ empty_member
 
-    u_hat_elems = elements_of(tr.u_hat)
-    incidence_total = sum(counts[x] for x in u_hat_elems)
-    incidence_upper = k * (m + c)
-    p_incidences = sum(b.bit_count() for b in tr.pb_family)
-    p_family_size = (1 << k) - 1 + (f.members[:1] == (0,))
-
-    chosen = set(tr.pb_family.values())
-    full_extra = tr.full_sets_not_in_p
-    others = [a for a in f.members
-              if a and a not in chosen and a & tr.u_hat != tr.u_hat]
+    # The other members are the non-empty ones that neither hold all of
+    # u_hat nor are pattern members; the touch bullet asks that none of
+    # them misses u_hat.
+    chosen = set(tr.pb_family.values()).intersection(f.members)
+    chosen.discard(0)
+    traces = list(map(u_hat.__and__, chosen))
+    others = (nonempty & ~full).bit_count() - len(traces) + traces.count(u_hat)
 
     rhs = k * (m + c) + ((1 << k) - k * (1 << k >> 1)) + (m - k) * (1 - k)
     bullets = {
-        "frequency_cap": all(counts[x] <= m + c for x in u_hat_elems),
+        "frequency_cap": capped,
         "p_family_incidences": p_incidences == k * (1 << k >> 1),
-        "full_sets": full_extra >= m - k,
-        "remaining_touch": all(a & tr.u_hat for a in others),
+        "full_sets": tr.full_sets_not_in_p >= m - k,
+        "remaining_touch": not u_hat or (nonempty & ~hit).bit_count() == traces.count(0),
     }
     return CountingAudit(
         m=m, n=n, k=k, c=c,
         incidence_total=incidence_total,
-        incidence_upper=incidence_upper,
+        incidence_upper=k * (m + c),
         p_incidences=p_incidences,
-        p_family_size=p_family_size,
-        full_extra=full_extra,
-        other_nonempty=len(others),
+        p_family_size=(1 << k) - 1 + empty_member,
+        full_extra=tr.full_sets_not_in_p,
+        other_nonempty=others,
         rhs=rhs,
         bullets_ok=bullets,
         inequality_holds=n <= rhs,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from ucsets import (
@@ -57,6 +59,16 @@ def test_make_family_basic():
     assert f.universe_size == 2
     assert f.n == 3
     assert f.members == (0b01, 0b10, 0b11)
+
+
+def test_member_count_and_union_are_not_fields():
+    # n and covered_mask are plain attributes set at construction: equality,
+    # hashing and repr read the two fields alone.
+    f = make_family([{0}, {1}, {0, 1}])
+    assert (f.n, f.covered_mask) == (3, 0b11)
+    assert [field.name for field in dataclasses.fields(f)] == ["universe_size", "members"]
+    assert repr(f) == "SetFamily(universe_size=2, members=(1, 2, 3))"
+    assert f == SetFamily(2, (1, 2, 3)) and hash(f) == hash(SetFamily(2, (1, 2, 3)))
 
 
 def test_make_family_dedup():

@@ -13,12 +13,17 @@ of up to 130 bits and families over up to 64 elements.  Family documents
 are decoded a family at a time; a per-id reader is their reference, on
 well-formed and malformed documents alike.  The text form is read a line
 at a time; a per-token loop is its reference, on well-formed texts and on
-texts with bad ids.
+texts with bad ids.  The chain and transversal verifiers and the counting
+audit decide each group of checks over column bitmaps first; their member-
+and rank-loop references must give the same issues, in the same order, and
+the same audit record, on honest witnesses and on witnesses or cached
+family data with one planted edit.
 """
 
 import copy
 import itertools
 import json
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -60,11 +65,16 @@ from ucsets.formats import (
     parse_members_text,
 )
 from ucsets.witnesses import (
+    ChainWitness,
+    CountingAudit,
     a_sets,
+    counting_audit,
     falgas_ravry_chain,
     m_sets,
     max_index_elements,
     minimal_transversal,
+    verify_chain_witness,
+    verify_transversal,
 )
 
 # -- naive reference versions ----------------------------------------------
@@ -177,6 +187,165 @@ def naive_pb_family(f, u_hat):
             p |= witness[x]
         out[b] = p
     return out
+
+
+def naive_verify_chain_witness(f, w):
+    """Every chain invariant, one entry, pair and rank at a time."""
+    issues = []
+    m = f.universe_size
+    members = set(f.members)
+    order = f.order
+    suffix = [0] * (m + 1)
+    for r in range(m - 1, -1, -1):
+        suffix[r] = suffix[r + 1] | (1 << order[r])
+
+    expected_len = m if f.n >= 1 else 0
+    if len(w.chain) != expected_len:
+        issues.append(f"chain has {len(w.chain)} entries, expected {expected_len}")
+        return issues
+    if m >= 1 and f.n >= 1:
+        if w.chain[0] != f.covered_mask:
+            issues.append("chain[0] is not the universe")
+        for i, entry in enumerate(w.chain):
+            if entry not in members:
+                issues.append(f"chain[{i}] is not a member")
+            if i >= 1 and entry >> order[i - 1] & 1:
+                issues.append(f"chain[{i}] contains its avoided element {order[i - 1]}")
+            if suffix[i] & ~entry:
+                issues.append(f"chain[{i}] misses a higher-ranked element")
+        if len(set(w.chain)) != len(w.chain):
+            issues.append("chain entries are not pairwise distinct")
+
+    expected_keys = {(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)}
+    if set(w.pair_witnesses) != expected_keys:
+        issues.append("pair witness keys are not exactly the rank pairs i<j")
+    for (i, j), a in w.pair_witnesses.items():
+        if a not in members:
+            issues.append(f"pair witness ({i},{j}) is not a member")
+        xi, xj = order[i - 1], order[j - 1]
+        if a >> xi & 1 or not a >> xj & 1:
+            issues.append(f"pair witness ({i},{j}) fails the containment pattern")
+
+    ms = f.m_sets
+    if len(ms) != m + 1:
+        issues.append(f"m_sets has {len(ms)} entries, expected {m + 1}")
+    else:
+        if ms[0] != f.covered_mask:
+            issues.append("m_sets[0] is not the universe")
+        for r in range(1, m + 1):
+            if ms[r] >> order[r - 1] & 1:
+                issues.append(f"m_sets[{r}] contains its avoided element")
+            if suffix[r] & ~ms[r]:
+                issues.append(f"m_sets[{r}] misses a higher-ranked element")
+        for i, entry in enumerate(w.chain):
+            if entry & ~ms[i]:
+                issues.append(f"chain[{i}] is not contained in m_sets[{i}]")
+
+    if m >= 1 and f.n >= 1:
+        top = order[-1]
+        if f.freq[top] < m:
+            issues.append(
+                f"top element {top} has frequency below the universe size {m}")
+    return issues
+
+
+def naive_verify_transversal(f, tr):
+    """Every transversal invariant, one member, pattern and rank at a time."""
+    issues = []
+    members = set(f.members)
+    nonempty = [a for a in f.members if a]
+    m = f.universe_size
+    rank = {x: r for r, x in enumerate(f.order, start=1)}
+    tilde = max_index_elements(f)
+
+    if tr.u_hat & ~tilde:
+        issues.append("transversal is not a subset of the top-element set")
+    for a in nonempty:
+        if not a & tr.u_hat and tr.u_hat:
+            issues.append(f"member {a:#x} avoids the transversal")
+    if not tr.u_hat and nonempty:
+        issues.append("empty transversal with non-empty members present")
+    for x in elements_of(tr.u_hat):
+        cand = tr.u_hat & ~(1 << x)
+        if all(a & cand for a in nonempty):
+            issues.append(f"transversal is not inclusion-minimal: {x} is removable")
+
+    k = tr.u_hat.bit_count()
+    if len(tr.pb_family) != (1 << k) - 1:
+        issues.append("pattern family does not cover every non-empty pattern")
+    if len(set(tr.pb_family.values())) != len(tr.pb_family):
+        issues.append("pattern family members are not pairwise distinct")
+    for b, p in tr.pb_family.items():
+        if not b or b & ~tr.u_hat:
+            issues.append(f"pattern {b:#x} is not a non-empty transversal subset")
+        if p not in members:
+            issues.append(f"pattern member for {b:#x} is not a member")
+        if p & tr.u_hat != b:
+            issues.append(f"pattern member for {b:#x} has trace != pattern")
+    for x in elements_of(tr.u_hat):
+        hits = sum(1 for b in tr.pb_family if b >> x & 1)
+        if hits != 1 << (k - 1):
+            issues.append(f"element {x} lies in {hits} patterns, "
+                          f"expected {1 << (k - 1)}")
+
+    chosen = set(tr.pb_family.values()) | {0}
+    full_extra = sum(1 for a in f.members
+                     if a & tr.u_hat == tr.u_hat and a not in chosen)
+    if full_extra != tr.full_sets_not_in_p:
+        issues.append(f"full-set count {tr.full_sets_not_in_p} != recomputed {full_extra}")
+
+    ms = f.m_sets
+    for x, ax in a_sets(f).items():
+        if not ax >> x & 1:
+            issues.append(f"a_sets[{x}] does not contain {x}")
+        i = rank[x]
+        for j in range(i + 1, m + 1):
+            if ax & ~ms[j]:
+                issues.append(f"a_sets[{x}] escapes m_sets[{j}]")
+    for x in elements_of(tilde):
+        i = rank[x]
+        for j in range(m):
+            if j != i and not ms[j] >> x & 1:
+                issues.append(f"top element {x} missing from m_sets[{j}]")
+    return issues
+
+
+def naive_counting_audit(f, tr):
+    """The audit's counts and bullets, one member at a time."""
+    m, n, k = f.universe_size, f.n, tr.u_hat.bit_count()
+    counts = f.freq
+    c = (max(counts) - m) if m >= 1 else 0
+
+    u_hat_elems = elements_of(tr.u_hat)
+    incidence_total = sum(counts[x] for x in u_hat_elems)
+    incidence_upper = k * (m + c)
+    p_incidences = sum(b.bit_count() for b in tr.pb_family)
+    p_family_size = (1 << k) - 1 + (f.members[:1] == (0,))
+
+    chosen = set(tr.pb_family.values())
+    full_extra = tr.full_sets_not_in_p
+    others = [a for a in f.members
+              if a and a not in chosen and a & tr.u_hat != tr.u_hat]
+
+    rhs = k * (m + c) + ((1 << k) - k * (1 << k >> 1)) + (m - k) * (1 - k)
+    bullets = {
+        "frequency_cap": all(counts[x] <= m + c for x in u_hat_elems),
+        "p_family_incidences": p_incidences == k * (1 << k >> 1),
+        "full_sets": full_extra >= m - k,
+        "remaining_touch": all(a & tr.u_hat for a in others),
+    }
+    return CountingAudit(
+        m=m, n=n, k=k, c=c,
+        incidence_total=incidence_total,
+        incidence_upper=incidence_upper,
+        p_incidences=p_incidences,
+        p_family_size=p_family_size,
+        full_extra=full_extra,
+        other_nonempty=len(others),
+        rhs=rhs,
+        bullets_ok=bullets,
+        inequality_holds=n <= rhs,
+    )
 
 
 def naive_quotient(f):
@@ -672,3 +841,90 @@ def test_text_reader_matches_per_token_reference(text):
 def test_reader_matches_per_id_reference_on_edge_documents(members, m):
     doc = {"universe_size": m, "members": members}
     assert read_outcome(family_from_json_dict, doc) == read_outcome(naive_read, doc)
+
+
+# Edits planted into an honest chain, transversal or family before the
+# verifiers and the audit run.  "none" keeps the honest witnesses, and
+# "unused-id" keeps them honest on g over one more element, which no member
+# holds.
+WITNESS_EDITS = ["none", "none", "unused-id", "chain", "pair", "pair-key", "u_hat",
+                 "pattern", "pattern-key", "full-count", "m_sets", "tops", "freq"]
+
+
+def planted(g, data):
+    """A fresh copy of g with an honest chain and transversal, one of the
+    three, or the copy's cached m_sets, tops or freq, edited as drawn.
+
+    A mask is edited by flipping one bit, up to one id past the universe,
+    or replaced by a member of g, so that it stays close to an honest one.
+    """
+    edit = data.draw(st.sampled_from(WITNESS_EDITS))
+    if edit == "unused-id":
+        g = SetFamily(g.universe_size + 1, g.members)
+    w = falgas_ravry_chain(g) if g.n else ChainWitness(chain=(), pair_witnesses={})
+    tr = minimal_transversal(g)
+    h = SetFamily(g.universe_size, g.members)
+
+    def edited(mask, width=g.universe_size + 1):
+        if g.members and data.draw(st.booleans()):
+            return data.draw(st.sampled_from(g.members))
+        return mask ^ 1 << data.draw(st.integers(0, width - 1))
+
+    pw, pb = dict(w.pair_witnesses), dict(tr.pb_family)
+    if edit == "chain" and w.chain:
+        chain = list(w.chain)
+        i = data.draw(st.integers(0, len(chain) - 1))
+        chain[i] = edited(chain[i])
+        w = replace(w, chain=tuple(chain))
+    elif edit == "pair" and pw:
+        key = data.draw(st.sampled_from(sorted(pw)))
+        pw[key] = edited(pw[key])
+        w = replace(w, pair_witnesses=pw)
+    elif edit == "pair-key" and pw:
+        i, j = data.draw(st.sampled_from(sorted(pw)))
+        witness = pw.pop((i, j))
+        if data.draw(st.booleans()):
+            pw[j, i] = witness
+        w = replace(w, pair_witnesses=pw)
+    elif edit == "u_hat":
+        tr = replace(tr, u_hat=edited(tr.u_hat))
+    elif edit == "pattern" and pb:
+        key = data.draw(st.sampled_from(sorted(pb)))
+        pb[key] = edited(pb[key])
+        tr = replace(tr, pb_family=pb)
+    elif edit == "pattern-key" and pb:
+        key = data.draw(st.sampled_from(sorted(pb)))
+        member = pb.pop(key)
+        if data.draw(st.booleans()):
+            pb[edited(key)] = member
+        tr = replace(tr, pb_family=pb)
+    elif edit == "full-count":
+        tr = replace(tr, full_sets_not_in_p=tr.full_sets_not_in_p
+                     + data.draw(st.sampled_from([-1, 1])))
+    elif edit in ("m_sets", "tops", "freq") and g.universe_size:
+        values = list(getattr(g, edit))
+        i = data.draw(st.integers(0, len(values) - 1))
+        if edit == "m_sets":
+            values[i] ^= 1 << data.draw(st.integers(0, g.universe_size - 1))
+        elif edit == "tops" and g.n:
+            values[i] ^= 1 << data.draw(st.integers(0, g.n - 1))
+        elif edit == "freq":
+            values[i] = data.draw(st.integers(0, g.n))
+        h.__dict__[edit] = tuple(values)
+    return h, w, tr
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except IndexError as exc:  # both audits index freq by a u_hat past the universe
+        return type(exc)
+
+
+@settings(max_examples=250, deadline=None)
+@given(families(max_m=7), st.data())
+def test_verifiers_and_audit_match_member_loops(f, data):
+    h, w, tr = planted(separating_union_closed(f), data)
+    assert outcome(verify_chain_witness, h, w) == outcome(naive_verify_chain_witness, h, w)
+    assert outcome(verify_transversal, h, tr) == outcome(naive_verify_transversal, h, tr)
+    assert outcome(counting_audit, h, tr) == outcome(naive_counting_audit, h, tr)

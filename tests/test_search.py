@@ -412,6 +412,29 @@ class TestOnePass:
         assert built == [tri.members, unseparated.members, empty.members,
                          corpus[-1].members]
 
+    def test_frankl_witnesses_once_per_family(self, monkeypatch, separating_corpora):
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return family.frankl_witnesses(f)
+
+        monkeypatch.setattr(search, "frankl_witnesses", counting)
+        monkeypatch.setattr(bounds, "frankl_witnesses", counting)
+        corpus = [f for m in range(4) for f in separating_corpora[m]]
+        assert corpus_verify(corpus).ok
+        assert len(calls) == sum(1 for f in corpus if f.n and f.universe_size)
+        # A family planted with an empty witness set still gets the alarm,
+        # which asks for the witnesses once more.
+        calls.clear()
+        tri = make_family([{0}, {1}, {0, 1}])
+        tri.__dict__["freq"] = (1, 1)
+        rep = corpus_verify([tri])
+        assert rep.frankl_violations == ["{{0},{1},{0,1}}"]
+        assert ("{{0},{1},{0,1}}", "applicability: covered family has an empty "
+                "witness set (potential counterexample)") in rep.invariant_failures
+        assert calls == [tri, tri]
+
     def test_broken_chain_is_still_caught(self, monkeypatch):
         real = witnesses.falgas_ravry_chain
 

@@ -107,6 +107,13 @@ class TestChain:
         assert verify_chain_witness(CHAIN, w) == issues
 
 
+    def test_verify_names_a_chain_head_past_the_universe(self):
+        w = replace(falgas_ravry_chain(CHAIN), chain=(0b1111, 0b110, 0b100))
+        assert verify_chain_witness(CHAIN, w) == [
+            "chain[0] is not the universe", "chain[0] is not a member",
+            "chain[0] is not contained in m_sets[0]"]
+
+
 class TestMSets:
     def test_chain_family(self):
         assert list(m_sets(CHAIN)) == masks([{0, 1, 2}, {1, 2}, {2}, set()])
@@ -197,6 +204,35 @@ class TestTransversal:
         tr = replace(minimal_transversal(TRI), **edit)
         assert verify_transversal(TRI, tr) == issues
 
+    def test_verify_counts_each_elements_patterns(self):
+        # Three patterns, none empty, but 0x4 lies outside u_hat: each
+        # element of u_hat lies in one of them instead of two.
+        tr = replace(minimal_transversal(TRI),
+                     pb_family={0b01: 0b01, 0b10: 0b10, 0b100: 0b11})
+        assert verify_transversal(TRI, tr) == [
+            "pattern 0x4 is not a non-empty transversal subset",
+            "pattern member for 0x4 has trace != pattern",
+            "element 0 lies in 1 patterns, expected 2",
+            "element 1 lies in 1 patterns, expected 2"]
+
+    def test_verify_names_a_repeated_pattern_member(self):
+        tr = replace(minimal_transversal(TRI), pb_family={0b01: 0b01, 0b10: 0b10, 0b11: 0b10})
+        assert verify_transversal(TRI, tr) == [
+            "pattern family members are not pairwise distinct",
+            "pattern member for 0x3 has trace != pattern",
+            "full-set count 0 != recomputed 1"]
+
+    def test_verify_names_an_empty_pattern(self):
+        # The empty member keyed by the empty pattern: its trace matches,
+        # but the pattern is not a non-empty subset of u_hat.
+        f = make_family([set(), {0}, {1}, {0, 1}])
+        tr = replace(minimal_transversal(f), pb_family={0b01: 0b01, 0b10: 0b10, 0: 0})
+        assert verify_transversal(f, tr) == [
+            "pattern 0x0 is not a non-empty transversal subset",
+            "element 0 lies in 1 patterns, expected 2",
+            "element 1 lies in 1 patterns, expected 2",
+            "full-set count 0 != recomputed 1"]
+
     def test_verify_flags_wrong_trace(self):
         tr = minimal_transversal(TRI)
         bad = replace(tr, pb_family={**tr.pb_family, 0b01: 0b11})
@@ -246,6 +282,13 @@ class TestVerifiersReadFamilyData:
         f = self.planted(tops=(0b010, 0b101))
         assert verify_transversal(f, minimal_transversal(TRI)) == [
             "a_sets[0] does not contain 0", "a_sets[0] escapes m_sets[2]"]
+
+    def test_a_set_missing_its_top_ranked_element(self):
+        # the top-ranked element 1 said to top only the member {0}; no m_set
+        # lies above rank 2, so nothing escapes
+        f = self.planted(tops=(0b001, 0b001))
+        assert verify_transversal(f, minimal_transversal(TRI)) == [
+            "a_sets[1] does not contain 1"]
 
     def test_m_sets_entry_holding_its_avoided_element(self):
         f = self.planted(m_sets=(0b11, 0b11, 0b01))
@@ -297,6 +340,14 @@ class TestCountingAudit:
             a = counting_audit(f, minimal_transversal(f))
             assert a.n == a.p_family_size + a.full_extra + a.other_nonempty
             assert a.incidence_total <= a.incidence_upper
+
+    def test_pattern_members_are_not_counted_as_others(self):
+        # With u_hat cut to {0}, the pattern member {1} misses it, but as a
+        # pattern member it is neither another member nor a failed touch.
+        tr = replace(minimal_transversal(TRI), u_hat=0b01)
+        a = counting_audit(TRI, tr)
+        assert (a.k, a.other_nonempty) == (1, 0)
+        assert a.bullets_ok["remaining_touch"]
 
     def test_empty_set_member_counted(self):
         f = make_family([set(), {0}])
