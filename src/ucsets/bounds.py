@@ -76,11 +76,13 @@ def k_prime(m: int) -> float:
     return _log_gap(m, "k'") + 2.0
 
 
+@lru_cache(maxsize=256)
 def _theorem_gap(m: int) -> int:
     """floor(2m / (log2 m - log2 log2 m)), the most by which the theorem lets n pass 2m.
 
-    For m >= 13.  At m = 2^(2^j) the denominator is the integer 2^j - j.
-    Elsewhere the quotient q is irrational, so decimals settle its floor.
+    For m >= 13, and cached per m, so verdict_for costs O(1) a call.  At
+    m = 2^(2^j) the denominator is the integer 2^j - j.  Elsewhere the
+    quotient q is irrational, so decimals settle its floor.
     Each step below is correctly rounded, a relative error of at most
     5*10^-prec, and for m >= 13 the chain keeps q within 15 such errors of
     its value.  The floor is taken when q*(1 - eps) and q*(1 + eps) agree
@@ -146,18 +148,20 @@ def verdict_for(m: int, n: int) -> str:
         return VERDICT_SMALL_M
     if n <= 2 * m:
         return VERDICT_LEMMA
-    if n - 2 * m <= _calculus(m)[1]:
+    if n - 2 * m <= _theorem_gap(m):
         return VERDICT_THEOREM
     return VERDICT_NOT_COVERED
 
 
-@lru_cache(maxsize=256)
-def _calculus(m: int) -> tuple[BoundReport, int | None]:
-    """The report without n and the theorem gap: each evaluated once per m.
+def bound_report(m: int, n: int | None = None) -> BoundReport:
+    """Assemble the full calculus for universe size m.
 
-    Callers check 0 <= m; each report gets its own copy of f_values.  The
-    gap is None where the small-m verdict makes it moot.
+    Total for every 0 <= m <= 2^1000: fields whose formulas degenerate
+    (m <= 1) come back None with an explanatory note, so callers
+    classifying degenerate families still get a report.  Past 2^1000 the
+    floats would overflow, and CapacityError is raised.
     """
+    _check_m(m, least=0, what="the threshold calculus")
     notes: list[str] = []
     if m >= 1:
         f_values = {k: f_m(m, k) for k in k_scan_range(m)}
@@ -185,36 +189,19 @@ def _calculus(m: int) -> tuple[BoundReport, int | None]:
         kp = closed = None
         if m == 1:
             notes.append("closed-form threshold undefined for m <= 1")
-    report = BoundReport(m=m, n=None, f_values=f_values, k_star=k_star, min_f=fmin,
-                         ieq1_threshold=ieq1, k_prime=kp, closed_form_threshold=closed,
-                         verdict=None, alarm=None, notes=tuple(notes))
-    return report, _theorem_gap(m) if m > SMALL_M_LIMIT else None
-
-
-def bound_report(m: int, n: int | None = None) -> BoundReport:
-    """Assemble the full calculus for universe size m.
-
-    Total for every 0 <= m <= 2^1000: fields whose formulas degenerate
-    (m <= 1) come back None with an explanatory note, so callers
-    classifying degenerate families still get a report.  Past 2^1000 the
-    floats would overflow, and CapacityError is raised.
-    """
-    _check_m(m, least=0, what="the threshold calculus")
-    calc, _ = _calculus(m)
-    return replace(calc, n=n, f_values=dict(calc.f_values),
-                   verdict=verdict_for(m, n) if n is not None else None)
+    return BoundReport(m=m, n=n, f_values=f_values, k_star=k_star, min_f=fmin,
+                       ieq1_threshold=ieq1, k_prime=kp, closed_form_threshold=closed,
+                       verdict=verdict_for(m, n) if n is not None else None,
+                       alarm=None, notes=tuple(notes))
 
 
 def applicability(f: SetFamily) -> BoundReport:
     """Classify a family against the coverage rules and cross-check it.
 
     pre: f union-closed, separating, validated.  The report carries the
-    _coverage_alarm of f; only that alarm, which no correct family raises,
-    costs a second report.
+    _coverage_alarm of f.
     """
-    rep = bound_report(f.universe_size, f.n)
-    alarm = _coverage_alarm(f)
-    return replace(rep, alarm=alarm) if alarm else rep
+    return replace(bound_report(f.universe_size, f.n), alarm=_coverage_alarm(f))
 
 
 def _coverage_alarm(f: SetFamily) -> str | None:

@@ -68,13 +68,6 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _ndjson_family(doc: Any, lineno: int) -> SetFamily:
-    try:
-        return family_from_json_dict(doc)
-    except FamilyParseError as exc:
-        raise FamilyParseError(str(exc), line=lineno) from None
-
-
 class _Line(NamedTuple):
     """An NDJSON corpus line, read but not yet decoded (search.Undecoded)."""
 
@@ -88,7 +81,11 @@ class _Line(NamedTuple):
         return self.text.count("[") - 1
 
     def decode(self) -> SetFamily:
-        return _ndjson_family(decode_json(self.text, self.lineno), self.lineno)
+        doc = decode_json(self.text, self.lineno)
+        try:
+            return family_from_json_dict(doc)
+        except FamilyParseError as exc:
+            raise FamilyParseError(str(exc), line=self.lineno) from None
 
 
 def _one_object(line: str) -> bool:
@@ -98,7 +95,7 @@ def _one_object(line: str) -> bool:
     return line[0] == "{" and line[-1] == "}" and line.count("{") == 1 == line.count("}")
 
 
-def _read_families(path: str, single: bool = False) -> Iterator[SetFamily | _Line]:
+def _read_families(path: str) -> Iterator[SetFamily | _Line]:
     """The families of a family file, a JSON document or an NDJSON corpus.
 
     The first non-blank line alone decides the form.  When it does not
@@ -110,13 +107,10 @@ def _read_families(path: str, single: bool = False) -> Iterator[SetFamily | _Lin
     indented output of closure --format json.  Any other failure is an
     error on that line.
 
-    Without single, NDJSON lines are yielded undecoded, as _Line entries
-    that corpus_verify weighs by their "[" count and decodes in the batch
-    that verifies them.  A first line that passes _one_object is NDJSON
-    whatever it holds, so it is not decoded here either; any other first
-    line is decoded here to tell the three forms apart.  With single, every
-    line is decoded here, and an NDJSON input is refused as a corpus once a
-    second non-blank line is read, before it is decoded.
+    NDJSON lines are yielded undecoded, as _Line entries that corpus_verify
+    weighs by their "[" count and decodes in the batch that verifies them.
+    A first line that passes _one_object is NDJSON whatever it holds; any
+    other first line is decoded here only to tell a document from a corpus.
     """
     with _open_source(path) as fh:
         head = ""
@@ -137,23 +131,15 @@ def _read_families(path: str, single: bool = False) -> Iterator[SetFamily | _Lin
                  for line in raw.splitlines())
         numbered = ((lineno, line) for lineno, line in enumerate(lines, start=1) if line)
         lineno, line = next(numbered)  # within head, which is not blank
-        if not single and _one_object(line):
-            del head
-            yield _Line(lineno, line)
-        else:
+        if not _one_object(line):
             try:
-                first = [decode_json(line, lineno)]
+                decode_json(line, lineno)
             except UnfinishedJSONError:
                 yield parse_family_json(head + fh.read())
                 return
-            # Dropped and popped, so that neither the first line nor its
-            # decoded document outlives its family.
-            del head, line
-            yield _ndjson_family(first.pop(), lineno)
+        del head
+        yield _Line(lineno, line)
         for lineno, line in numbered:
-            if single:
-                raise FamilyParseError("input is a corpus of several families; "
-                                       "only verify --input reads corpora")
             yield _Line(lineno, line)
 
 
@@ -164,7 +150,13 @@ def load_family(path: str) -> SetFamily:
     member (JSON padding) are dropped with a warning, so every command
     downstream sees a validated family.
     """
-    (fam,) = _read_families(path, single=True)
+    families = _read_families(path)
+    fam = next(families)
+    if isinstance(fam, _Line):
+        fam = fam.decode()
+    if next(families, None) is not None:
+        raise FamilyParseError("input is a corpus of several families; "
+                               "only verify --input reads corpora")
     if not fam.covers_universe:
         fam, kept = drop_unused_elements(fam)
         _warn(f"unused element ids dropped; {len(kept)} of the declared "

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import BinaryIO, Iterable, Iterator, Protocol
 
-from .bounds import _coverage_alarm, bound_report
+from .bounds import _coverage_alarm
 from .errors import CapacityError, DomainError
 from .family import (
     MAX_UNIVERSE,
@@ -263,10 +263,7 @@ def corpus_verify(corpus: Iterable[SetFamily | Undecoded]) -> CorpusReport:
     The corpus is cut into batches of about BATCH_MEMBERS members, and each
     batch is verified in a forked child process, at most one per CPU at a
     time; the parent merges the partial reports in corpus order, so the
-    report is the one a serial sweep gives.  The parent fills the threshold
-    calculus for each universe size of a built family before it forks a
-    batch holding it, so the children inherit it; a child computes it for
-    the universe sizes of the entries it decodes.  With one CPU, without
+    report is the one a serial sweep gives.  With one CPU, without
     os.fork, while other threads run, or when the corpus fits in one batch,
     the sweep runs in this process.  Exceptions are raised as a serial
     sweep raises them: the first one in corpus order wins, whether a child
@@ -283,7 +280,6 @@ def corpus_verify(corpus: Iterable[SetFamily | Undecoded]) -> CorpusReport:
     size = 0
     error: Exception | None = None
     families = iter(corpus)
-    sizes: set[int] = set()
     try:
         while True:
             try:
@@ -293,10 +289,6 @@ def corpus_verify(corpus: Iterable[SetFamily | Undecoded]) -> CorpusReport:
             except Exception as exc:  # raised once the families before it are verified
                 error = exc
                 break
-            if isinstance(f, SetFamily) and f.universe_size not in sizes:
-                # forked children inherit its calculus
-                sizes.add(f.universe_size)
-                bound_report(f.universe_size)
             batch.append(f)
             size += f.n + 1
             if size >= BATCH_MEMBERS:

@@ -425,6 +425,8 @@ class CountingAudit:
     remaining non-empty member spends at least one.  Charging the expected
     m-k full sets gives the budget rhs; the four bullets record whether each
     summary observation held, as report data rather than hard errors.
+    frequency_cap holds by the definition of c: m + c is the largest
+    frequency, so that bullet can never be False.
 
     Not frozen: a frozen dataclass sets each of its fields through
     object.__setattr__, which cost more than the audit's own arithmetic on

@@ -1,0 +1,178 @@
+"""Mutation smoke test for the threshold verdict and its calculus.
+
+Run from the repository root; pytest does not collect this file:
+
+    python3 tests/mutation_smoke.py
+
+Each mutant changes one thing in verdict_for, _theorem_gap or bound_report
+(src/ucsets/bounds.py): < and <=, > and >= swap, + and - swap, and and or
+swap, a not is dropped, or an integer constant moves by one.  The mutant is
+written into a temporary copy of the repository's src/ and tests/, and
+tests/test_bounds.py and tests/test_acceptance.py run against it with -x,
+one pytest process at a time.  A mutant that no test fails survives, unless
+EQUIVALENT names it; a mutant that runs past TIMEOUT_S is killed.  The
+script prints one line per mutant and exits 1 when a mutant survives that
+EQUIVALENT does not name.
+"""
+
+from __future__ import annotations
+
+import ast
+import copy
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Callable, Iterator
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULE = Path("src/ucsets/bounds.py")
+TARGETS = ("verdict_for", "_theorem_gap", "bound_report")
+TESTS = ["tests/test_bounds.py", "tests/test_acceptance.py"]
+TIMEOUT_S = 30  # about five times a full run of TESTS
+
+# Survivors that no test can kill, by description, with the reason.
+_PRECISION = "the precision doubles until the floor is settled"
+_WIDER = "a wider eps costs at most one more doubling"
+_NARROWER = ("differs only where the first precision's rounding error carries q "
+             "across an integer; no m found comes that close")
+_SCALE = "any common multiple of every k - 2 ranks k exactly"
+EQUIVALENT = {
+    "_theorem_gap: 1 -> 2 at col 35 of `if m == 1 << lg and lg & (lg - 1) == 0:`":
+        "lg & (lg - 2) == 0 picks the same powers of two for every lg >= 2",
+    "_theorem_gap: 10 -> 9 at col 33 of `ctx.prec = len(str(m)) + 10`": _PRECISION,
+    "_theorem_gap: 10 -> 11 at col 33 of `ctx.prec = len(str(m)) + 10`": _PRECISION,
+    "_theorem_gap: 2 -> 3 at col 24 of `ctx.prec *= 2`": _PRECISION,
+    "_theorem_gap: 1 -> 2 at col 26 of `eps = Decimal(1).scaleb(3 - ctx.prec)`": _WIDER,
+    "_theorem_gap: 3 -> 4 at col 36 of `eps = Decimal(1).scaleb(3 - ctx.prec)`": _WIDER,
+    "_theorem_gap: 1 -> 0 at col 26 of `eps = Decimal(1).scaleb(3 - ctx.prec)`": _NARROWER,
+    "_theorem_gap: 3 -> 2 at col 36 of `eps = Decimal(1).scaleb(3 - ctx.prec)`": _NARROWER,
+    "bound_report: - -> + at col 27 of `scale = math.lcm(*(k - 2 for k in f_values))`":
+        _SCALE,
+    "bound_report: 2 -> 1 at col 31 of `scale = math.lcm(*(k - 2 for k in f_values))`":
+        _SCALE,
+}
+
+SWAPS: dict[type, type] = {
+    ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
+    ast.Add: ast.Sub, ast.Sub: ast.Add, ast.And: ast.Or, ast.Or: ast.And,
+}
+SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Add: "+",
+           ast.Sub: "-", ast.And: "and", ast.Or: "or"}
+
+Mutation = Callable[[ast.AST], None]
+
+
+def _swap_op(node: ast.AST) -> None:
+    node.op = SWAPS[type(node.op)]()
+
+
+def _swap_compare(i: int) -> Mutation:
+    def mutate(node: ast.AST) -> None:
+        node.ops[i] = SWAPS[type(node.ops[i])]()
+    return mutate
+
+
+def _shift(delta: int) -> Mutation:
+    def mutate(node: ast.AST) -> None:
+        node.value += delta
+    return mutate
+
+
+class _DropNot(ast.NodeTransformer):
+    def __init__(self, target: ast.AST):
+        self.target = target
+
+    def visit_UnaryOp(self, node: ast.UnaryOp) -> ast.AST:
+        if node is self.target:
+            return node.operand
+        return self.generic_visit(node)
+
+
+def _mutations(node: ast.AST) -> Iterator[tuple[str, Mutation | None]]:
+    """(description, mutation) for each mutant of this node; a mutation of
+    None drops a not."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)) and type(node.op) in SWAPS:
+        op = type(node.op)
+        yield f"{SYMBOLS[op]} -> {SYMBOLS[SWAPS[op]]}", _swap_op
+    elif isinstance(node, ast.Compare):
+        for i, op in enumerate(map(type, node.ops)):
+            if op in SWAPS:
+                yield f"{SYMBOLS[op]} -> {SYMBOLS[SWAPS[op]]}", _swap_compare(i)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        yield "not dropped", None
+    elif isinstance(node, ast.Constant) and type(node.value) is int:
+        for delta in (-1, 1):
+            yield f"{node.value} -> {node.value + delta}", _shift(delta)
+
+
+def _function_nodes(tree: ast.Module, name: str) -> list[ast.AST]:
+    """The nodes of one function's body, in source order."""
+    (func,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    nodes = [n for stmt in func.body for n in ast.walk(stmt) if hasattr(n, "lineno")]
+    return sorted(nodes, key=lambda n: (n.lineno, n.col_offset))
+
+
+def mutants(source: str) -> Iterator[tuple[int, str, str]]:
+    """(line, description, mutated module source) for every mutant."""
+    tree = ast.parse(source)
+    for name in TARGETS:
+        for index, node in enumerate(_function_nodes(tree, name)):
+            for what, mutate in _mutations(node):
+                mutant = copy.deepcopy(tree)
+                target = _function_nodes(mutant, name)[index]
+                if mutate is None:
+                    mutant = _DropNot(target).visit(mutant)
+                else:
+                    mutate(target)
+                line = source.splitlines()[node.lineno - 1].strip()
+                yield (node.lineno, f"{name}: {what} at col {node.col_offset} of `{line}`",
+                       ast.unparse(mutant))
+
+
+def run_tests(copy_root: Path) -> str:
+    """'killed', 'survived' or 'timeout' for the module now in copy_root."""
+    # No bytecode is cached: a .pyc checks only the source's size and its
+    # mtime in seconds, which two mutants written in one second can share.
+    env = {**os.environ, "PYTHONPATH": str(copy_root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS],
+            cwd=copy_root, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return "survived" if done.returncode == 0 else "killed"
+
+
+def main() -> int:
+    source = (ROOT / MODULE).read_text()
+    with tempfile.TemporaryDirectory() as tmp:
+        copy_root = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy_root / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy_root)
+        module = copy_root / MODULE
+        # The unparsed original must pass, or every mutant would be killed.
+        module.write_text(ast.unparse(ast.parse(source)))
+        if run_tests(copy_root) != "survived":
+            print("the tests fail on the unmutated module", file=sys.stderr)
+            return 2
+        unexplained = []
+        for lineno, what, mutated in mutants(source):
+            module.write_text(mutated)
+            outcome, why = run_tests(copy_root), ""
+            if outcome == "survived" and what in EQUIVALENT:
+                outcome, why = "explained", f" ({EQUIVALENT[what]})"
+            elif outcome == "survived":
+                unexplained.append(what)
+            print(f"{outcome:>9}  line {lineno}: {what}{why}", flush=True)
+    print(f"{len(unexplained)} unexplained survivor(s)")
+    return 1 if unexplained else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -365,6 +365,10 @@ class TestExactDecisions:
     @example(m=2 ** 45 - 1)
     @example(m=2 ** 512)
     @example(m=CALCULUS_M_LIMIT)
+    # q lies 4.3e-10 below and 3.8e-10 above an integer, too close for the
+    # first precision to settle its floor.
+    @example(m=168_943_525)
+    @example(m=304_766_924)
     def test_verdict_at_threshold_against_oracle(self, m):
         floor = 2 * m + theorem_gap_oracle(m)
         assert verdict_for(m, floor) == VERDICT_THEOREM
@@ -402,6 +406,13 @@ class TestBoundReport:
         assert rep.closed_form_threshold is None
         assert any("undefined" in s for s in rep.notes)
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_closed_form_noted_below_its_regime(self, m):
+        rep = bound_report(m)
+        assert (rep.k_prime, rep.closed_form_threshold) == (k_prime(m), closed_form_threshold(m))
+        below = ("closed-form threshold evaluated below its intended regime",)
+        assert rep.notes == (below if m <= 3 else ())
+
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             bound_report(-1)
@@ -426,23 +437,23 @@ class TestBoundReport:
             with pytest.raises(CapacityError, match=r"m <= 2\^1000"):
                 call()
 
-    def test_calculus_computed_once_per_m(self, monkeypatch):
-        bounds._calculus.cache_clear()
-        calls, closed = [], []
-        real_f, real_closed = bounds.f_m, bounds.closed_form_threshold
+    def test_theorem_gap_computed_once_per_m(self, monkeypatch):
+        # The gap is cached per m; each report evaluates its own f values.
+        bounds._theorem_gap.cache_clear()
+        calls = []
+        real_f = bounds.f_m
         monkeypatch.setattr(bounds, "f_m", lambda m, k: calls.append(m) or real_f(m, k))
-        monkeypatch.setattr(bounds, "closed_form_threshold",
-                            lambda m: closed.append(m) or real_closed(m))
         first = bound_report(97, 300)
-        evaluated = len(calls)
-        assert evaluated == len(k_scan_range(97))
         second = bound_report(97, 150)
         third = bound_report(97, 200)
-        assert len(calls) == evaluated
-        assert closed == [97]
+        assert len(calls) == 3 * len(k_scan_range(97))
         assert first.f_values == second.f_values
         assert (first.verdict, second.verdict, third.verdict) \
             == (VERDICT_NOT_COVERED, VERDICT_LEMMA, VERDICT_THEOREM)
+        assert [verdict_for(97, n) for n in (244, 245)] == [VERDICT_THEOREM, VERDICT_NOT_COVERED]
+        assert bounds._theorem_gap.cache_info()[:2] == (3, 1)  # (hits, misses)
+        assert verdict_for(98, 300) == VERDICT_NOT_COVERED
+        assert bounds._theorem_gap.cache_info().misses == 2
 
     def test_reports_share_no_mutable_state(self):
         first = bound_report(13, 40)

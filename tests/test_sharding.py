@@ -18,6 +18,7 @@ from ucsets import (
     corpus_verify,
     enumerate_union_closed,
     family_from_masks,
+    family_label,
     find_union_gap,
     is_separating,
     make_family,
@@ -136,25 +137,54 @@ def test_one_cpu_threads_or_no_fork_run_in_this_process(monkeypatch, forked):
     assert forked == []
 
 
-@pytest.fixture()
-def cold_calculus():
-    bounds._calculus.cache_clear()
-    yield
-    bounds._calculus.cache_clear()
+# Random families at m = 13 and 16: theorem-band, lemma and not-covered.
+GAP_FAMILIES = [(13, 6, seed) for seed in (4, 19, 26)] + [(16, 10, seed) for seed in range(3)]
 
 
-def test_children_inherit_the_threshold_calculus(monkeypatch, cold_calculus, forked):
-    # Each theorem gap is computed in the parent, before the first batch
-    # holding its universe size is forked; a child computing one fails.
-    parent, real = os.getpid(), bounds._theorem_gap
-
-    def in_parent(m):
-        assert os.getpid() == parent, f"theorem gap for m = {m} computed in a child"
-        return real(m)
-    monkeypatch.setattr(bounds, "_theorem_gap", in_parent)
+def test_a_valid_corpus_computes_no_theorem_gap(monkeypatch, forked):
+    # The battery asks for a verdict only for a family without a Frankl
+    # element, so no process computes a theorem gap or any other part of the
+    # threshold calculus for a valid corpus, serially or sharded.
+    def computed(*args):
+        raise AssertionError(f"threshold calculus computed for {args}")
+    monkeypatch.setattr(bounds, "_theorem_gap", computed)
+    monkeypatch.setattr(bounds, "f_m", computed)
+    families = [random_family(*args) for args in GAP_FAMILIES]
+    families += [random_family(16, 10, 7 + i) for i in range(60)]
+    lines = [_Line(i, family_to_ndjson(f)) for i, f in enumerate(families, start=1)]
+    inline(monkeypatch)
+    serial = corpus_verify(families)
+    assert serial.ok and serial.separating_count == len(families)
+    assert corpus_verify(lines) == serial
+    assert forked == []
     shard(monkeypatch, 512)
-    assert corpus_verify([random_family(16, 10, 7 + i) for i in range(60)]).ok
-    assert len(forked) >= 2
+    for corpus in (families, lines):
+        assert corpus_verify(corpus) == serial
+    assert len(forked) >= 4
+
+
+def test_the_alarm_computes_its_gap_in_the_child(monkeypatch, forked):
+    # With every witness set emptied, each covered family alarms.  The
+    # families at m >= 13 are all in forked batches, so their theorem gaps
+    # are computed in the children, on demand, and never in the parent.
+    bounds._theorem_gap.cache_clear()
+    monkeypatch.setattr(search, "frankl_witnesses", lambda f: [])
+    monkeypatch.setattr(bounds, "frankl_witnesses", lambda f: [])
+    corpus = [random_family(*args) for args in GAP_FAMILIES]
+    corpus += list(enumerate_union_closed(3))
+    shard(monkeypatch, 64)
+    sharded = corpus_verify(corpus)
+    assert bounds._theorem_gap.cache_info().misses == 0
+    assert len(forked) >= 4
+    in_children = [f for batch in forked for f in batch]
+    assert all(f in in_children for f in corpus[:len(GAP_FAMILIES)])
+    inline(monkeypatch)
+    assert corpus_verify(corpus) == sharded
+    alarmed = {label for label, line in sharded.invariant_failures
+               if line.startswith("applicability: ")}
+    # m = 13: theorem, lemma, theorem; m = 16: not covered, so no alarm.
+    assert [family_label(f) in alarmed for f in corpus[:len(GAP_FAMILIES)]] \
+        == [True] * 3 + [False] * 3
 
 
 def test_no_pool_modules_are_loaded():
