@@ -43,6 +43,7 @@ from .formats import (
     corpus_to_json,
     decode_json,
     family_from_json_dict,
+    family_from_ndjson,
     family_to_json_dict,
     family_to_ndjson,
     family_to_text,
@@ -81,6 +82,11 @@ class _Line(NamedTuple):
         return self.text.count("[") - 1
 
     def decode(self) -> SetFamily:
+        """The line's family: a line in the writer's form is read from its
+        text, any other line by json and family_from_json_dict."""
+        fam = family_from_ndjson(self.text)
+        if fam is not None:
+            return fam
         doc = decode_json(self.text, self.lineno)
         try:
             return family_from_json_dict(doc)

@@ -5,7 +5,8 @@ ids separated by commas or whitespace, a lone "-" for the empty set, "#"
 comments, blank lines ignored.  JSON: {"universe_size": m, "members":
 [[ids], ...]}.  Serialization always emits members in canonical ascending
 mask order with element ids sorted, so output is bit-identical across
-platforms; NDJSON corpus lines come from family_to_ndjson alone.  Reports
+platforms; NDJSON corpus lines come from family_to_ndjson alone, and
+family_from_ndjson reads lines of that exact form back.  Reports
 serialize with their field names intact; masks become sorted id arrays,
 map keys become strings, and real values are rounded to 12 significant
 digits before encoding.
@@ -106,6 +107,48 @@ def family_to_ndjson(f: SetFamily) -> str:
     """
     members = "[" + "],[".join(_member_texts(f)) + "]" if f.members else ""
     return f'{{"members":[{members}],"universe_size":{f.universe_size}}}'
+
+
+# Each element id's bit by the id's text, and each universe size by its
+# text: only the writer's spelling is a key, so "07", "1_0", "-0" and
+# non-ASCII digits are not.  The empty text is the empty member's.
+_ID_TEXT_BIT = {"": 0, **{str(x): 1 << x for x in range(MAX_UNIVERSE)}}.__getitem__
+_SIZE_TEXT = {str(m): m for m in range(MAX_UNIVERSE + 1)}.get
+
+
+def family_from_ndjson(line: str) -> SetFamily | None:
+    """The family of a line in family_to_ndjson's exact form, else None.
+
+    The members text is split on "],[" and then on ",", and each mask is
+    the sum of its ids' bits, looked up by their text; no id goes through
+    int().  The id count is the comma count plus one, less the first member
+    when it is empty, and it equals the masks' total popcount exactly when
+    every id is distinct within its member and no id text is empty.  Any
+    other line (spaces, another key order, an unknown id, a repeated id or
+    member, members out of order) gives None, and the caller decodes it
+    with decode_json and family_from_json_dict, which name the fault.
+    """
+    head, _, tail = line.rpartition('],"universe_size":')
+    m = _SIZE_TEXT(tail[:-1]) if tail[-1:] == "}" else None
+    if m is None or not head.startswith('{"members":['):
+        return None
+    masks: list[int] = []
+    if head != '{"members":[':  # "[ids],[ids],..." follows
+        if head[12] != "[" or head[-1] != "]":
+            return None
+        # One slice of the members text: each copy of it would add the
+        # line's length to the peak memory of the decode.
+        rows = head[13:-1].split("],[")
+        try:
+            masks = [sum(map(_ID_TEXT_BIT, row.split(","))) for row in rows]
+        except KeyError:
+            return None
+        if head.count(",") + (rows[0] != "") != sum(map(int.bit_count, masks)):
+            return None
+    try:
+        return SetFamily(m, tuple(masks))
+    except ValueError:  # members out of order, repeated or past the universe
+        return None
 
 
 # The bit of each element id; a KeyError is an id out of range.

@@ -1,22 +1,25 @@
-"""Mutation smoke test for the threshold verdict and its calculus.
+"""Mutation smoke test for a group of functions: the threshold verdict and
+its calculus, or the canonical NDJSON line decoder.
 
 Run from the repository root; pytest does not collect this file:
 
-    python3 tests/mutation_smoke.py
+    python3 tests/mutation_smoke.py [bounds|ndjson]
 
-Each mutant changes one thing in verdict_for, _theorem_gap or bound_report
-(src/ucsets/bounds.py): < and <=, > and >= swap, + and - swap, and and or
-swap, a not is dropped, or an integer constant moves by one.  The mutant is
-written into a temporary copy of the repository's src/ and tests/, and
-tests/test_bounds.py and tests/test_acceptance.py run against it with -x,
-one pytest process at a time.  A mutant that no test fails survives, unless
-EQUIVALENT names it; a mutant that runs past TIMEOUT_S is killed.  The
-script prints one line per mutant and exits 1 when a mutant survives that
-EQUIVALENT does not name.
+A group is a module, the functions mutated in it and the test files run
+against each mutant (GROUPS; bounds by default).  Each mutant changes one
+thing in one of the functions: < and <=, > and >=, == and !=, is and is
+not swap, + and - swap, and and or swap, a not is dropped, or an integer
+constant moves by one.  The mutant is written into a temporary copy of the
+repository's src/ and tests/, and the group's test files run against it
+with -x, one pytest process at a time.  A mutant that no test fails
+survives, unless EQUIVALENT names it; a mutant that runs past TIMEOUT_S is
+killed.  The script prints one line per mutant and exits 1 when a mutant
+survives that EQUIVALENT does not name.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import copy
 import os
@@ -25,13 +28,25 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULE = Path("src/ucsets/bounds.py")
-TARGETS = ("verdict_for", "_theorem_gap", "bound_report")
-TESTS = ["tests/test_bounds.py", "tests/test_acceptance.py"]
-TIMEOUT_S = 30  # about five times a full run of TESTS
+
+
+class Group(NamedTuple):
+    module: Path
+    functions: tuple[str, ...]
+    tests: tuple[str, ...]
+
+
+GROUPS = {
+    "bounds": Group(Path("src/ucsets/bounds.py"),
+                    ("verdict_for", "_theorem_gap", "bound_report"),
+                    ("tests/test_bounds.py", "tests/test_acceptance.py")),
+    "ndjson": Group(Path("src/ucsets/formats.py"), ("family_from_ndjson",),
+                    ("tests/test_formats.py", "tests/test_fuzz.py")),
+}
+TIMEOUT_S = 30  # about five times a full run of either group's tests
 
 # Survivors that no test can kill, by description, with the reason.
 _PRECISION = "the precision doubles until the floor is settled"
@@ -57,9 +72,11 @@ EQUIVALENT = {
 
 SWAPS: dict[type, type] = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
+    ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.And: ast.Or, ast.Or: ast.And,
 }
-SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Add: "+",
+SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
+           ast.NotEq: "!=", ast.Is: "is", ast.IsNot: "is not", ast.Add: "+",
            ast.Sub: "-", ast.And: "and", ast.Or: "or"}
 
 Mutation = Callable[[ast.AST], None]
@@ -115,10 +132,11 @@ def _function_nodes(tree: ast.Module, name: str) -> list[ast.AST]:
     return sorted(nodes, key=lambda n: (n.lineno, n.col_offset))
 
 
-def mutants(source: str) -> Iterator[tuple[int, str, str]]:
-    """(line, description, mutated module source) for every mutant."""
+def mutants(source: str, functions: tuple[str, ...]) -> Iterator[tuple[int, str, str]]:
+    """(line, description, mutated module source) for every mutant of the
+    functions."""
     tree = ast.parse(source)
-    for name in TARGETS:
+    for name in functions:
         for index, node in enumerate(_function_nodes(tree, name)):
             for what, mutate in _mutations(node):
                 mutant = copy.deepcopy(tree)
@@ -132,14 +150,14 @@ def mutants(source: str) -> Iterator[tuple[int, str, str]]:
                        ast.unparse(mutant))
 
 
-def run_tests(copy_root: Path) -> str:
+def run_tests(copy_root: Path, tests: tuple[str, ...]) -> str:
     """'killed', 'survived' or 'timeout' for the module now in copy_root."""
     # No bytecode is cached: a .pyc checks only the source's size and its
     # mtime in seconds, which two mutants written in one second can share.
     env = {**os.environ, "PYTHONPATH": str(copy_root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
             cwd=copy_root, env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -147,24 +165,27 @@ def run_tests(copy_root: Path) -> str:
     return "survived" if done.returncode == 0 else "killed"
 
 
-def main() -> int:
-    source = (ROOT / MODULE).read_text()
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description="Mutation smoke over one group of functions.")
+    ap.add_argument("group", nargs="?", choices=sorted(GROUPS), default="bounds")
+    group = GROUPS[ap.parse_args(argv).group]
+    source = (ROOT / group.module).read_text()
     with tempfile.TemporaryDirectory() as tmp:
         copy_root = Path(tmp)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy_root / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy_root)
-        module = copy_root / MODULE
+        module = copy_root / group.module
         # The unparsed original must pass, or every mutant would be killed.
         module.write_text(ast.unparse(ast.parse(source)))
-        if run_tests(copy_root) != "survived":
+        if run_tests(copy_root, group.tests) != "survived":
             print("the tests fail on the unmutated module", file=sys.stderr)
             return 2
         unexplained = []
-        for lineno, what, mutated in mutants(source):
+        for lineno, what, mutated in mutants(source, group.functions):
             module.write_text(mutated)
-            outcome, why = run_tests(copy_root), ""
+            outcome, why = run_tests(copy_root, group.tests), ""
             if outcome == "survived" and what in EQUIVALENT:
                 outcome, why = "explained", f" ({EQUIVALENT[what]})"
             elif outcome == "survived":

@@ -789,9 +789,9 @@ class TestReader:
         p = tmp_path / "corpus.ndjson"
         p.write_text(ndjson)
         built = []
-        real = cli.family_from_json_dict
-        monkeypatch.setattr(cli, "family_from_json_dict",
-                            lambda doc: built.append(doc) or real(doc))
+        real = cli.family_from_ndjson
+        monkeypatch.setattr(cli, "family_from_ndjson",
+                            lambda line: built.append(line) or real(line))
         code, _, err = run(capsys, "analyze", str(p))
         assert code == 1 and "corpus" in err
         assert len(built) == 1

@@ -1,5 +1,7 @@
 """Text/JSON parsing, serialization, rounding, bundled schemas."""
 
+import contextlib
+import io
 import json
 
 import jsonschema
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from ucsets import (
     FamilyParseError,
+    SetFamily,
     bound_report,
     counting_audit,
     enumerate_union_closed,
@@ -25,7 +28,7 @@ from ucsets import (
     corpus_verify,
     to_json,
 )
-from ucsets import formats, search
+from ucsets import cli, formats, search
 from ucsets.cli import _one_object, main
 from ucsets.errors import UnfinishedJSONError
 from ucsets.formats import (
@@ -33,6 +36,8 @@ from ucsets.formats import (
     chain_to_json,
     corpus_to_json,
     decode_json,
+    family_from_ndjson,
+    family_to_ndjson,
     load_schema,
     parse_members_text,
     report_to_json,
@@ -41,6 +46,25 @@ from ucsets.formats import (
 )
 
 TRI = make_family([{0}, {1}, {0, 1}])
+# The corpora of the benchmark's three workloads (bench/run.py).
+BENCHMARK_CORPORA = [
+    ["enumerate", "--m", "4"],
+    ["random", "--m", "16", "--generators", "10", "--seed", "7", "--count", "300"],
+    ["random", "--m", "64", "--generators", "20", "--seed", "7"],
+    ["random", "--m", "64", "--generators", "20", "--seed", "9"],
+]
+
+
+@pytest.fixture(scope="module")
+def benchmark_lines():
+    """The NDJSON lines of each benchmark corpus, by its command."""
+    lines = {}
+    for command in BENCHMARK_CORPORA:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(command + ["--format", "json"]) == 0
+        lines[" ".join(command)] = out.getvalue().splitlines()
+    return lines
 
 
 class TestTextParsing:
@@ -402,7 +426,110 @@ class TestCorpusDecoding:
         assert doc["total_families"] == len(p.read_text().splitlines()) > 0
         assert fallbacks == []
 
+    @pytest.mark.parametrize("command", BENCHMARK_CORPORA, ids=" ".join)
+    def test_generated_corpora_skip_the_json_decoder(self, capsys, tmp_path, monkeypatch,
+                                                     command):
+        # One process, so the lines are decoded where the spy sees them.
+        monkeypatch.setattr(search, "_worker_count", lambda: 1)
+        calls = []
+        real = cli.decode_json
+        monkeypatch.setattr(cli, "decode_json",
+                            lambda *args: calls.append(args) or real(*args))
+        assert main(command + ["--format", "json"]) == 0
+        p = tmp_path / "corpus.ndjson"
+        p.write_text(capsys.readouterr().out)
+        assert main(["verify", "--input", str(p), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["total_families"] == len(p.read_text().splitlines()) > 0
+        assert calls == []
+
     def test_malformed_members_take_the_member_loop(self, fallbacks):
         with pytest.raises(FamilyParseError, match=r"members\[1\] must be an array"):
             family_from_json_dict({"universe_size": 2, "members": [[0], [True]]})
         assert fallbacks == [[[0], [True]]]
+
+
+def _reference(line):
+    """The family json and family_from_json_dict read from the line, or
+    None when they refuse it."""
+    try:
+        return family_from_json_dict(decode_json(line))
+    except FamilyParseError:
+        return None
+
+
+class TestCanonicalLines:
+    """family_from_ndjson reads the writer's exact form and nothing else:
+    it returns the family json would give, or None."""
+
+    @pytest.mark.parametrize("command", [" ".join(c) for c in BENCHMARK_CORPORA])
+    def test_benchmark_corpora_take_the_text_path(self, benchmark_lines, command):
+        lines = benchmark_lines[command]
+        assert lines
+        for line in lines:
+            fam = family_from_ndjson(line)
+            assert fam is not None and fam == family_from_json_dict(json.loads(line))
+
+    @given(st.integers(0, 64).flatmap(lambda m: st.tuples(
+        st.just(m), st.sets(st.integers(0, (1 << m) - 1), max_size=8))))
+    @example((0, set()))
+    @example((0, {0}))
+    @example((64, {0, 1 << 63, (1 << 64) - 1}))
+    def test_inverse_of_the_writer(self, drawn):
+        m, masks = drawn
+        f = SetFamily(m, tuple(sorted(masks)))
+        line = family_to_ndjson(f)
+        assert family_from_ndjson(line) == f == family_from_json_dict(json.loads(line))
+
+    @pytest.mark.parametrize("line", [
+        '{"members":[],"universe_size":0}',
+        '{"members":[],"universe_size":64}',
+        '{"members":[[]],"universe_size":0}',
+        '{"members":[[],[0]],"universe_size":1}',
+        '{"members":[[0,1]],"universe_size":2}',
+        '{"members":[[],[0,1]],"universe_size":2}',
+        '{"members":[[0],[1],[0,1]],"universe_size":3}',
+        '{"members":[[9],[10,63]],"universe_size":64}',
+        '{"members":[[1,0]],"universe_size":2}',  # the mask of [0,1]
+    ])
+    def test_writer_form_is_read(self, line):
+        assert family_from_ndjson(line) == _reference(line) is not None
+
+    @pytest.mark.parametrize("line", [
+        '{"members": [[0]], "universe_size": 1}',
+        '{"universe_size":1,"members":[[0]]}',
+        '{"members":[[0]],"universe_size":1,"universe_size":1}',
+        '{"members":[[0]],"members":[[0]],"universe_size":1}',
+        '{"memberz":[[0]],"universe_size":1}',
+        '{"members":[[0]],"universe_size":1}x',
+        'x{"members":[[0]],"universe_size":1}',
+        '{"members":[[0]],"universe_size":1',
+        '{"members":[[0]],"universe_size":}',
+        '{"members":[[0]],"universe_size":65}',
+        '{"members":[[0]],"universe_size":-1}',
+        '{"members":[[0]],"universe_size":01}',
+        '{"members":[[0]],"universe_size":1.0}',
+        '{"members":[[0]],"universe_size":true}',
+        '{"members":[[01]],"universe_size":2}',
+        '{"members":[[1_0]],"universe_size":11}',
+        '{"members":[[\u0661]],"universe_size":2}',
+        '{"members":[[\uff17]],"universe_size":8}',
+        '{"members":[[64]],"universe_size":64}',
+        '{"members":[[-1]],"universe_size":1}',
+        '{"members":[[1]],"universe_size":1}',
+        '{"members":[[0,0]],"universe_size":2}',
+        '{"members":[[0],[1,1]],"universe_size":3}',
+        '{"members":[[0],[0]],"universe_size":1}',
+        '{"members":[[1],[0]],"universe_size":2}',
+        '{"members":[[0],[]],"universe_size":1}',
+        '{"members":[[],[]],"universe_size":0}',
+        '{"members":[[0,]],"universe_size":1}',
+        '{"members":[[,0]],"universe_size":2}',
+        '{"members":[[0],,[1]],"universe_size":2}',
+        '{"members":[0],"universe_size":1}',
+        '{"members":[0]],"universe_size":1}',
+        '{"members":[[0],"universe_size":1}',
+        '{"members":[[0]]],"universe_size":1}',
+    ])
+    def test_any_other_line_is_left_to_json(self, line):
+        assert family_from_ndjson(line) is None
