@@ -1,14 +1,19 @@
 """Corpus generation: exhaustive enumeration, canonical forms, seeded random families.
 
-Both enumeration modes run one extension search over the power set of an
-m-element ambient universe (m <= 4): it decides the masks from the top down
-and adds x to a union-closed F only when each union x | a with a in F is x
-itself or already in F, so it visits only union-closed families.  Generator
-mode keeps those with at most g join-irreducible members, one per class.
-Yielded families are compressed to the elements they actually cover, which
-is what the downstream analyses expect.  Everything is deterministic:
-streams come in a fixed order and the random generator is a fixed integer
-recipe, so corpora are bit-identical across runs and platforms.
+Both enumeration modes run one depth-first search over the power set of
+an m-element ambient universe (m <= 4) whose state is the subfamily code
+of the masks decided so far (bit x set for each member mask x).  It
+decides the masks from the top down and adds x only when the code's
+image under a -> x | a lies inside the code, which a few shifts and masks
+of the code compute, so it visits only union-closed families.  At a leaf
+the code's columns tell which elements are covered and which are split,
+so only the families that pass the filter are built.  Generator mode
+keeps those with at most g join-irreducible members, one per class.
+Yielded families are compressed to the elements they actually cover,
+which is what the downstream analyses expect.  Everything is
+deterministic: streams come in a fixed order and the random generator is
+a fixed integer recipe, so corpora are bit-identical across runs and
+platforms.
 """
 
 from __future__ import annotations
@@ -51,16 +56,6 @@ CANONICAL_LIMIT = 8
 FILTERS = ("all", "validated", "separating")
 
 
-def _passes(fam: SetFamily, m: int, family_filter: str) -> bool:
-    """Filter a compressed family; it covered the ambient universe exactly
-    when compression kept all m elements."""
-    if family_filter == "all":
-        return True
-    if family_filter == "validated":
-        return fam.universe_size == m
-    return is_separating(fam)
-
-
 def enumerate_union_closed(m: int, mode: str = "exhaustive", *,
                            family_filter: str = "separating",
                            max_generators: int | None = None,
@@ -69,13 +64,19 @@ def enumerate_union_closed(m: int, mode: str = "exhaustive", *,
 
     Exhaustive mode yields every union-closed subfamily of the power set,
     the empty family included, in increasing subfamily-code order (the code
-    of a family sets bit x for each member mask x).  Generator mode keeps
-    the families of that stream with at most max_generators join-irreducible
-    members (all of them when None), that is the union closures of at most
-    max_generators masks, and yields the canonical form of each in order of
-    first appearance, once per isomorphism class.  Capacity, and that
-    max_generators is only given in generator mode, are checked at the
-    call, before any family is built.
+    of a family sets bit x for each member mask x).  A depth-first search
+    over codes decides the masks from the top down, leaving each out before
+    adding it, and adds mask x only when x | a is already a member for
+    every chosen a; it tests that on the code at once, through one
+    shift-and-mask step per element of x.  The filter is decided on the
+    code too, so only the families it yields are built.  Generator mode
+    keeps the families of that stream with at most max_generators
+    join-irreducible members (all of them when None), that is the union
+    closures of at most max_generators masks, and yields the canonical form
+    of each in order of first appearance, once per isomorphism class.
+    Capacity, and that
+    max_generators is only given in generator mode and is not negative,
+    are checked at the call, before any family is built.
 
     family_filter: "all" keeps every union-closed subfamily, "validated"
     only those covering the full ambient universe, and "separating" (the
@@ -89,6 +90,8 @@ def enumerate_union_closed(m: int, mode: str = "exhaustive", *,
         raise DomainError(f"unknown mode {mode!r}; expected exhaustive or generators")
     if mode == "exhaustive" and max_generators is not None:
         raise DomainError("max_generators applies to generator mode only")
+    if max_generators is not None and max_generators < 0:
+        raise DomainError(f"max_generators must be non-negative, got {max_generators}")
     if m < 0:
         raise DomainError(f"m must be at least 0, got {m}")
     if m > EXHAUSTIVE_LIMIT:
@@ -98,18 +101,36 @@ def enumerate_union_closed(m: int, mode: str = "exhaustive", *,
 
 
 def _enumerate_exhaustive(m: int, family_filter: str) -> Iterator[SetFamily]:
-    def extend(x: int, chosen: tuple[int, ...], code: int) -> Iterator[SetFamily]:
-        # Masks above x are decided; chosen is union-closed and ascending.
-        if x < 0:
-            fam, _ = drop_unused_elements(SetFamily(m, chosen))
-            if _passes(fam, m, family_filter):
-                yield fam
-            return
-        yield from extend(x - 1, chosen, code)
-        code |= 1 << x
-        if all(code >> (x | a) & 1 for a in chosen):
-            yield from extend(x - 1, (x,) + chosen, code)
-    return extend((1 << m) - 1, (), 0)
+    full = (1 << m) - 1
+    masks = range(full + 1)
+    # cols[j] is the code of the masks that hold element j.  Adding j to
+    # every mask of a code keeps the masks in cols[j] and moves the others
+    # 2^j places up, so x | a over a code takes one such step per bit of x.
+    cols = [sum(1 << x for x in masks if x >> j & 1) for j in range(m)]
+    steps = [[(cols[j], 1 << j) for j in range(m) if x >> j & 1] for x in masks]
+    # On the stack, (x, code): the masks above x are decided, code is
+    # union-closed.  Leaving x out is followed at once and adding it waits
+    # on the stack, so the leaves come in increasing code order.
+    stack = [(full, 0)]
+    while stack:
+        x, code = stack.pop()
+        while x >= 0:
+            image = code
+            for col, shift in steps[x]:
+                image = image & col | (image & ~col) << shift
+            if not image & ~code:  # every x | a is already a member
+                stack.append((x - 1, code | 1 << x))
+            x -= 1
+        # The code's own columns: the nonzero ones belong to the covered
+        # elements, and two covered elements are split when theirs differ.
+        covered = [c for col in cols if (c := code & col)]
+        covers = len(covered) == m
+        if family_filter == "validated" and not covers:
+            continue
+        if family_filter == "separating" and len(set(covered)) < len(covered):
+            continue
+        fam = SetFamily(m, tuple(elements_of(code)))
+        yield fam if covers else drop_unused_elements(fam)[0]
 
 
 def _generated_classes(stream: Iterable[SetFamily], max_generators: int | None,

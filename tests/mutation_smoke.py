@@ -1,18 +1,19 @@
 """Mutation smoke test for a group of functions: the threshold verdict and
-its calculus, or the canonical NDJSON line decoder.
+its calculus, the canonical NDJSON line decoder, or the exhaustive search.
 
 Run from the repository root; pytest does not collect this file:
 
-    python3 tests/mutation_smoke.py [bounds|ndjson]
+    python3 tests/mutation_smoke.py [bounds|ndjson|enumerate]
 
 A group is a module, the functions mutated in it and the test files run
 against each mutant (GROUPS; bounds by default).  Each mutant changes one
 thing in one of the functions: < and <=, > and >=, == and !=, is and is
-not swap, + and - swap, and and or swap, a not is dropped, or an integer
-constant moves by one.  The mutant is written into a temporary copy of the
-repository's src/ and tests/, and the group's test files run against it
-with -x, one pytest process at a time.  A mutant that no test fails
-survives, unless EQUIVALENT names it; a mutant that runs past TIMEOUT_S is
+not swap, + and - swap, and and or swap, & and | swap, a not is dropped,
+or an integer constant moves by one.  The mutant is written into a
+temporary copy of the repository's src/ and tests/, and the group's test
+files run against it with -x, one pytest process at a time, its address
+space capped at MEMORY_CAP.  A mutant that no test fails survives, unless
+EQUIVALENT names it; a mutant that runs past its group's timeout is
 killed.  The script prints one line per mutant and exits 1 when a mutant
 survives that EQUIVALENT does not name.
 """
@@ -37,16 +38,21 @@ class Group(NamedTuple):
     module: Path
     functions: tuple[str, ...]
     tests: tuple[str, ...]
+    timeout_s: int  # about five times a full run of the group's tests
 
 
 GROUPS = {
     "bounds": Group(Path("src/ucsets/bounds.py"),
                     ("verdict_for", "_theorem_gap", "bound_report"),
-                    ("tests/test_bounds.py", "tests/test_acceptance.py")),
+                    ("tests/test_bounds.py", "tests/test_acceptance.py"), 30),
     "ndjson": Group(Path("src/ucsets/formats.py"), ("family_from_ndjson",),
-                    ("tests/test_formats.py", "tests/test_fuzz.py")),
+                    ("tests/test_formats.py", "tests/test_fuzz.py"), 30),
+    "enumerate": Group(Path("src/ucsets/search.py"), ("_enumerate_exhaustive",),
+                       ("tests/test_search.py", "tests/test_kernels.py"), 75),
 }
-TIMEOUT_S = 30  # about five times a full run of either group's tests
+# A mutant that grows a list without end fails with MemoryError at this
+# cap instead of taking the machine's memory.
+MEMORY_CAP = 1 << 30
 
 # Survivors that no test can kill, by description, with the reason.
 _PRECISION = "the precision doubles until the floor is settled"
@@ -68,16 +74,20 @@ EQUIVALENT = {
         _SCALE,
     "bound_report: 2 -> 1 at col 31 of `scale = math.lcm(*(k - 2 for k in f_values))`":
         _SCALE,
+    "_enumerate_exhaustive: 1 -> 2 at col 25 of `masks = range(full + 1)`":
+        "the extra mask 2^m holds no element below m, so cols is unchanged, "
+        "and the search never reads its steps",
 }
 
 SWAPS: dict[type, type] = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.And: ast.Or, ast.Or: ast.And,
+    ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd,
 }
 SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
            ast.NotEq: "!=", ast.Is: "is", ast.IsNot: "is not", ast.Add: "+",
-           ast.Sub: "-", ast.And: "and", ast.Or: "or"}
+           ast.Sub: "-", ast.And: "and", ast.Or: "or", ast.BitAnd: "&", ast.BitOr: "|"}
 
 Mutation = Callable[[ast.AST], None]
 
@@ -150,16 +160,22 @@ def mutants(source: str, functions: tuple[str, ...]) -> Iterator[tuple[int, str,
                        ast.unparse(mutant))
 
 
-def run_tests(copy_root: Path, tests: tuple[str, ...]) -> str:
+def _cap_memory() -> None:
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+def run_tests(copy_root: Path, group: Group) -> str:
     """'killed', 'survived' or 'timeout' for the module now in copy_root."""
     # No bytecode is cached: a .pyc checks only the source's size and its
     # mtime in seconds, which two mutants written in one second can share.
     env = {**os.environ, "PYTHONPATH": str(copy_root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-            cwd=copy_root, env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *group.tests],
+            cwd=copy_root, env=env, preexec_fn=_cap_memory,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=group.timeout_s)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "survived" if done.returncode == 0 else "killed"
@@ -179,13 +195,13 @@ def main(argv: list[str] | None = None) -> int:
         module = copy_root / group.module
         # The unparsed original must pass, or every mutant would be killed.
         module.write_text(ast.unparse(ast.parse(source)))
-        if run_tests(copy_root, group.tests) != "survived":
+        if run_tests(copy_root, group) != "survived":
             print("the tests fail on the unmutated module", file=sys.stderr)
             return 2
         unexplained = []
         for lineno, what, mutated in mutants(source, group.functions):
             module.write_text(mutated)
-            outcome, why = run_tests(copy_root, group.tests), ""
+            outcome, why = run_tests(copy_root, group), ""
             if outcome == "survived" and what in EQUIVALENT:
                 outcome, why = "explained", f" ({EQUIVALENT[what]})"
             elif outcome == "survived":

@@ -2,10 +2,12 @@
 
 The package derives frequencies, separation, m-sets and witnesses from
 bit-sliced columns, checks union-closure through join-irreducibles and
-builds the exhaustive corpus by extension.  The loops below are the direct
-definitions; property tests check that both agree on random families with
-up to 8 elements, union-closed or not, and the exhaustive streams are
-compared with a scan over every subfamily code for m <= 4.  Generator mode
+builds the exhaustive corpus by a search over subfamily codes.  The loops
+below are the direct definitions; property tests check that both agree on
+random families with up to 8 elements, union-closed or not, and the
+exhaustive streams are compared with a scan over every subfamily code for
+m <= 4 and with an extension search over tuples of masks for m <= 4 and
+the first 20 000 families at m = 5.  Generator mode
 filters that stream by join-irreducible count; its reference closes every
 small set of masks.  Member masks are unpacked and written a byte at a
 time; the per-bit loop and the per-id joins are their references, on masks
@@ -45,6 +47,7 @@ from ucsets import (
     separating_quotient,
     union_closure,
 )
+from ucsets import search
 from ucsets.errors import FamilyParseError
 from ucsets.family import (
     _member_texts,
@@ -383,6 +386,34 @@ NAIVE_FILTERS = {
 }
 
 
+def naive_passes(fam, m, family_filter):
+    """Filter a compressed family; it covered the ambient universe exactly
+    when compression kept all m elements."""
+    if family_filter == "all":
+        return True
+    if family_filter == "validated":
+        return fam.universe_size == m
+    return is_separating(fam)
+
+
+def naive_enumerate(m, family_filter):
+    """The extension search over tuples of masks: decide the masks from the
+    top down, leaving each out before adding it, and add x only when every
+    x | a with a already chosen is a member; compress and filter each leaf."""
+    def extend(x, chosen, code):
+        # Masks above x are decided; chosen is union-closed and ascending.
+        if x < 0:
+            fam, _ = drop_unused_elements(SetFamily(m, chosen))
+            if naive_passes(fam, m, family_filter):
+                yield fam
+            return
+        yield from extend(x - 1, chosen, code)
+        code |= 1 << x
+        if all(code >> (x | a) & 1 for a in chosen):
+            yield from extend(x - 1, (x,) + chosen, code)
+    return extend((1 << m) - 1, (), 0)
+
+
 def naive_elements(mask):
     """Isolate the lowest set bit, one bit at a time."""
     out = []
@@ -694,6 +725,19 @@ def test_exhaustive_stream_matches_code_scan(m, family_filter):
     got = list(enumerate_union_closed(m, family_filter=family_filter))
     assert [f.members for f in got] == [f.members for f in expected]
     assert got == expected
+
+
+@pytest.mark.parametrize("family_filter", sorted(NAIVE_FILTERS))
+def test_exhaustive_stream_matches_mask_tuple_search(family_filter):
+    # Families compare by universe_size and members, so list equality
+    # checks both and the order.
+    for m in range(5):
+        assert list(enumerate_union_closed(m, family_filter=family_filter)) == \
+            list(naive_enumerate(m, family_filter)), m
+    # Past EXHAUSTIVE_LIMIT, the start of the m = 5 stream.
+    prefix = 20_000
+    assert list(itertools.islice(search._enumerate_exhaustive(5, family_filter), prefix)) == \
+        list(itertools.islice(naive_enumerate(5, family_filter), prefix))
 
 
 @lru_cache(maxsize=None)

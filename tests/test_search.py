@@ -159,6 +159,13 @@ class TestGeneratorEnumeration:
             with pytest.raises(CapacityError, match="m <= 4"):
                 enumerate_union_closed(m, mode="generators", max_generators=g)
 
+    def test_negative_generator_budget_refused_at_call(self):
+        # Not iterated: a budget below 0 would otherwise keep no family.
+        for m in (0, 2, 4):
+            with pytest.raises(DomainError,
+                               match=r"^max_generators must be non-negative, got -1$"):
+                enumerate_union_closed(m, mode="generators", max_generators=-1)
+
 
 class TestCanonicalForm:
     def test_examples(self):
