@@ -55,7 +55,6 @@ from .formats import (
 )
 from .search import (
     CorpusReport,
-    canonical_form,
     corpus_verify,
     enumerate_union_closed,
     random_family,
@@ -93,7 +92,6 @@ __all__ = [
     "VERDICT_THEOREM",
     "applicability",
     "bound_report",
-    "canonical_form",
     "closed_form_threshold",
     "corpus_verify",
     "counting_audit",

@@ -1,4 +1,4 @@
-"""Corpus generation: exhaustive enumeration, canonical forms, seeded random families.
+"""Corpus generation: exhaustive enumeration, one family per class, seeded random families.
 
 Both enumeration modes run one depth-first search over the power set of
 an m-element ambient universe (m <= 4) whose state is the subfamily code
@@ -8,7 +8,9 @@ image under a -> x | a lies inside the code, which a few shifts and masks
 of the code compute, so it visits only union-closed families.  At a leaf
 the code's columns tell which elements are covered and which are split,
 so only the families that pass the filter are built.  Generator mode
-keeps those with at most g join-irreducible members, one per class.
+adds one test at the leaves, Read's orderly test, which keeps one leaf
+per isomorphism class without remembering the classes it has seen, and
+keeps it when it has at most g join-irreducible members.
 Yielded families are compressed to the elements they actually cover,
 which is what the downstream analyses expect.  Everything is
 deterministic: streams come in a fixed order and the random generator is
@@ -51,7 +53,6 @@ from .witnesses import (
 )
 
 EXHAUSTIVE_LIMIT = 4
-CANONICAL_LIMIT = 8
 
 FILTERS = ("all", "validated", "separating")
 
@@ -70,13 +71,13 @@ def enumerate_union_closed(m: int, mode: str = "exhaustive", *,
     every chosen a; it tests that on the code at once, through one
     shift-and-mask step per element of x.  The filter is decided on the
     code too, so only the families it yields are built.  Generator mode
-    keeps the families of that stream with at most max_generators
-    join-irreducible members (all of them when None), that is the union
-    closures of at most max_generators masks, and yields the canonical form
-    of each in order of first appearance, once per isomorphism class.
-    Capacity, and that
-    max_generators is only given in generator mode and is not negative,
-    are checked at the call, before any family is built.
+    keeps one leaf of that search per isomorphism class, by Read's orderly
+    test: the one whose element frequencies do not increase with the id and
+    whose code no relabeling that keeps them makes smaller, when it has at
+    most max_generators join-irreducible members (all of them when None),
+    that is when it is the union closure of at most max_generators masks.
+    Capacity, and that max_generators is only given in generator mode and
+    is not negative, are checked at the call, before any family is built.
 
     family_filter: "all" keeps every union-closed subfamily, "validated"
     only those covering the full ambient universe, and "separating" (the
@@ -96,11 +97,11 @@ def enumerate_union_closed(m: int, mode: str = "exhaustive", *,
         raise DomainError(f"m must be at least 0, got {m}")
     if m > EXHAUSTIVE_LIMIT:
         raise CapacityError(f"{mode} enumeration supports m <= {EXHAUSTIVE_LIMIT}, got {m}")
-    stream = _enumerate_exhaustive(m, family_filter)
-    return stream if mode == "exhaustive" else _generated_classes(stream, max_generators)
+    return _enumerate_exhaustive(m, family_filter, mode == "generators", max_generators)
 
 
-def _enumerate_exhaustive(m: int, family_filter: str) -> Iterator[SetFamily]:
+def _enumerate_exhaustive(m: int, family_filter: str, classes: bool = False,
+                          max_generators: int | None = None) -> Iterator[SetFamily]:
     full = (1 << m) - 1
     masks = range(full + 1)
     # cols[j] is the code of the masks that hold element j.  Adding j to
@@ -108,6 +109,7 @@ def _enumerate_exhaustive(m: int, family_filter: str) -> Iterator[SetFamily]:
     # 2^j places up, so x | a over a code takes one such step per bit of x.
     cols = [sum(1 << x for x in masks if x >> j & 1) for j in range(m)]
     steps = [[(cols[j], 1 << j) for j in range(m) if x >> j & 1] for x in masks]
+    tied = _tied_relabelings(m) if classes else None
     # On the stack, (x, code): the masks above x are decided, code is
     # union-closed.  Leaving x out is followed at once and adding it waits
     # on the stack, so the leaves come in increasing code order.
@@ -129,43 +131,40 @@ def _enumerate_exhaustive(m: int, family_filter: str) -> Iterator[SetFamily]:
             continue
         if family_filter == "separating" and len(set(covered)) < len(covered):
             continue
-        fam = SetFamily(m, tuple(elements_of(code)))
-        yield fam if covers else drop_unused_elements(fam)[0]
+        if tied is None or _orderly(code, cols, tied, max_generators):
+            fam = SetFamily(m, tuple(elements_of(code)))
+            yield fam if covers else drop_unused_elements(fam)[0]
 
 
-def _generated_classes(stream: Iterable[SetFamily], max_generators: int | None,
-                       ) -> Iterator[SetFamily]:
-    """Each new class's canonical form; every labeling of it is then marked
-    seen, so the m! scan runs once per class, not once per family."""
-    seen: set[tuple[int, tuple[int, ...]]] = set()
-    for fam in stream:
-        m = fam.universe_size
-        if (m, fam.members) in seen:
-            continue
-        if max_generators is not None and len(join_irreducibles(fam)) > max_generators:
-            continue
-        labelings = list(_relabelings(fam))
-        seen.update((m, members) for members in labelings)
-        yield SetFamily(m, min(labelings))
+def _tied_relabelings(m: int) -> list[list[list[int]]]:
+    """For each tie pattern of a non-increasing frequency vector (bit j set
+    when elements j and j + 1 are tied), the mask maps of the permutations
+    other than the identity that keep each element among those tied with it."""
+    others = list(itertools.permutations(range(m)))[1:]  # the first is the identity
+    tied = []
+    for ties in range(1 << max(m - 1, 0)):
+        run = [(~ties & (1 << i) - 1).bit_count() for i in range(m)]  # untied pairs before i
+        tied.append([[relabel_mask(x, p) for x in range(1 << m)]
+                     for p in others if all(run[i] == run[j] for i, j in enumerate(p))])
+    return tied
 
 
-def _relabelings(f: SetFamily) -> Iterator[tuple[int, ...]]:
-    """The sorted members of f under each of the m! element permutations."""
-    m = f.universe_size
-    if m > CANONICAL_LIMIT:
-        raise CapacityError(
-            f"canonical form scans m! relabelings; m <= {CANONICAL_LIMIT}, got {m}")
-    for perm in itertools.permutations(range(m)):
-        yield tuple(sorted(relabel_mask(mask, perm) for mask in f.members))
+def _orderly(code: int, cols: list[int], tied: list[list[list[int]]],
+             max_generators: int | None) -> bool:
+    """Whether the leaf is the one kept for its class, within the budget.
 
-
-def canonical_form(f: SetFamily) -> SetFamily:
-    """Lexicographically smallest relabeling of the family (m <= 8).
-
-    Scans all m! element permutations, so two families have equal canonical
-    forms exactly when some relabeling carries one onto the other.
+    The labelings of a class whose frequencies do not increase with the id
+    share one frequency vector, and the permutations of tied elements carry
+    each of them onto the others; only the least code among them passes.
     """
-    return SetFamily(f.universe_size, min(_relabelings(f)))
+    freq = [(code & col).bit_count() for col in cols]
+    if freq != sorted(freq, reverse=True):
+        return False
+    members = tuple(elements_of(code))
+    ties = sum(1 << j for j in range(len(freq) - 1) if freq[j] == freq[j + 1])
+    return (all(sum(1 << t[x] for x in members) >= code for t in tied[ties])
+            and (max_generators is None
+                 or len(join_irreducibles(SetFamily(len(cols), members))) <= max_generators))
 
 
 MASK64 = (1 << 64) - 1

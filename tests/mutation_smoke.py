@@ -1,9 +1,10 @@
 """Mutation smoke test for a group of functions: the threshold verdict and
-its calculus, the canonical NDJSON line decoder, or the exhaustive search.
+its calculus, the canonical NDJSON line decoder, the exhaustive search, or
+the test that generator mode applies at its leaves.
 
 Run from the repository root; pytest does not collect this file:
 
-    python3 tests/mutation_smoke.py [bounds|ndjson|enumerate]
+    python3 tests/mutation_smoke.py [bounds|ndjson|enumerate|generators]
 
 A group is a module, the functions mutated in it and the test files run
 against each mutant (GROUPS; bounds by default).  Each mutant changes one
@@ -49,6 +50,8 @@ GROUPS = {
                     ("tests/test_formats.py", "tests/test_fuzz.py"), 30),
     "enumerate": Group(Path("src/ucsets/search.py"), ("_enumerate_exhaustive",),
                        ("tests/test_search.py", "tests/test_kernels.py"), 75),
+    "generators": Group(Path("src/ucsets/search.py"), ("_tied_relabelings", "_orderly"),
+                        ("tests/test_search.py", "tests/test_kernels.py"), 75),
 }
 # A mutant that grows a list without end fails with MemoryError at this
 # cap instead of taking the machine's memory.

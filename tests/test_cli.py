@@ -376,9 +376,10 @@ CORPUS_PINS = [
     ([["random", "--m", "16", "--generators", "10", "--seed", "7", "--count", "300",
        "--format", "text"]],
      "94fd9823ac365845a772c29c719d13dd636783f8370bf853ddc77dafd8e35eeb"),
-    # the 304 separating classes at m = 4 in order of first appearance
+    # the 304 separating classes at m = 4, each by its orderly
+    # representative, in increasing subfamily-code order
     ([["enumerate", "--mode", "generators", "--m", "4", "--format", "json"]],
-     "a1e1d601a7f0f4ef57cdccd48e4fb02637f00a5b672a712db3ee455941d05596"),
+     "ae577fc06c31bd8f4b80d1b4ba08cf7784784a296a995f0782216105f02343a7"),
 ]
 
 

@@ -7,9 +7,10 @@ below are the direct definitions; property tests check that both agree on
 random families with up to 8 elements, union-closed or not, and the
 exhaustive streams are compared with a scan over every subfamily code for
 m <= 4 and with an extension search over tuples of masks for m <= 4 and
-the first 20 000 families at m = 5.  Generator mode
-filters that stream by join-irreducible count; its reference closes every
-small set of masks.  Member masks are unpacked and written a byte at a
+the first 20 000 families at m = 5.  Generator mode keeps one family of
+that stream per isomorphism class; its reference closes every small set
+of masks and names each class by its least relabeling over all m!
+element permutations.  Member masks are unpacked and written a byte at a
 time; the per-bit loop and the per-id joins are their references, on masks
 of up to 130 bits and families over up to 64 elements.  Family documents
 are decoded a family at a time; a per-id reader is their reference, on
@@ -34,7 +35,6 @@ from hypothesis import strategies as st
 
 from ucsets import (
     SetFamily,
-    canonical_form,
     corpus_verify,
     drop_unused_elements,
     enumerate_union_closed,
@@ -740,6 +740,15 @@ def test_exhaustive_stream_matches_mask_tuple_search(family_filter):
         list(itertools.islice(naive_enumerate(5, family_filter), prefix))
 
 
+def naive_canonical_form(f):
+    """Lexicographically least relabeling of f: the sorted member tuples
+    under all m! element permutations, each mask relabeled a bit at a time."""
+    m = f.universe_size
+    return SetFamily(m, min(
+        tuple(sorted(sum(1 << p[i] for i in range(m) if x >> i & 1) for x in f.members))
+        for p in itertools.permutations(range(m))))
+
+
 @lru_cache(maxsize=None)
 def naive_generators(m, family_filter, max_generators):
     """Close every set of at most max_generators masks of P([m]) (all of
@@ -752,7 +761,7 @@ def naive_generators(m, family_filter, max_generators):
         for combo in itertools.combinations(range(p), size):
             fam, _ = drop_unused_elements(SetFamily(m, tuple(closure_of_masks(combo))))
             if keep(fam, m):
-                out.add(canonical_form(fam))
+                out.add(naive_canonical_form(fam))
     return out
 
 
@@ -760,13 +769,45 @@ GENERATOR_CASES = ([(m, g) for m in range(4) for g in [*range((1 << m) + 2), Non
                    + [(4, g) for g in range(5)])
 
 
+@pytest.mark.parametrize("m", range(5))
+def test_tied_relabelings_are_the_frequency_stabilisers(m):
+    # Tie pattern ties (bit j: elements j and j + 1 are tied) is realised by
+    # the frequencies freq[j + 1] = freq[j] - 1 unless bit j is set; its
+    # entry holds the mask maps of the other permutations that keep freq.
+    tied = search._tied_relabelings(m)
+    assert len(tied) == 1 << max(m - 1, 0)
+    for ties, maps in enumerate(tied):
+        freq = [0]
+        for j in range(m - 1):
+            freq.append(freq[-1] - (not ties >> j & 1))
+        expected = [[sum(1 << p[i] for i in range(m) if x >> i & 1) for x in range(1 << m)]
+                    for p in itertools.permutations(range(m))
+                    if p != tuple(range(m)) and all(freq[p[i]] == freq[i] for i in range(m))]
+        assert sorted(maps) == sorted(expected), (m, ties)
+
+
 @pytest.mark.parametrize("family_filter", sorted(NAIVE_FILTERS))
 def test_generator_classes_match_closed_mask_sets(family_filter):
     for m, g in GENERATOR_CASES:
+        got = enumerate_union_closed(m, mode="generators", family_filter=family_filter,
+                                     max_generators=g)
+        classes = [naive_canonical_form(f) for f in got]
+        assert len(classes) == len(set(classes)), (m, g)  # one family per class
+        assert set(classes) == naive_generators(m, family_filter, g), (m, g)
+
+
+@pytest.mark.parametrize("family_filter", sorted(NAIVE_FILTERS))
+def test_generator_stream_is_ordered_part_of_exhaustive_stream(family_filter):
+    # Each class is stood for by a family the exhaustive stream yields, in
+    # the same order, with frequencies that do not increase with the id.
+    streams = {m: list(enumerate_union_closed(m, family_filter=family_filter))
+               for m in range(5)}
+    for m, g in [*GENERATOR_CASES, (4, None)]:
         got = list(enumerate_union_closed(m, mode="generators", family_filter=family_filter,
                                           max_generators=g))
-        assert len(got) == len(set(got))
-        assert set(got) == naive_generators(m, family_filter, g), (m, g)
+        exhaustive = iter(streams[m])
+        assert all(f in exhaustive for f in got), (m, g)
+        assert all(list(f.freq) == sorted(f.freq, reverse=True) for f in got), (m, g)
 
 
 FULL_64 = (1 << 64) - 1
