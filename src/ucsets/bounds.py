@@ -198,20 +198,14 @@ def bound_report(m: int, n: int | None = None) -> BoundReport:
 def applicability(f: SetFamily) -> BoundReport:
     """Classify a family against the coverage rules and cross-check it.
 
-    pre: f union-closed, separating, validated.  The report carries the
-    _coverage_alarm of f.
-    """
-    return replace(bound_report(f.universe_size, f.n), alarm=_coverage_alarm(f))
-
-
-def _coverage_alarm(f: SetFamily) -> str | None:
-    """The alarm of a family the coverage rules call covered whose witness
-    set is empty, a potential counterexample; None for every other family.
-
-    pre: as for applicability.  The corpus battery asks for this alone,
-    without the rest of the report.
+    pre: f union-closed, separating, validated.  The report's alarm is set
+    for a family the rules call covered (n >= 1, m >= 1, a verdict other
+    than not-covered) whose witness set is empty, a potential
+    counterexample; it is None for every other family.
     """
     m, n = f.universe_size, f.n
-    if n < 1 or m < 1 or verdict_for(m, n) == VERDICT_NOT_COVERED or frankl_witnesses(f):
-        return None
-    return "covered family has an empty witness set (potential counterexample)"
+    rep = bound_report(m, n)
+    if n < 1 or m < 1 or rep.verdict == VERDICT_NOT_COVERED or frankl_witnesses(f):
+        return rep
+    return replace(rep, alarm="covered family has an empty witness set "
+                              "(potential counterexample)")

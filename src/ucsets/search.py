@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import BinaryIO, Iterable, Iterator, Protocol
 
-from .bounds import _coverage_alarm
+from .bounds import applicability
 from .errors import CapacityError, DomainError
 from .family import (
     MAX_UNIVERSE,
@@ -418,8 +418,9 @@ def _verify_batch(families: Iterable[SetFamily | Undecoded]) -> CorpusReport:
         rep.separating_count += 1
 
         # The coverage alarm needs a family without a witness element, so
-        # only such a family asks for it below.
-        witnessless = f.n >= 1 and f.universe_size >= 1 and not frankl_witnesses(f)
+        # only such a family asks applicability for it below.  A validated
+        # family with m >= 1 has a member, so n >= 1 needs no test here.
+        witnessless = f.universe_size >= 1 and not frankl_witnesses(f)
         if witnessless:
             rep.frankl_violations.append(family_label(f))
 
@@ -445,7 +446,7 @@ def _verify_batch(families: Iterable[SetFamily | Undecoded]) -> CorpusReport:
                     family_label(f),
                     "lemma: top element below half frequency despite n <= 2m"))
 
-        alarm = witnessless and _coverage_alarm(f)
+        alarm = witnessless and applicability(f).alarm
         if alarm:
             rep.invariant_failures.append((family_label(f), "applicability: " + alarm))
     return rep

@@ -1,18 +1,19 @@
 """Mutation smoke test for a group of functions: the threshold verdict and
-its calculus, the canonical NDJSON line decoder, the exhaustive search, or
-the test that generator mode applies at its leaves.
+its calculus, the canonical NDJSON line decoder, the exhaustive search,
+the test that generator mode applies at its leaves, the corpus battery, or
+the chain and transversal verifiers with the counting audit.
 
 Run from the repository root; pytest does not collect this file:
 
-    python3 tests/mutation_smoke.py [bounds|ndjson|enumerate|generators]
+    python3 tests/mutation_smoke.py [bounds|ndjson|enumerate|generators|battery|verifiers]
 
-A group is a module, the functions mutated in it and the test files run
-against each mutant (GROUPS; bounds by default).  Each mutant changes one
-thing in one of the functions: < and <=, > and >=, == and !=, is and is
-not swap, + and - swap, and and or swap, & and | swap, a not is dropped,
-or an integer constant moves by one.  The mutant is written into a
-temporary copy of the repository's src/ and tests/, and the group's test
-files run against it with -x, one pytest process at a time, its address
+A group is a module, the functions mutated in it and the test files or
+pytest node ids run against each mutant (GROUPS; bounds by default).
+Each mutant changes one thing in one of the functions: < and <=, > and
+>=, == and !=, is and is not swap, + and - swap, and and or swap, & and
+| swap, a not is dropped, or an integer constant moves by one.  The
+mutant is written into a temporary copy of the repository's src/ and
+tests/, and the group's tests run against it with -x, one pytest process at a time, its address
 space capped at MEMORY_CAP.  A mutant that no test fails survives, unless
 EQUIVALENT names it; a mutant that runs past its group's timeout is
 killed.  The script prints one line per mutant and exits 1 when a mutant
@@ -52,6 +53,14 @@ GROUPS = {
                        ("tests/test_search.py", "tests/test_kernels.py"), 75),
     "generators": Group(Path("src/ucsets/search.py"), ("_tied_relabelings", "_orderly"),
                         ("tests/test_search.py", "tests/test_kernels.py"), 75),
+    "battery": Group(Path("src/ucsets/search.py"), ("_verify_batch",),
+                     ("tests/test_search.py", "tests/test_sharding.py",
+                      "tests/test_cli.py::TestVerify"), 80),
+    "verifiers": Group(Path("src/ucsets/witnesses.py"),
+                       ("verify_chain_witness", "verify_transversal", "counting_audit"),
+                       ("tests/test_witnesses.py",
+                        "tests/test_kernels.py::test_verifiers_and_audit_match_member_loops",
+                        "tests/test_acceptance.py"), 40),
 }
 # A mutant that grows a list without end fails with MemoryError at this
 # cap instead of taking the machine's memory.
@@ -63,6 +72,16 @@ _WIDER = "a wider eps costs at most one more doubling"
 _NARROWER = ("differs only where the first precision's rounding error carries q "
              "across an integer; no m found comes that close")
 _SCALE = "any common multiple of every k - 2 ranks k exactly"
+
+# The verifiers decide each group of checks by one fit test and walk the
+# group to name its violations only when that test fails; the walk names
+# nothing on a valid witness.  A mutant that only makes the fit test fail
+# more often changes the time, not the report.
+_ALWAYS = "the fit test fails on every input, so the walk always runs"
+_MORE = "the fit test fails wherever the original one fails, so the walk only runs more often"
+_COUNT = ("at most 2^k - 1 distinct non-empty keys lie inside u_hat, so the count "
+          "never matches while the other clauses hold, and the walk runs")
+_RANKS = "zip stops at the end of order, so the rank map is unchanged"
 EQUIVALENT = {
     "_theorem_gap: 1 -> 2 at col 35 of `if m == 1 << lg and lg & (lg - 1) == 0:`":
         "lg & (lg - 2) == 0 picks the same powers of two for every lg >= 2",
@@ -80,6 +99,61 @@ EQUIVALENT = {
     "_enumerate_exhaustive: 1 -> 2 at col 25 of `masks = range(full + 1)`":
         "the extra mask 2^m holds no element below m, so cols is unchanged, "
         "and the search never reads its steps",
+    "verify_chain_witness: 1 -> 2 at col 32 of `m_sets_fit = len(ms) == m + 1`":
+        "a right length makes the walk run, and the length check names a length of m + 2",
+    "verify_chain_witness: 0 -> -1 at col 13 of `higher = 0`": _ALWAYS,
+    "verify_chain_witness: & -> | at col 26 of `if r < length and chain[r] & below != higher:`":
+        _ALWAYS,
+    "verify_chain_witness: & -> | at col 27 of `if m_sets_fit and (ms[r] & below != higher`":
+        _ALWAYS,
+    "verify_chain_witness: & -> | at col 45 of `or r < length and chain[r] & ~ms[r]):`": _MORE,
+    "verify_chain_witness: 0 -> -1 at col 28 of "
+    "`if chain and not (chain[0] == covered and not higher & ~covered`":
+        "chain[-1] is chain[0] for m = 1; for m >= 2 a chain that fits inside the universe "
+        "has chain[m-1] without the rank-(m-1) element, so the walk always runs",
+    "verify_chain_witness: & -> | at col 50 of "
+    "`if chain and not (chain[0] == covered and not higher & ~covered`": _ALWAYS,
+    "verify_chain_witness: & -> | at col 65 of "
+    "`elif not (m_sets_fit and ms[0] == covered and not (chain and chain[0] & ~ms[0])):`":
+        _MORE,
+    "verify_transversal: - -> + at col 27 of `columns += (0,) * (u_hat.bit_length() - m)`":
+        "the extra columns are 0, and a zero column adds no member or element to any mask",
+    "verify_transversal: & -> | at col 17 of `twice |= hit & column`": _MORE,
+    "verify_transversal: & -> | at col 17 of `if u_hat and nonempty & ~hit:`": _MORE,
+    "verify_transversal: and -> or at col 7 of "
+    "`if not nonempty & ~hit and not all(map(once.__and__, u_columns)):`":
+        "the walk then also runs when a non-empty member misses u_hat, and names nothing, "
+        "since that member misses every smaller candidate",
+    "verify_transversal: - -> + at col 23 of `if not (len(pb) == (1 << k) - 1 and 0 not in pb`":
+        _COUNT,
+    "verify_transversal: 1 -> 0 at col 24 of `if not (len(pb) == (1 << k) - 1 and 0 not in pb`":
+        _COUNT,
+    "verify_transversal: 1 -> 2 at col 24 of `if not (len(pb) == (1 << k) - 1 and 0 not in pb`":
+        _COUNT,
+    "verify_transversal: 1 -> 0 at col 34 of `if not (len(pb) == (1 << k) - 1 and 0 not in pb`":
+        _COUNT,
+    "verify_transversal: or -> and at col 17 of `and (traced or not reduce(or_, pb, 0) & ~u_hat)):`":
+        _MORE,
+    "verify_transversal: & -> | at col 31 of `and (traced or not reduce(or_, pb, 0) & ~u_hat)):`":
+        _MORE,
+    "verify_transversal: 0 -> -1 at col 47 of `and (traced or not reduce(or_, pb, 0) & ~u_hat)):`":
+        _MORE,
+    "verify_transversal: 0 -> 1 at col 47 of `and (traced or not reduce(or_, pb, 0) & ~u_hat)):`":
+        _MORE,
+    "verify_transversal: 1 -> 0 at col 14 of `inside = -1`": _MORE,
+    "verify_transversal: 1 -> 2 at col 14 of `inside = -1`": _MORE,
+    "verify_transversal: 0 -> -1 at col 13 of `higher = 0`": _MORE,
+    "verify_transversal: 0 -> 1 at col 13 of `higher = 0`": _MORE,
+    "verify_transversal: | -> & at col 20 of `ax |= BITS[y]`": _ALWAYS,
+    "verify_transversal: 1 -> 0 at col 29 of `if not ax >> x & 1 or ax & ~inside:`": _ALWAYS,
+    "verify_transversal: & -> | at col 34 of `if not ax >> x & 1 or ax & ~inside:`": _ALWAYS,
+    "verify_transversal: != -> == at col 11 of `if ms[r] & higher != higher:`":
+        "the mutated test holds at the top rank, where higher is 0, so the walk always runs",
+    "verify_transversal: 1 -> 2 at col 44 of `rank = dict(zip(order, range(1, m + 1)))`": _RANKS,
+    "verify_transversal: & -> | at col 46 of "
+    "`if not (a_sets_fit and m_sets_fit and not tilde & ~ms[0]):`": _ALWAYS,
+    "counting_audit: and -> or at col 17 of `capped = capped and counts[x] <= m + c`":
+        "m + c is the largest frequency, so capped stays True either way",
 }
 
 SWAPS: dict[type, type] = {

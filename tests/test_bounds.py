@@ -483,19 +483,23 @@ class TestApplicability:
         rep = applicability(family_from_masks([0]))
         assert rep.alarm is None
 
-    def test_coverage_alarm_is_the_report_alarm(self, separating_corpora, monkeypatch):
-        # The battery asks for the alarm alone; with every witness set
-        # emptied, the covered families alarm and the rest stay quiet.
+    def test_alarm_exactly_on_covered_families_without_witnesses(
+            self, separating_corpora, monkeypatch):
+        # No family alarms while its witness set is intact; with every
+        # witness set emptied, exactly the families the rules call covered
+        # (n >= 1, m >= 1, a verdict other than not-covered) alarm.
         families = [f for corpus in separating_corpora.values() for f in corpus]
         families += [random_family(13, 6, seed) for seed in (4, 19, 26)]
         families += [random_family(16, 10, seed) for seed in range(3)]
-        verdicts = {applicability(f).verdict for f in families}
-        assert verdicts == {VERDICT_SMALL_M, VERDICT_LEMMA, VERDICT_THEOREM,
-                            VERDICT_NOT_COVERED}
-        for emptied in (False, True):
-            if emptied:
-                monkeypatch.setattr(bounds, "frankl_witnesses", lambda f: [])
-            alarms = [bounds._coverage_alarm(f) for f in families]
-            assert alarms == [applicability(f).alarm for f in families]
-            assert any(alarms) == emptied
-        assert not all(alarms)
+        reports = [applicability(f) for f in families]
+        assert {rep.verdict for rep in reports} == {VERDICT_SMALL_M, VERDICT_LEMMA,
+                                                    VERDICT_THEOREM, VERDICT_NOT_COVERED}
+        assert not any(rep.alarm for rep in reports)
+        monkeypatch.setattr(bounds, "frankl_witnesses", lambda f: [])
+        covered = [f.n >= 1 and f.universe_size >= 1
+                   and verdict_for(f.universe_size, f.n) != VERDICT_NOT_COVERED
+                   for f in families]
+        assert any(covered) and not all(covered)
+        alarm = "covered family has an empty witness set (potential counterexample)"
+        assert [applicability(f).alarm for f in families] \
+            == [alarm if c else None for c in covered]

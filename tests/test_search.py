@@ -357,6 +357,28 @@ class TestCorpusVerify:
         rep = corpus_verify(corpus)
         assert rep.ok
 
+    # The lemma line reports a top element in fewer than half the members
+    # of a family with 1 <= n <= 2m; frequencies planted below the real
+    # ones make the top element short.
+    @pytest.mark.parametrize("sets, freq, reported", [
+        ([{0}], (0,), True),
+        ([{0}, {1}, {0, 1}], (1, 1), True),
+        ([set(), {0}, {1}, {0, 1}], (1, 1), True),
+        ([{0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}], (3, 3, 3), False),
+    ], ids=["n=1", "n=3", "n=2m", "n=2m+1"])
+    def test_lemma_line_exactly_up_to_n_2m(self, sets, freq, reported):
+        f = make_family(sets)
+        f.__dict__["freq"] = freq
+        issues = [issue for _, issue in corpus_verify([f]).invariant_failures]
+        lemma = "lemma: top element below half frequency despite n <= 2m"
+        assert (lemma in issues) == reported
+
+    def test_one_member_chain_is_checked(self, monkeypatch):
+        real = witnesses.falgas_ravry_chain
+        monkeypatch.setattr(search, "falgas_ravry_chain", lambda f: replace(real(f), chain=()))
+        rep = corpus_verify([make_family([{0}])])
+        assert rep.invariant_failures == [("{{0}}", "chain: chain has 0 entries, expected 1")]
+
 
 # Seeds 0..399 of random_family(m, g, seed) for generator counts that reach
 # the theorem band 2m < n <= 2(m + m/(log2 m - log2 log2 m)).

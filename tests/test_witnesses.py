@@ -3,8 +3,10 @@ from dataclasses import replace
 import pytest
 
 from ucsets import (
+    ChainWitness,
     ContradictionError,
     PreconditionError,
+    SetFamily,
     counting_audit,
     elements_of,
     falgas_ravry_chain,
@@ -17,10 +19,17 @@ from ucsets import (
 )
 from ucsets.formats import transversal_to_json
 from ucsets.witnesses import a_sets, m_sets, max_index_elements
+from test_kernels import (
+    naive_counting_audit,
+    naive_verify_chain_witness,
+    naive_verify_transversal,
+    outcome,
+)
 
 CHAIN = make_family([{2}, {1, 2}, {0, 1, 2}])
 TRI = make_family([{0}, {1}, {0, 1}])
 SINGLE = make_family([{0}])
+E4 = make_family([set(), {0}, {1}, {0, 1}])
 
 
 def masks(sets):
@@ -100,12 +109,21 @@ class TestChain:
          ["pair witness (1,2) is not a member"]),
         (dict(pair_witnesses={(1, 2): 0b110, (1, 3): 0b100, (2, 3): 0b110}),
          ["pair witness (2,3) fails the containment pattern"]),
+        (dict(pair_witnesses={(2, 3): 0b100, (1, 3): 0b100, (1, 2): 0b110}), []),
     ], ids=["chain0-not-universe", "not-a-member", "misses-higher-rank", "pair-keys",
-            "pair-not-a-member", "pair-pattern"])
+            "pair-not-a-member", "pair-pattern", "pair-keys-reordered"])
     def test_verify_names_each_planted_fault(self, edit, issues):
         w = replace(falgas_ravry_chain(CHAIN), **edit)
         assert verify_chain_witness(CHAIN, w) == issues
 
+    def test_verify_names_chain1_holding_its_avoided_element(self):
+        # TRI's honest chain is (0b11, 0b10); its member {0} as chain[1]
+        # holds the rank-1 element 0 and misses the rank-2 element 1.
+        w = replace(falgas_ravry_chain(TRI), chain=(0b11, 0b01))
+        assert verify_chain_witness(TRI, w) == [
+            "chain[1] contains its avoided element 0",
+            "chain[1] misses a higher-ranked element",
+            "chain[1] is not contained in m_sets[1]"]
 
     def test_verify_names_a_chain_head_past_the_universe(self):
         w = replace(falgas_ravry_chain(CHAIN), chain=(0b1111, 0b110, 0b100))
@@ -192,6 +210,8 @@ class TestTransversal:
     @pytest.mark.parametrize("edit, issues", [
         (dict(u_hat=0b01, pb_family={0b01: 0b01}, full_sets_not_in_p=1),
          ["member 0x2 avoids the transversal"]),
+        (dict(u_hat=0b10, pb_family={0b10: 0b10}, full_sets_not_in_p=1),
+         ["member 0x1 avoids the transversal"]),
         (dict(u_hat=0, pb_family={}, full_sets_not_in_p=3),
          ["empty transversal with non-empty members present"]),
         (dict(pb_family={0b01: 0b01, 0b10: 0b10, 0b111: 0b11}),
@@ -199,7 +219,8 @@ class TestTransversal:
           "pattern member for 0x7 has trace != pattern"]),
         (dict(pb_family={0b01: 0b01, 0b10: 0b10, 0b11: 0b111}, full_sets_not_in_p=1),
          ["pattern member for 0x3 is not a member"]),
-    ], ids=["member-avoids", "empty", "pattern-outside", "pattern-not-a-member"])
+    ], ids=["member-avoids", "first-member-avoids", "empty", "pattern-outside",
+            "pattern-not-a-member"])
     def test_verify_names_each_planted_fault(self, edit, issues):
         tr = replace(minimal_transversal(TRI), **edit)
         assert verify_transversal(TRI, tr) == issues
@@ -233,6 +254,14 @@ class TestTransversal:
             "element 1 lies in 1 patterns, expected 2",
             "full-set count 0 != recomputed 1"]
 
+    def test_verify_names_an_empty_pattern_in_place_of_a_singleton(self):
+        # The patterns 0x2, 0x3 and the empty one: three, each traced, but
+        # the singleton {0} is missing.
+        tr = replace(minimal_transversal(E4), pb_family={0b10: 0b10, 0b11: 0b11, 0: 0})
+        assert verify_transversal(E4, tr) == [
+            "pattern 0x0 is not a non-empty transversal subset",
+            "element 0 lies in 1 patterns, expected 2"]
+
     def test_verify_flags_wrong_trace(self):
         tr = minimal_transversal(TRI)
         bad = replace(tr, pb_family={**tr.pb_family, 0b01: 0b11})
@@ -261,7 +290,9 @@ class TestVerifiersReadFamilyData:
         ((0b11, 0b00, 0b01),
          ["m_sets[1] misses a higher-ranked element",
           "chain[1] is not contained in m_sets[1]"]),
-    ], ids=["length", "m0-not-universe", "misses-higher-rank"])
+        ((0b11,), ["m_sets has 1 entries, expected 3"]),
+        ((0b111, 0b10, 0b01), ["m_sets[0] is not the universe"]),
+    ], ids=["length", "m0-not-universe", "misses-higher-rank", "short", "m0-past-universe"])
     def test_m_sets_faults(self, m_sets_, issues):
         f = self.planted(m_sets=m_sets_)
         assert verify_chain_witness(f, falgas_ravry_chain(TRI)) == issues
@@ -270,6 +301,16 @@ class TestVerifiersReadFamilyData:
         f = self.planted(freq=(1, 1))  # the tie keeps the order (0, 1)
         assert verify_chain_witness(f, falgas_ravry_chain(TRI)) == [
             "top element 1 has frequency below the universe size 2"]
+
+    def test_chain_head_inside_every_m_set_but_the_first(self):
+        # Element 2 lies past TRI's universe, in m_sets[1] and m_sets[2]
+        # but not in m_sets[0].
+        f = self.planted(m_sets=(0b11, 0b110, 0b101))
+        w = replace(falgas_ravry_chain(TRI), chain=(0b100, 0b10))
+        assert verify_chain_witness(f, w) == [
+            "chain[0] is not the universe", "chain[0] is not a member",
+            "chain[0] misses a higher-ranked element",
+            "chain[0] is not contained in m_sets[0]"]
 
     def test_member_avoiding_every_top_element(self):
         # every member topped by element 0: the member {1} avoids {0}
@@ -282,6 +323,24 @@ class TestVerifiersReadFamilyData:
         f = self.planted(tops=(0b010, 0b101))
         assert verify_transversal(f, minimal_transversal(TRI)) == [
             "a_sets[0] does not contain 0", "a_sets[0] escapes m_sets[2]"]
+
+    @pytest.mark.parametrize("sets, tops, issues", [
+        # element 0 said to top only the empty member
+        ([set(), {0}, {1}, {0, 1}], (0b0001, 0b1100), ["a_sets[0] does not contain 0"]),
+        # the top-ranked element 1 said to top only {0}, element 0 nothing
+        ([{0}, {1}, {0, 1}], (0, 0b001),
+         ["transversal is not a subset of the top-element set",
+          "a_sets[1] does not contain 1"]),
+        # the top-ranked element 0 said to top only {1}, which holds id 1
+        ([{0}, {1}, {0, 1}, {0, 2}, {0, 1, 2}], (0b10, 0, 0),
+         ["transversal is not a subset of the top-element set",
+          "a_sets[0] does not contain 0"]),
+    ], ids=["empty-member", "only-top-element", "next-id"])
+    def test_a_set_missing_its_element_inside_the_m_sets(self, sets, tops, issues):
+        f = make_family(sets)
+        tr = minimal_transversal(f)
+        f.__dict__["tops"] = tops
+        assert verify_transversal(f, tr) == issues
 
     def test_a_set_missing_its_top_ranked_element(self):
         # the top-ranked element 1 said to top only the member {0}; no m_set
@@ -304,6 +363,22 @@ class TestVerifiersReadFamilyData:
         f = self.planted(m_sets=(0b11, 0, 0b01))
         assert verify_transversal(f, minimal_transversal(TRI)) == [
             "top element 1 missing from m_sets[1]"]
+
+    @pytest.mark.parametrize("sets, m_sets_, issues", [
+        # TRI's m_sets[1] holds element 0, which it avoids, in place of 1
+        ([{0}, {1}, {0, 1}], (0b11, 0b01, 0b11), ["top element 1 missing from m_sets[1]"]),
+        # TRI's m_sets[2] holds every top element, its m_sets[0] does not
+        ([{0}, {1}, {0, 1}], (0b01, 0b10, 0b11), ["top element 1 missing from m_sets[0]"]),
+        # CHAIN's m_sets[1] is empty, and no m_set above it holds an
+        # element ranked at or below its own rank
+        ([{2}, {1, 2}, {0, 1, 2}], (0b111, 0, 0b100, 0),
+         ["top element 2 missing from m_sets[1]"]),
+    ], ids=["m1-holds-its-avoided-element", "m0-misses-top", "only-m1-short"])
+    def test_top_element_missing_where_the_other_m_sets_fit(self, sets, m_sets_, issues):
+        f = make_family(sets)
+        tr = minimal_transversal(f)
+        f.__dict__["m_sets"] = m_sets_
+        assert verify_transversal(f, tr) == issues
 
     def test_transversal_outside_the_top_element_set(self):
         # every member topped by element 1: the top-element set is {1}
@@ -362,3 +437,42 @@ class TestCountingAudit:
         a = counting_audit(make_family([set()]), minimal_transversal(make_family([set()])))
         assert (a.n, a.k, a.rhs) == (1, 0, 1)
         assert a.inequality_holds
+
+
+# Inputs on which a shortcut of the verifiers or the audit could part from
+# the member loops of test_kernels: empty and unvalidated families, cached
+# data planted on a family, and witnesses edited past the universe.
+# Entry: (family, planted cached values, chain edit, transversal edit).
+EDGE_INPUTS = {
+    "empty": (make_family([]), {}, {}, {}),
+    "empty-one-id": (SetFamily(1, ()), {}, {}, {}),
+    "empty-one-id-m0-past": (SetFamily(1, ()), {"m_sets": (1, 0)}, {}, {}),
+    "single": (SINGLE, {}, {}, {}),
+    "single-one-more-id": (SetFamily(2, SINGLE.members), {}, {}, {}),
+    "single-freq-0": (SINGLE, {"freq": (0,)}, {}, {}),
+    "single-m1-holds-0": (SINGLE, {"m_sets": (1, 1)}, {}, {}),
+    "single-u_hat-0": (SINGLE, {}, {}, {"u_hat": 0}),
+    "single-u_hat-1": (SINGLE, {}, {}, {"u_hat": 0b10}),
+    "single-u_hat-01": (SINGLE, {}, {}, {"u_hat": 0b11}),
+    "tri": (TRI, {}, {}, {}),
+    "tri-freq-3-2": (TRI, {"freq": (3, 2)}, {}, {}),
+    "tri-chain0-a-member": (TRI, {}, {"chain": (0b01, 0b10)}, {}),
+    "tri-pair-witness-empty": (TRI, {}, {"pair_witnesses": {(1, 2): 0}}, {}),
+    "tri-u_hat-1": (TRI, {}, {}, {"u_hat": 0b10}),
+    "tri-pattern-0x1-missing": (TRI, {}, {}, {"pb_family": {0b10: 0b01, 0b11: 0b11}}),
+    "e4-pair-witness-empty": (E4, {}, {"pair_witnesses": {(1, 2): 0}}, {}),
+    "e4-u_hat-012": (E4, {}, {}, {"u_hat": 0b111}),
+    "e4-pattern-member-empty": (E4, {}, {}, {"pb_family": {0b01: 0, 0b10: 0b10, 0b11: 0b11}}),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_INPUTS)
+def test_verifiers_and_audit_match_member_loops_on_edge_inputs(case):
+    g, cached, chain_edit, tr_edit = EDGE_INPUTS[case]
+    w = falgas_ravry_chain(g) if g.n else ChainWitness(chain=(), pair_witnesses={})
+    w, tr = replace(w, **chain_edit), replace(minimal_transversal(g), **tr_edit)
+    f = SetFamily(g.universe_size, g.members)
+    f.__dict__.update(cached)
+    assert outcome(verify_chain_witness, f, w) == outcome(naive_verify_chain_witness, f, w)
+    assert outcome(verify_transversal, f, tr) == outcome(naive_verify_transversal, f, tr)
+    assert outcome(counting_audit, f, tr) == outcome(naive_counting_audit, f, tr)
