@@ -32,7 +32,13 @@ from .family import (
     mask_of,
 )
 from .search import CorpusReport
-from .witnesses import ChainWitness, TransversalReport, a_sets, max_index_elements
+from .witnesses import (
+    ChainWitness,
+    TransversalReport,
+    a_sets,
+    counting_audit,
+    max_index_elements,
+)
 
 FAMILY_FIELDS = frozenset({"universe_size", "members"})
 M_SETS_DEFINITION = ("m_sets[i] is the union of all members NOT containing "
@@ -303,7 +309,7 @@ def transversal_to_json(f: SetFamily, tr: TransversalReport) -> dict[str, Any]:
             for b, p in sorted(tr.pb_family.items())
         },
         "empty_set_member": f.members[:1] == (0,),
-        "full_sets_not_in_p": tr.full_sets_not_in_p,
+        "full_sets_not_in_p": counting_audit(f, tr).full_extra,
     }
 
 

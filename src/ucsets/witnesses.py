@@ -206,13 +206,19 @@ class TransversalReport:
     witness pb_family[1 << x]; unions of those witnesses realize every
     non-empty intersection pattern B, so pb_family has exactly 2**k - 1
     pairwise distinct members.  The empty pattern is realizable only by the
-    empty set.  full_sets_not_in_p counts members containing all of u_hat
-    beyond those used in pb_family and the empty set.
+    empty set.  The record holds only these choices; counting_audit counts
+    the members that hold all of u_hat.
     """
 
     u_hat: int
     pb_family: dict[int, int]
-    full_sets_not_in_p: int
+
+
+def _u_columns(f: SetFamily, u_hat: int) -> list[int]:
+    """The columns of u_hat's elements in ascending id order.  An id past
+    the universe lies in no member, so its column is empty."""
+    columns, m = f.columns, f.universe_size
+    return [columns[x] if x < m else 0 for x in elements_of(u_hat)]
 
 
 def max_index_elements(f: SetFamily) -> int:
@@ -237,7 +243,9 @@ def minimal_transversal(f: SetFamily) -> TransversalReport:
     id order; one pass gives inclusion-minimality because a removal that
     fails once only gets harder as the set shrinks.  A non-empty member
     disjoint from the top-element set cannot exist (its own top element is
-    in there), so hitting that case raises ContradictionError.
+    in there), so hitting that case raises ContradictionError.  The report
+    holds u_hat and pb_family only: the members holding all of u_hat are
+    counted by counting_audit.
     """
     columns = f.columns
     members = f.members
@@ -285,10 +293,7 @@ def minimal_transversal(f: SetFamily) -> TransversalReport:
         low = b & -b
         pb[b] = pb.get(b ^ low, 0) | witnesses[low.bit_length() - 1]
         b = (b - u_hat) & u_hat
-
-    chosen = set(pb.values()) | {0}
-    full_extra = sum(1 for a in members if a & u_hat == u_hat and a not in chosen)
-    return TransversalReport(u_hat=u_hat, pb_family=pb, full_sets_not_in_p=full_extra)
+    return TransversalReport(u_hat=u_hat, pb_family=pb)
 
 
 def verify_transversal(f: SetFamily, tr: TransversalReport) -> list[str]:
@@ -296,27 +301,23 @@ def verify_transversal(f: SetFamily, tr: TransversalReport) -> list[str]:
 
     As for the chain, each group of checks is first decided by one test:
     over index masks of members from u_hat's columns (their OR holds the
-    members meeting u_hat, their AND those holding all of it), over the
-    pattern family's keys and values, or over ANDs of m_sets; only a group
-    that fails is walked member by member or element by element to name
-    its violations.
+    members meeting u_hat), over the pattern family's keys and values, or
+    over ANDs of m_sets; only a group that fails is walked member by member
+    or element by element to name its violations.  The count of members
+    holding all of u_hat is counting_audit's, not checked here.  An m_sets
+    of the wrong length skips the m_sets group: verify_chain_witness names
+    its length.
     """
     issues: list[str] = []
     members = f.members
     m = f.universe_size
     u_hat = tr.u_hat
-    columns = f.columns
-    if u_hat >> m:  # ids past the universe lie in no member
-        columns += (0,) * (u_hat.bit_length() - m)
-    u_columns = list(map(columns.__getitem__, elements_of(u_hat)))
-    every = (1 << f.n) - 1
-    nonempty = every ^ (members[:1] == (0,))
+    u_columns = _u_columns(f, u_hat)
+    nonempty = ((1 << f.n) - 1) ^ (members[:1] == (0,))
     hit = twice = 0  # members meeting u_hat at least once, at least twice
-    full = every
     for column in u_columns:
         twice |= hit & column
         hit |= column
-        full &= column
     tilde = max_index_elements(f)
 
     if u_hat & ~tilde:
@@ -364,14 +365,10 @@ def verify_transversal(f: SetFamily, tr: TransversalReport) -> list[str]:
                 issues.append(f"element {x} lies in {hits} patterns, "
                               f"expected {1 << (k - 1)}")
 
-    # The members holding all of u_hat, less those that pb_family or the
-    # empty set accounts for.
-    chosen = {0, *patterns} & member_set
-    full_extra = full.bit_count() - list(map(u_hat.__and__, chosen)).count(u_hat)
-    if full_extra != tr.full_sets_not_in_p:
-        issues.append(f"full-set count {tr.full_sets_not_in_p} != recomputed {full_extra}")
-
     ms = f.m_sets
+    if len(ms) != m + 1:
+        return issues
+    columns = f.columns
     order = f.order
     tops = f.tops
     # From the top rank down: inside is the AND of the m_sets above the
@@ -454,49 +451,48 @@ def counting_audit(f: SetFamily, tr: TransversalReport) -> CountingAudit:
     pre: f union-closed, separating, validated, and tr its minimal
     transversal.  Never raises on a violated summary claim; those become
     False bullets and inequality_holds=False.  Members are counted as index
-    masks over u_hat's columns, less the pattern members among them.
+    masks over u_hat's columns, less the pattern members among them; this
+    is the only count of the full sets (full_extra).  Frequencies are read
+    from f.freq; an id of u_hat past the universe has frequency 0 and an
+    empty column.
     """
     m, n, u_hat = f.universe_size, f.n, tr.u_hat
     k = u_hat.bit_count()
     counts = f.freq
     c = (max(counts) - m) if m >= 1 else 0
-    columns = f.columns
+    u_counts = [counts[x] for x in elements_of(u_hat) if x < m]
+    u_columns = _u_columns(f, u_hat)
     every = (1 << n) - 1
-    incidence_total = 0
-    capped = True
-    hit = 0  # the members meeting u_hat
-    full = every  # the members holding all of it
-    for x in elements_of(u_hat):
-        incidence_total += counts[x]
-        capped = capped and counts[x] <= m + c
-        hit |= columns[x]
-        full &= columns[x]
+    hit = reduce(or_, u_columns, 0)  # the members meeting u_hat
+    full = reduce(and_, u_columns, every)  # the members holding all of it
     p_incidences = sum(map(int.bit_count, tr.pb_family))
     empty_member = f.members[:1] == (0,)
     nonempty = every ^ empty_member
 
-    # The other members are the non-empty ones that neither hold all of
-    # u_hat nor are pattern members; the touch bullet asks that none of
-    # them misses u_hat.
+    # The full sets are the non-empty members holding all of u_hat that are
+    # not pattern members; the other members are the non-empty ones that
+    # neither hold all of u_hat nor are pattern members, and the touch
+    # bullet asks that none of them misses u_hat.
     chosen = set(tr.pb_family.values()).intersection(f.members)
     chosen.discard(0)
     traces = list(map(u_hat.__and__, chosen))
+    full_extra = (full & nonempty).bit_count() - traces.count(u_hat)
     others = (nonempty & ~full).bit_count() - len(traces) + traces.count(u_hat)
 
     rhs = k * (m + c) + ((1 << k) - k * (1 << k >> 1)) + (m - k) * (1 - k)
     bullets = {
-        "frequency_cap": capped,
+        "frequency_cap": max(u_counts, default=0) <= m + c,
         "p_family_incidences": p_incidences == k * (1 << k >> 1),
-        "full_sets": tr.full_sets_not_in_p >= m - k,
+        "full_sets": full_extra >= m - k,
         "remaining_touch": not u_hat or (nonempty & ~hit).bit_count() == traces.count(0),
     }
     return CountingAudit(
         m=m, n=n, k=k, c=c,
-        incidence_total=incidence_total,
+        incidence_total=sum(u_counts),
         incidence_upper=k * (m + c),
         p_incidences=p_incidences,
         p_family_size=(1 << k) - 1 + empty_member,
-        full_extra=tr.full_sets_not_in_p,
+        full_extra=full_extra,
         other_nonempty=others,
         rhs=rhs,
         bullets_ok=bullets,

@@ -1,11 +1,13 @@
 """Mutation smoke test for a group of functions: the threshold verdict and
 its calculus, the canonical NDJSON line decoder, the exhaustive search,
-the test that generator mode applies at its leaves, the corpus battery, or
-the chain and transversal verifiers with the counting audit.
+the test that generator mode applies at its leaves, the corpus battery,
+the chain and transversal verifiers with the counting audit, or the chain
+and transversal builders.
 
 Run from the repository root; pytest does not collect this file:
 
-    python3 tests/mutation_smoke.py [bounds|ndjson|enumerate|generators|battery|verifiers]
+    python3 tests/mutation_smoke.py \
+        [bounds|ndjson|enumerate|generators|battery|verifiers|builders]
 
 A group is a module, the functions mutated in it and the test files or
 pytest node ids run against each mutant (GROUPS; bounds by default).
@@ -13,8 +15,10 @@ Each mutant changes one thing in one of the functions: < and <=, > and
 >=, == and !=, is and is not swap, + and - swap, and and or swap, & and
 | swap, a not is dropped, or an integer constant moves by one.  The
 mutant is written into a temporary copy of the repository's src/ and
-tests/, and the group's tests run against it with -x, one pytest process at a time, its address
-space capped at MEMORY_CAP.  A mutant that no test fails survives, unless
+tests/, and the group's tests run against it with -x, one pytest process
+at a time, its address space capped at MEMORY_CAP.  Hypothesis runs with
+seed 0 and no example database, so a run gives each mutant the same
+outcome as the last.  A mutant that no test fails survives, unless
 EQUIVALENT names it; a mutant that runs past its group's timeout is
 killed.  The script prints one line per mutant and exits 1 when a mutant
 survives that EQUIVALENT does not name.
@@ -57,10 +61,15 @@ GROUPS = {
                      ("tests/test_search.py", "tests/test_sharding.py",
                       "tests/test_cli.py::TestVerify"), 80),
     "verifiers": Group(Path("src/ucsets/witnesses.py"),
-                       ("verify_chain_witness", "verify_transversal", "counting_audit"),
+                       ("verify_chain_witness", "verify_transversal", "_u_columns",
+                        "counting_audit"),
                        ("tests/test_witnesses.py",
                         "tests/test_kernels.py::test_verifiers_and_audit_match_member_loops",
                         "tests/test_acceptance.py"), 40),
+    "builders": Group(Path("src/ucsets/witnesses.py"),
+                      ("falgas_ravry_chain", "minimal_transversal"),
+                      ("tests/test_witnesses.py", "tests/test_kernels.py",
+                       "tests/test_acceptance.py"), 100),
 }
 # A mutant that grows a list without end fails with MemoryError at this
 # cap instead of taking the machine's memory.
@@ -116,8 +125,6 @@ EQUIVALENT = {
     "verify_chain_witness: & -> | at col 65 of "
     "`elif not (m_sets_fit and ms[0] == covered and not (chain and chain[0] & ~ms[0])):`":
         _MORE,
-    "verify_transversal: - -> + at col 27 of `columns += (0,) * (u_hat.bit_length() - m)`":
-        "the extra columns are 0, and a zero column adds no member or element to any mask",
     "verify_transversal: & -> | at col 17 of `twice |= hit & column`": _MORE,
     "verify_transversal: & -> | at col 17 of `if u_hat and nonempty & ~hit:`": _MORE,
     "verify_transversal: and -> or at col 7 of "
@@ -152,8 +159,15 @@ EQUIVALENT = {
     "verify_transversal: 1 -> 2 at col 44 of `rank = dict(zip(order, range(1, m + 1)))`": _RANKS,
     "verify_transversal: & -> | at col 46 of "
     "`if not (a_sets_fit and m_sets_fit and not tilde & ~ms[0]):`": _ALWAYS,
-    "counting_audit: and -> or at col 17 of `capped = capped and counts[x] <= m + c`":
-        "m + c is the largest frequency, so capped stays True either way",
+    "falgas_ravry_chain: & -> | at col 56 of "
+    "`witness = pair_witnesses[(i, j)] = members[(hits & -hits).bit_length() - 1]`":
+        "for hits > 0, hits | -hits is minus the lowest bit of hits, "
+        "which has the same bit_length",
+    "minimal_transversal: 1 -> 2 at col 37 of `later = [0] * (len(candidates) + 1)`":
+        "later is read only up to index len(candidates), so the extra 0 is never read",
+    'counting_audit: 0 -> -1 at col 47 of `"frequency_cap": max(u_counts, default=0) <= m + c,`':
+        "the default is read only when no id of u_hat lies in the universe, and m + c, "
+        "the largest frequency or 0 when there is no element, is at least 0 > -1",
 }
 
 SWAPS: dict[type, type] = {
@@ -247,10 +261,12 @@ def run_tests(copy_root: Path, group: Group) -> str:
     # No bytecode is cached: a .pyc checks only the source's size and its
     # mtime in seconds, which two mutants written in one second can share.
     env = {**os.environ, "PYTHONPATH": str(copy_root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    # Examples saved while an earlier mutant ran would be replayed first.
+    shutil.rmtree(copy_root / ".hypothesis", ignore_errors=True)
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             *group.tests],
+             "--hypothesis-seed=0", *group.tests],
             cwd=copy_root, env=env, preexec_fn=_cap_memory,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=group.timeout_s)
     except subprocess.TimeoutExpired:

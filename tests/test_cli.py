@@ -635,7 +635,7 @@ class TestVerify:
             "falgas_ravry_chain", lambda w: replace(w, pair_witnesses={})))
         monkeypatch.setattr(search, "minimal_transversal", broken(
             "minimal_transversal",
-            lambda tr: replace(tr, full_sets_not_in_p=tr.full_sets_not_in_p + 1)))
+            lambda tr: replace(tr, pb_family={0b100: 0b101})))
         monkeypatch.setattr(search, "counting_audit", audit_then_zero_frequencies)
         p = tmp_path / "corpus.ndjson"
         p.write_text('{"members":[[2],[1,2],[0,1,2]],"universe_size":3}\n'
@@ -650,7 +650,7 @@ class TestVerify:
             f"FRANKL VIOLATION: {label}",
             f"INVARIANT FAILURE: {label}: chain: pair witness keys are not exactly the "
             "rank pairs i<j",
-            f"INVARIANT FAILURE: {label}: transversal: full-set count 3 != recomputed 2",
+            f"INVARIANT FAILURE: {label}: transversal: pattern member for 0x4 is not a member",
             f"INVARIANT FAILURE: {label}: lemma: top element below half frequency "
             "despite n <= 2m",
             f"INVARIANT FAILURE: {label}: applicability: covered family has an empty "

@@ -291,13 +291,9 @@ def naive_verify_transversal(f, tr):
             issues.append(f"element {x} lies in {hits} patterns, "
                           f"expected {1 << (k - 1)}")
 
-    chosen = set(tr.pb_family.values()) | {0}
-    full_extra = sum(1 for a in f.members
-                     if a & tr.u_hat == tr.u_hat and a not in chosen)
-    if full_extra != tr.full_sets_not_in_p:
-        issues.append(f"full-set count {tr.full_sets_not_in_p} != recomputed {full_extra}")
-
     ms = f.m_sets
+    if len(ms) != m + 1:  # the chain verifier names the length
+        return issues
     for x, ax in a_sets(f).items():
         if not ax >> x & 1:
             issues.append(f"a_sets[{x}] does not contain {x}")
@@ -314,25 +310,27 @@ def naive_verify_transversal(f, tr):
 
 
 def naive_counting_audit(f, tr):
-    """The audit's counts and bullets, one member at a time."""
+    """The audit's counts and bullets, one member at a time.  An id of u_hat
+    past the universe has frequency 0."""
     m, n, k = f.universe_size, f.n, tr.u_hat.bit_count()
     counts = f.freq
     c = (max(counts) - m) if m >= 1 else 0
 
-    u_hat_elems = elements_of(tr.u_hat)
-    incidence_total = sum(counts[x] for x in u_hat_elems)
+    u_hat_freqs = [counts[x] if x < m else 0 for x in elements_of(tr.u_hat)]
+    incidence_total = sum(u_hat_freqs)
     incidence_upper = k * (m + c)
     p_incidences = sum(b.bit_count() for b in tr.pb_family)
     p_family_size = (1 << k) - 1 + (f.members[:1] == (0,))
 
     chosen = set(tr.pb_family.values())
-    full_extra = tr.full_sets_not_in_p
+    full_extra = sum(1 for a in f.members
+                     if a and a not in chosen and a & tr.u_hat == tr.u_hat)
     others = [a for a in f.members
               if a and a not in chosen and a & tr.u_hat != tr.u_hat]
 
     rhs = k * (m + c) + ((1 << k) - k * (1 << k >> 1)) + (m - k) * (1 - k)
     bullets = {
-        "frequency_cap": all(counts[x] <= m + c for x in u_hat_elems),
+        "frequency_cap": all(freq <= m + c for freq in u_hat_freqs),
         "p_family_incidences": p_incidences == k * (1 << k >> 1),
         "full_sets": full_extra >= m - k,
         "remaining_touch": all(a & tr.u_hat for a in others),
@@ -933,12 +931,12 @@ def test_reader_matches_per_id_reference_on_edge_documents(members, m):
 # "unused-id" keeps them honest on g over one more element, which no member
 # holds.
 WITNESS_EDITS = ["none", "none", "unused-id", "chain", "pair", "pair-key", "u_hat",
-                 "pattern", "pattern-key", "full-count", "m_sets", "tops", "freq"]
+                 "pattern", "pattern-key", "m_sets", "tops", "freq"]
 
 
 def planted(g, data):
     """A fresh copy of g with an honest chain and transversal, one of the
-    three, or the copy's cached m_sets, tops or freq, edited as drawn.
+    two, or the copy's cached m_sets, tops or freq, edited as drawn.
 
     A mask is edited by flipping one bit, up to one id past the universe,
     or replaced by a member of g, so that it stays close to an honest one.
@@ -983,9 +981,6 @@ def planted(g, data):
         if data.draw(st.booleans()):
             pb[edited(key)] = member
         tr = replace(tr, pb_family=pb)
-    elif edit == "full-count":
-        tr = replace(tr, full_sets_not_in_p=tr.full_sets_not_in_p
-                     + data.draw(st.sampled_from([-1, 1])))
     elif edit in ("m_sets", "tops", "freq") and g.universe_size:
         values = list(getattr(g, edit))
         i = data.draw(st.integers(0, len(values) - 1))
@@ -999,17 +994,10 @@ def planted(g, data):
     return h, w, tr
 
 
-def outcome(check, *args):
-    try:
-        return check(*args)
-    except IndexError as exc:  # both audits index freq by a u_hat past the universe
-        return type(exc)
-
-
 @settings(max_examples=250, deadline=None)
 @given(families(max_m=7), st.data())
 def test_verifiers_and_audit_match_member_loops(f, data):
     h, w, tr = planted(separating_union_closed(f), data)
-    assert outcome(verify_chain_witness, h, w) == outcome(naive_verify_chain_witness, h, w)
-    assert outcome(verify_transversal, h, tr) == outcome(naive_verify_transversal, h, tr)
-    assert outcome(counting_audit, h, tr) == outcome(naive_counting_audit, h, tr)
+    assert verify_chain_witness(h, w) == naive_verify_chain_witness(h, w)
+    assert verify_transversal(h, tr) == naive_verify_transversal(h, tr)
+    assert counting_audit(h, tr) == naive_counting_audit(h, tr)

@@ -23,7 +23,6 @@ from test_kernels import (
     naive_counting_audit,
     naive_verify_chain_witness,
     naive_verify_transversal,
-    outcome,
 )
 
 CHAIN = make_family([{2}, {1, 2}, {0, 1, 2}])
@@ -153,7 +152,6 @@ class TestTransversal:
         tr = minimal_transversal(TRI)
         assert tr.u_hat == 0b11
         assert tr.pb_family == {0b01: 0b01, 0b10: 0b10, 0b11: 0b11}
-        assert tr.full_sets_not_in_p == 0
 
     def test_chain_family(self):
         tr = minimal_transversal(CHAIN)
@@ -206,18 +204,18 @@ class TestTransversal:
         assert any("not inclusion-minimal" in s for s in issues)
 
     # TRI's honest report: u_hat 0b11, pb_family {0b01: 0b01, 0b10: 0b10,
-    # 0b11: 0b11}, no full set beyond pb_family.
+    # 0b11: 0b11}.
     @pytest.mark.parametrize("edit, issues", [
-        (dict(u_hat=0b01, pb_family={0b01: 0b01}, full_sets_not_in_p=1),
+        (dict(u_hat=0b01, pb_family={0b01: 0b01}),
          ["member 0x2 avoids the transversal"]),
-        (dict(u_hat=0b10, pb_family={0b10: 0b10}, full_sets_not_in_p=1),
+        (dict(u_hat=0b10, pb_family={0b10: 0b10}),
          ["member 0x1 avoids the transversal"]),
-        (dict(u_hat=0, pb_family={}, full_sets_not_in_p=3),
+        (dict(u_hat=0, pb_family={}),
          ["empty transversal with non-empty members present"]),
         (dict(pb_family={0b01: 0b01, 0b10: 0b10, 0b111: 0b11}),
          ["pattern 0x7 is not a non-empty transversal subset",
           "pattern member for 0x7 has trace != pattern"]),
-        (dict(pb_family={0b01: 0b01, 0b10: 0b10, 0b11: 0b111}, full_sets_not_in_p=1),
+        (dict(pb_family={0b01: 0b01, 0b10: 0b10, 0b11: 0b111}),
          ["pattern member for 0x3 is not a member"]),
     ], ids=["member-avoids", "first-member-avoids", "empty", "pattern-outside",
             "pattern-not-a-member"])
@@ -240,8 +238,7 @@ class TestTransversal:
         tr = replace(minimal_transversal(TRI), pb_family={0b01: 0b01, 0b10: 0b10, 0b11: 0b10})
         assert verify_transversal(TRI, tr) == [
             "pattern family members are not pairwise distinct",
-            "pattern member for 0x3 has trace != pattern",
-            "full-set count 0 != recomputed 1"]
+            "pattern member for 0x3 has trace != pattern"]
 
     def test_verify_names_an_empty_pattern(self):
         # The empty member keyed by the empty pattern: its trace matches,
@@ -251,8 +248,7 @@ class TestTransversal:
         assert verify_transversal(f, tr) == [
             "pattern 0x0 is not a non-empty transversal subset",
             "element 0 lies in 1 patterns, expected 2",
-            "element 1 lies in 1 patterns, expected 2",
-            "full-set count 0 != recomputed 1"]
+            "element 1 lies in 1 patterns, expected 2"]
 
     def test_verify_names_an_empty_pattern_in_place_of_a_singleton(self):
         # The patterns 0x2, 0x3 and the empty one: three, each traced, but
@@ -396,6 +392,7 @@ class TestCountingAudit:
         assert a.incidence_upper == 4
         assert a.p_incidences == 4
         assert a.p_family_size == 3
+        assert a.full_extra == 0
         assert a.inequality_holds
         assert all(a.bullets_ok.values())
 
@@ -430,6 +427,12 @@ class TestCountingAudit:
         assert a.p_family_size == 2  # singleton pattern plus the empty set
         assert a.n == 2
 
+    def test_transversal_past_the_universe(self):
+        # u_hat names id 1, which lies in no member of {{0}}: frequency 0,
+        # an empty column, so no member holds all of u_hat.
+        a = counting_audit(SINGLE, replace(minimal_transversal(SINGLE), u_hat=0b10))
+        assert (a.k, a.incidence_total, a.full_extra, a.other_nonempty) == (1, 0, 0, 0)
+
     def test_degenerate_families(self):
         a = counting_audit(make_family([]), minimal_transversal(make_family([])))
         assert (a.n, a.k, a.rhs) == (0, 0, 1)
@@ -454,8 +457,10 @@ EDGE_INPUTS = {
     "single-u_hat-0": (SINGLE, {}, {}, {"u_hat": 0}),
     "single-u_hat-1": (SINGLE, {}, {}, {"u_hat": 0b10}),
     "single-u_hat-01": (SINGLE, {}, {}, {"u_hat": 0b11}),
+    "single-m_sets-short": (SINGLE, {"m_sets": (1,)}, {}, {}),
     "tri": (TRI, {}, {}, {}),
     "tri-freq-3-2": (TRI, {"freq": (3, 2)}, {}, {}),
+    "tri-m_sets-long": (TRI, {"m_sets": (0b11, 0b10, 0b01, 0)}, {}, {}),
     "tri-chain0-a-member": (TRI, {}, {"chain": (0b01, 0b10)}, {}),
     "tri-pair-witness-empty": (TRI, {}, {"pair_witnesses": {(1, 2): 0}}, {}),
     "tri-u_hat-1": (TRI, {}, {}, {"u_hat": 0b10}),
@@ -473,6 +478,6 @@ def test_verifiers_and_audit_match_member_loops_on_edge_inputs(case):
     w, tr = replace(w, **chain_edit), replace(minimal_transversal(g), **tr_edit)
     f = SetFamily(g.universe_size, g.members)
     f.__dict__.update(cached)
-    assert outcome(verify_chain_witness, f, w) == outcome(naive_verify_chain_witness, f, w)
-    assert outcome(verify_transversal, f, tr) == outcome(naive_verify_transversal, f, tr)
-    assert outcome(counting_audit, f, tr) == outcome(naive_counting_audit, f, tr)
+    assert verify_chain_witness(f, w) == naive_verify_chain_witness(f, w)
+    assert verify_transversal(f, tr) == naive_verify_transversal(f, tr)
+    assert counting_audit(f, tr) == naive_counting_audit(f, tr)
