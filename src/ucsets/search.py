@@ -281,19 +281,21 @@ def corpus_verify(corpus: Iterable[SetFamily | Undecoded]) -> CorpusReport:
     own lines and a decoding error is raised in its place in corpus order.
 
     The corpus is cut into batches of about BATCH_MEMBERS members, and each
+    batch runs the battery one stage at a time (_verify_batch).  Each full
     batch is verified in a forked child process, at most one per CPU at a
     time; the parent merges the partial reports in corpus order, so the
-    report is the one a serial sweep gives.  With one CPU, without
-    os.fork, while other threads run, or when the corpus fits in one batch,
-    the sweep runs in this process.  Exceptions are raised as a serial
-    sweep raises them: the first one in corpus order wins, whether a child
-    raised it or the corpus raised it here.  No child outlives the call.
+    report is the one a family-by-family sweep gives.  With one CPU,
+    without os.fork or while other threads run, the batches are verified
+    one after another in this process, so that it holds one batch at a
+    time; the last, partial batch always runs here.  Exceptions are raised
+    as a family-by-family sweep raises them: the first one in corpus order
+    wins, whether a batch raised it, in a child or here, or the corpus
+    raised it here.  No child outlives the call.
     """
     workers = _worker_count()
     # A forked child has only the forking thread, and a lock another thread
     # held stays held in the child, so a process with threads forks none.
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return _verify_batch(corpus)
+    forks = workers >= 2 and hasattr(os, "fork") and threading.active_count() == 1
     rep = CorpusReport()
     running: deque[tuple[int, BinaryIO]] = deque()
     batch: list[SetFamily | Undecoded] = []
@@ -312,9 +314,12 @@ def corpus_verify(corpus: Iterable[SetFamily | Undecoded]) -> CorpusReport:
             batch.append(f)
             size += f.n + 1
             if size >= BATCH_MEMBERS:
-                if len(running) == workers:
-                    rep.merge(_collect(running))
-                running.append(_fork(batch))
+                if not forks:
+                    rep.merge(_verify_batch(batch))
+                else:
+                    if len(running) == workers:
+                        rep.merge(_collect(running))
+                    running.append(_fork(batch))
                 batch, size = [], 0
         try:
             tail = _verify_batch(batch)
@@ -392,61 +397,104 @@ def _reap(running: deque[tuple[int, BinaryIO]]) -> None:
 
 
 def _verify_batch(families: Iterable[SetFamily | Undecoded]) -> CorpusReport:
-    """The battery over families, in this process, decoding each Undecoded
-    entry when its turn comes.  Labels are rendered only for the families
-    that get reported: rendering a large family costs more than checking
-    it."""
+    """The battery over one batch, in this process, one stage at a time.
+
+    The batch is decoded first, then four stages each run over the families
+    that reached them: validation, the union-closed check, separation and
+    the tallies; the Frankl witnesses; the chain; and the transversal with
+    the audit, the lemma and the coverage alarm.  One function over the
+    whole batch before the next costs less than the battery family by
+    family, most on small families, and the report is the same: each list
+    is filled in family order, and a family's chain lines, found a stage
+    earlier, are reported just before its transversal lines.  An exception
+    cuts the batch at its family: the later stages run only on the families
+    before it, and the exception raised at the end is the one of the first
+    family that raised, as family by family.  Labels are rendered only for
+    the families that get reported: rendering a large family costs more
+    than checking it.
+    """
+    # Each stage appends a family to the next stage's list once it is done
+    # with it, so a stage that raises leaves out its family and those after
+    # it, and the exception caught last belongs to the earliest family.
+    error: Exception | None = None
+    decoded: list[SetFamily] = []
+    try:
+        for f in families:
+            decoded.append(f if isinstance(f, SetFamily) else f.decode())
+    except Exception as exc:
+        error = exc
+
     rep = CorpusReport()
-    for f in families:
-        if not isinstance(f, SetFamily):
-            f = f.decode()
-        rep.total_families += 1
-        if not f.covers_universe:
-            missing = elements_of(f.universe_mask & ~f.covered_mask)
-            rep.rejections.append((family_label(f),
-                                   f"not validated: element ids {missing} occur in no member"))
-            continue
-        gap = find_union_gap(f)
-        if gap is not None:
-            rep.rejections.append((family_label(f),
-                                   f"not union-closed: the union of {set_label(gap[0])} "
-                                   f"and {set_label(gap[1])} is missing"))
-            continue
-        rep.union_closed_count += 1
-        if not is_separating(f):
-            continue
-        rep.separating_count += 1
+    separating: list[SetFamily] = []
+    try:
+        for f in decoded:
+            rep.total_families += 1
+            if not f.covers_universe:
+                missing = elements_of(f.universe_mask & ~f.covered_mask)
+                rep.rejections.append((family_label(f),
+                                       f"not validated: element ids {missing} occur in no member"))
+                continue
+            gap = find_union_gap(f)
+            if gap is not None:
+                rep.rejections.append((family_label(f),
+                                       f"not union-closed: the union of {set_label(gap[0])} "
+                                       f"and {set_label(gap[1])} is missing"))
+                continue
+            rep.union_closed_count += 1
+            if is_separating(f):
+                rep.separating_count += 1
+                separating.append(f)
+    except Exception as exc:
+        error = exc
 
-        # The coverage alarm needs a family without a witness element, so
-        # only such a family asks applicability for it below.  A validated
-        # family with m >= 1 has a member, so n >= 1 needs no test here.
-        witnessless = f.universe_size >= 1 and not frankl_witnesses(f)
-        if witnessless:
-            rep.frankl_violations.append(family_label(f))
+    # The coverage alarm needs a family without a witness element, so only
+    # such a family asks applicability for it in the last stage.  A
+    # validated family with m >= 1 has a member, so n >= 1 needs no test.
+    witnessless: list[bool] = []
+    try:
+        for f in separating:
+            lacks = f.universe_size >= 1 and not frankl_witnesses(f)
+            if lacks:
+                rep.frankl_violations.append(family_label(f))
+            witnessless.append(lacks)
+    except Exception as exc:
+        error = exc
 
-        if f.n >= 1:
-            w = falgas_ravry_chain(f)
-            for issue in verify_chain_witness(f, w):
+    chain_issues: list[list[str]] = []
+    try:
+        for f in separating[:len(witnessless)]:
+            issues = verify_chain_witness(f, falgas_ravry_chain(f)) if f.n >= 1 else []
+            chain_issues.append(issues)
+    except Exception as exc:
+        error = exc
+
+    try:
+        for f, lacks, issues in zip(separating, witnessless, chain_issues):
+            for issue in issues:
                 rep.invariant_failures.append((family_label(f), "chain: " + issue))
 
-        tr = minimal_transversal(f)
-        for issue in verify_transversal(f, tr):
-            rep.invariant_failures.append((family_label(f), "transversal: " + issue))
+            tr = minimal_transversal(f)
+            for issue in verify_transversal(f, tr):
+                rep.invariant_failures.append((family_label(f), "transversal: " + issue))
 
-        audit = counting_audit(f, tr)
-        for name, passed in audit.bullets_ok.items():
-            if not passed:
-                rep.audit_failures.append((family_label(f), name))
-        if not audit.inequality_holds:
-            rep.audit_failures.append((family_label(f), "inequality"))
+            audit = counting_audit(f, tr)
+            for name, passed in audit.bullets_ok.items():
+                if not passed:
+                    rep.audit_failures.append((family_label(f), name))
+            if not audit.inequality_holds:
+                rep.audit_failures.append((family_label(f), "inequality"))
 
-        if 1 <= f.n <= 2 * f.universe_size:
-            if 2 * f.freq[f.order[-1]] < f.n:
-                rep.invariant_failures.append((
-                    family_label(f),
-                    "lemma: top element below half frequency despite n <= 2m"))
+            if 1 <= f.n <= 2 * f.universe_size:
+                if 2 * f.freq[f.order[-1]] < f.n:
+                    rep.invariant_failures.append((
+                        family_label(f),
+                        "lemma: top element below half frequency despite n <= 2m"))
 
-        alarm = witnessless and applicability(f).alarm
-        if alarm:
-            rep.invariant_failures.append((family_label(f), "applicability: " + alarm))
+            alarm = lacks and applicability(f).alarm
+            if alarm:
+                rep.invariant_failures.append((family_label(f), "applicability: " + alarm))
+    except Exception as exc:
+        error = exc
+    if error is not None:
+        raise error
     return rep

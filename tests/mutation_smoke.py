@@ -59,7 +59,9 @@ GROUPS = {
                         ("tests/test_search.py", "tests/test_kernels.py"), 75),
     "battery": Group(Path("src/ucsets/search.py"), ("_verify_batch",),
                      ("tests/test_search.py", "tests/test_sharding.py",
-                      "tests/test_cli.py::TestVerify"), 80),
+                      "tests/test_cli.py::TestVerify",
+                      "tests/test_kernels.py::test_staged_battery_matches_family_by_family_sweep"),
+                     80),
     "verifiers": Group(Path("src/ucsets/witnesses.py"),
                        ("verify_chain_witness", "verify_transversal", "_u_columns",
                         "counting_audit"),
@@ -165,6 +167,8 @@ EQUIVALENT = {
         "which has the same bit_length",
     "minimal_transversal: 1 -> 2 at col 37 of `later = [0] * (len(candidates) + 1)`":
         "later is read only up to index len(candidates), so the extra 0 is never read",
+    "_verify_batch: | -> & at col 11 of `error: Exception | None = None`":
+        "the annotation of a local variable is never evaluated",
     'counting_audit: 0 -> -1 at col 47 of `"frequency_cap": max(u_counts, default=0) <= m + c,`':
         "the default is read only when no id of u_hat lies in the universe, and m + c, "
         "the largest frequency or 0 when there is no element, is at least 0 > -1",

@@ -20,7 +20,11 @@ texts with bad ids.  The chain and transversal verifiers and the counting
 audit decide each group of checks over column bitmaps first; their member-
 and rank-loop references must give the same issues, in the same order, and
 the same audit record, on honest witnesses and on witnesses or cached
-family data with one planted edit.
+family data with one planted edit.  The corpus battery runs one stage at a
+time over each batch; the family-by-family sweep is its reference, which
+must give the same report or raise the same exception on corpora of
+rejected, non-separating and separating families and lines with planted
+faults, in one process and in forked batches.
 """
 
 import copy
@@ -47,8 +51,9 @@ from ucsets import (
     separating_quotient,
     union_closure,
 )
-from ucsets import search
-from ucsets.errors import FamilyParseError
+from ucsets import bounds, search
+from ucsets.cli import _Line
+from ucsets.errors import ContradictionError, FamilyParseError
 from ucsets.family import (
     _member_texts,
     closure_of_masks,
@@ -57,8 +62,10 @@ from ucsets.family import (
     elements_of,
     elements_text,
     family_label,
+    frankl_witnesses,
     frequency_profile,
     join_irreducibles,
+    set_label,
 )
 from ucsets.formats import (
     family_from_json_dict,
@@ -347,6 +354,64 @@ def naive_counting_audit(f, tr):
         bullets_ok=bullets,
         inequality_holds=n <= rhs,
     )
+
+
+def naive_verify_batch(families):
+    """The battery family by family: each family is decoded and goes through
+    every check before the next one starts.  It calls the battery's
+    functions through the search module, so what a test plants there
+    reaches both sweeps."""
+    rep = search.CorpusReport()
+    for f in families:
+        if not isinstance(f, SetFamily):
+            f = f.decode()
+        rep.total_families += 1
+        if not f.covers_universe:
+            missing = elements_of(f.universe_mask & ~f.covered_mask)
+            rep.rejections.append((family_label(f),
+                                   f"not validated: element ids {missing} occur in no member"))
+            continue
+        gap = search.find_union_gap(f)
+        if gap is not None:
+            rep.rejections.append((family_label(f),
+                                   f"not union-closed: the union of {set_label(gap[0])} "
+                                   f"and {set_label(gap[1])} is missing"))
+            continue
+        rep.union_closed_count += 1
+        if not search.is_separating(f):
+            continue
+        rep.separating_count += 1
+
+        witnessless = f.universe_size >= 1 and not search.frankl_witnesses(f)
+        if witnessless:
+            rep.frankl_violations.append(family_label(f))
+
+        if f.n >= 1:
+            w = search.falgas_ravry_chain(f)
+            for issue in search.verify_chain_witness(f, w):
+                rep.invariant_failures.append((family_label(f), "chain: " + issue))
+
+        tr = search.minimal_transversal(f)
+        for issue in search.verify_transversal(f, tr):
+            rep.invariant_failures.append((family_label(f), "transversal: " + issue))
+
+        audit = search.counting_audit(f, tr)
+        for name, passed in audit.bullets_ok.items():
+            if not passed:
+                rep.audit_failures.append((family_label(f), name))
+        if not audit.inequality_holds:
+            rep.audit_failures.append((family_label(f), "inequality"))
+
+        if 1 <= f.n <= 2 * f.universe_size:
+            if 2 * f.freq[f.order[-1]] < f.n:
+                rep.invariant_failures.append((
+                    family_label(f),
+                    "lemma: top element below half frequency despite n <= 2m"))
+
+        alarm = witnessless and search.applicability(f).alarm
+        if alarm:
+            rep.invariant_failures.append((family_label(f), "applicability: " + alarm))
+    return rep
 
 
 def naive_quotient(f):
@@ -1001,3 +1066,98 @@ def test_verifiers_and_audit_match_member_loops(f, data):
     assert verify_chain_witness(h, w) == naive_verify_chain_witness(h, w)
     assert verify_transversal(h, tr) == naive_verify_transversal(h, tr)
     assert counting_audit(h, tr) == naive_counting_audit(h, tr)
+
+
+# Faults planted into a corpus for the staged battery and its reference.
+# Each planted fault is keyed by the family's value, so a family decoded
+# from its line gets it too; "lemma" plants zero frequencies on a family
+# given as an object, and "bad-line" puts a malformed line in its place.
+BATTERY_FAULTS = ["none"] * 4 + [
+    "chain", "transversal", "both", "audit", "witnessless", "lemma", "raise-gap",
+    "raise-frankl", "raise-chain", "raise-transversal", "raise-alarm", "bad-line"]
+BAD_LINES = ["{not json}", '{"members":[[0]', '{"members":[[0,0]],"universe_size":1}']
+
+
+@st.composite
+def battery_corpora(draw):
+    """A corpus of families and NDJSON lines, rejected, non-separating and
+    separating ones, with the fault planted on each family value."""
+    family = families(max_m=5)
+    family |= family.map(separating_union_closed)
+    entries = draw(st.lists(st.tuples(family, st.sampled_from(BATTERY_FAULTS), st.booleans()),
+                            max_size=10))
+    corpus, faults = [], {}
+    for lineno, (f, fault, as_line) in enumerate(entries, start=1):
+        if fault == "bad-line":
+            corpus.append(_Line(lineno, draw(st.sampled_from(BAD_LINES))))
+            continue
+        faults.setdefault(f, fault)
+        if as_line:
+            corpus.append(_Line(lineno, family_to_ndjson(f)))
+        else:
+            if fault == "lemma":
+                f.__dict__["freq"] = (0,) * f.universe_size
+            corpus.append(f)
+    return corpus, faults
+
+
+def plant_battery_faults(mp, faults):
+    """Make the battery's functions in search, and the witness search that
+    applicability runs in bounds, plant each family's fault."""
+    def raising(kind, real):
+        def checked(f, *args):
+            if faults.get(f) == kind:
+                raise ContradictionError(f"{kind} planted on {family_label(f)}")
+            return real(f, *args)
+        return checked
+
+    def no_witnesses(f):
+        if faults.get(f) in ("witnessless", "raise-alarm"):
+            return []
+        return frankl_witnesses(f)
+
+    def short_chain(f):
+        w = falgas_ravry_chain(f)
+        return replace(w, chain=w.chain[:-1]) if faults.get(f) in ("chain", "both") else w
+
+    def no_patterns(f):
+        tr = minimal_transversal(f)
+        return replace(tr, pb_family={}) if faults.get(f) in ("transversal", "both") else tr
+
+    def failed_inequality(f, tr):
+        audit = counting_audit(f, tr)
+        if faults.get(f) == "audit":
+            audit.inequality_holds = False
+        return audit
+
+    mp.setattr(search, "find_union_gap", raising("raise-gap", find_union_gap))
+    mp.setattr(search, "frankl_witnesses", raising("raise-frankl", no_witnesses))
+    mp.setattr(bounds, "frankl_witnesses", no_witnesses)
+    mp.setattr(search, "falgas_ravry_chain", raising("raise-chain", short_chain))
+    mp.setattr(search, "minimal_transversal", raising("raise-transversal", no_patterns))
+    mp.setattr(search, "counting_audit", failed_inequality)
+    mp.setattr(search, "applicability", raising("raise-alarm", bounds.applicability))
+
+
+def battery_outcome(verify, corpus):
+    """The report, or the type, message and line of the exception raised."""
+    try:
+        return verify(corpus)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(battery_corpora())
+def test_staged_battery_matches_family_by_family_sweep(case):
+    corpus, faults = case
+    with pytest.MonkeyPatch.context() as mp:
+        plant_battery_faults(mp, faults)
+        expected = battery_outcome(naive_verify_batch, corpus)
+        assert battery_outcome(search._verify_batch, corpus) == expected
+        # Batches of about 8 members, run serially, then in children.
+        mp.setattr(search, "BATCH_MEMBERS", 8)
+        mp.setattr(search, "_worker_count", lambda: 1)
+        assert battery_outcome(corpus_verify, corpus) == expected
+        mp.setattr(search, "_worker_count", lambda: 2)
+        assert battery_outcome(corpus_verify, corpus) == expected

@@ -7,7 +7,7 @@ import signal
 import subprocess
 import sys
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -135,6 +135,92 @@ def test_one_cpu_threads_or_no_fork_run_in_this_process(monkeypatch, forked):
     monkeypatch.delattr(os, "fork")
     assert corpus_verify(corpus).total_families == len(corpus)
     assert forked == []
+
+
+def test_the_serial_sweep_holds_one_batch(monkeypatch):
+    # Without children the batches still run one after another, so a lazy
+    # corpus has given no more than one batch when the battery first runs.
+    drawn = []
+    at_first_check = []
+
+    def lazy():
+        for f in enumerate_union_closed(3, family_filter="all"):
+            drawn.append(f)
+            yield f
+    real = search.find_union_gap
+
+    def checking(f):
+        if not at_first_check:
+            at_first_check.append(len(drawn))
+        return real(f)
+    monkeypatch.setattr(search, "find_union_gap", checking)
+    shard(monkeypatch, 16, workers=1)
+    rep = corpus_verify(lazy())
+    corpus = list(enumerate_union_closed(3, family_filter="all"))
+    assert rep.total_families == len(drawn) == len(corpus)
+    assert len(at_first_check) == 1 and at_first_check[0] <= batch_starts(corpus, 16)[1]
+
+
+def test_a_familys_lines_stay_together_within_a_batch(monkeypatch, forked):
+    # Each family gets a chain line and a transversal line: the report
+    # gives both lines of the first family before those of the second.
+    a = make_family([{0}, {1}, {0, 1}])
+    b = make_family([{0}, {0, 1}])
+    real_chain, real_transversal = search.falgas_ravry_chain, search.minimal_transversal
+
+    def short_chain(f):
+        w = real_chain(f)
+        return replace(w, chain=w.chain[:-1])
+
+    def foreign_pattern(f):
+        # The top pattern's member gets one id past the universe.
+        tr = real_transversal(f)
+        top = max(tr.pb_family)
+        return replace(tr, pb_family={**tr.pb_family, top: (1 << f.universe_size + 1) - 1})
+    monkeypatch.setattr(search, "falgas_ravry_chain", short_chain)
+    monkeypatch.setattr(search, "minimal_transversal", foreign_pattern)
+    expected = [
+        ("{{0},{1},{0,1}}", "chain: chain has 1 entries, expected 2"),
+        ("{{0},{1},{0,1}}", "transversal: pattern member for 0x3 is not a member"),
+        ("{{0},{0,1}}", "chain: chain has 1 entries, expected 2"),
+        ("{{0},{0,1}}", "transversal: pattern member for 0x1 is not a member"),
+    ]
+    inline(monkeypatch)
+    assert corpus_verify([a, b]).invariant_failures == expected
+    shard(monkeypatch, a.n + b.n + 2, workers=2)
+    assert corpus_verify([a, b]).invariant_failures == expected
+    assert forked == [[a, b]]
+    assert_no_children()
+
+
+def test_the_first_family_to_raise_wins_whatever_its_stage(monkeypatch, forked):
+    # In one batch, an earlier family raises in minimal_transversal, a later
+    # one in falgas_ravry_chain, and a line after both is malformed: the
+    # earliest family's error is raised, serially and in a child.
+    families = list(dict.fromkeys(enumerate_union_closed(3)))[:12]
+    early, late = families[3], families[7]
+
+    def raising_on(target, real):
+        def raising(f):
+            if f == target:
+                raise ContradictionError(f"planted on {family_label(f)}")
+            return real(f)
+        return raising
+    monkeypatch.setattr(search, "minimal_transversal",
+                        raising_on(early, search.minimal_transversal))
+    monkeypatch.setattr(search, "falgas_ravry_chain",
+                        raising_on(late, search.falgas_ravry_chain))
+    corpus = [_Line(i, family_to_ndjson(f)) for i, f in enumerate(families, start=1)]
+    corpus.insert(9, _Line(99, "{not json}"))
+    inline(monkeypatch)
+    with pytest.raises(ContradictionError) as serial:
+        corpus_verify(corpus)
+    shard(monkeypatch, sum(f.n + 1 for f in families), workers=2)
+    with pytest.raises(ContradictionError) as sharded:
+        corpus_verify(corpus)
+    assert str(serial.value) == str(sharded.value) == f"planted on {family_label(early)}"
+    assert forked == [corpus]
+    assert_no_children()
 
 
 # Random families at m = 13 and 16: theorem-band, lemma and not-covered.
