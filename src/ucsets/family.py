@@ -307,7 +307,14 @@ def closure_of_masks(masks: Iterable[int], saturated: int = 0) -> list[int]:
     s-element set, saturated = 2^s - 1 stops reading masks once the closure
     holds all of them, since no later mask could change it.
     """
+    return sorted(_grow_closure(masks, saturated)[0])
+
+
+def _grow_closure(masks: Iterable[int], saturated: int = 0) -> tuple[set[int], list[int]]:
+    """closure_of_masks, unsorted, with the masks that grew it in the order
+    read: those not yet in the closure when read, at most one per member."""
     closed: set[int] = set()
+    grew: list[int] = []
     for g in masks:
         if g in closed:
             continue
@@ -316,9 +323,10 @@ def closure_of_masks(masks: Iterable[int], saturated: int = 0) -> list[int]:
                 f"union closure could exceed the {MAX_MEMBERS}-member budget")
         closed |= {g | c for c in closed}
         closed.add(g)
+        grew.append(g)
         if len(closed) == saturated:
             break
-    return sorted(closed)
+    return closed, grew
 
 
 def union_closure(f: SetFamily) -> SetFamily:

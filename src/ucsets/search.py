@@ -32,8 +32,9 @@ from .errors import CapacityError, DomainError
 from .family import (
     MAX_UNIVERSE,
     SetFamily,
+    _bit_columns,
+    _grow_closure,
     closure_of_masks,
-    drop_unused_elements,
     elements_of,
     family_label,
     find_union_gap,
@@ -109,6 +110,10 @@ def _enumerate_exhaustive(m: int, family_filter: str, classes: bool = False,
     # 2^j places up, so x | a over a code takes one such step per bit of x.
     cols = [sum(1 << x for x in masks if x >> j & 1) for j in range(m)]
     steps = [[(cols[j], 1 << j) for j in range(m) if x >> j & 1] for x in masks]
+    # squeeze[c][x] is x with the elements outside c dropped and the others
+    # renumbered in order, which keeps the order of the submasks of c.
+    squeeze = [[sum(1 << i for i, j in enumerate(elements_of(c)) if x >> j & 1)
+                for x in masks] for c in masks]
     tied = _tied_relabelings(m) if classes else None
     # On the stack, (x, code): the masks above x are decided, code is
     # union-closed.  Leaving x out is followed at once and adding it waits
@@ -132,8 +137,15 @@ def _enumerate_exhaustive(m: int, family_filter: str, classes: bool = False,
         if family_filter == "separating" and len(set(covered)) < len(covered):
             continue
         if tied is None or _orderly(code, cols, tied, max_generators):
-            fam = SetFamily(m, tuple(elements_of(code)))
-            yield fam if covers else drop_unused_elements(fam)[0]
+            if covers:
+                yield SetFamily(m, tuple(elements_of(code)))
+            else:
+                used = sum(1 << j for j, col in enumerate(cols) if code & col)
+                # A tuple built from a list is allocated at its size; one
+                # built from map is grown and then shrunk, which raised the
+                # peak RSS of repeated enumerations.
+                row = squeeze[used]
+                yield SetFamily(used.bit_count(), tuple([row[x] for x in elements_of(code)]))
 
 
 def _tied_relabelings(m: int) -> list[list[list[int]]]:
@@ -197,6 +209,16 @@ def random_family(m: int, generators: int, seed: int) -> SetFamily:
     quotient, which drops unused elements and collapses duplicate
     membership columns.  The same (m, generators, seed) triple yields a
     bit-identical family everywhere.
+
+    The quotient is decided from the draws that grew the closure, not from
+    its members.  A member holds x exactly when one of its generators does,
+    so two elements have the same column in the closure exactly when they
+    lie in the same generators, and an element is covered exactly when a
+    generator holds it; a draw already in the closure changes neither.
+    When the generators' columns are non-zero and distinct, the closure is
+    the family as it is.  Otherwise the generators are projected onto
+    their classes and closed again: projection commutes with union, so
+    that closure is the quotient, with the same ids and member order.
     """
     if m < 1:
         raise DomainError(f"m must be at least 1, got {m}")
@@ -206,10 +228,15 @@ def random_family(m: int, generators: int, seed: int) -> SetFamily:
         raise DomainError(f"generators must be non-negative, got {generators}")
     full = (1 << m) - 1
     nonzero = filter(None, (v & full for v in splitmix64(seed)))
-    # Drawn lazily, so memory is the closure's whatever the count.
+    # Drawn lazily, so memory is the closure's and that of the draws that
+    # grew it, at most one per member, whatever the count.
     drawn = (next(nonzero) for _ in range(generators))
-    quotient, _ = separating_quotient(SetFamily(m, tuple(closure_of_masks(drawn, full))))
-    return quotient
+    closed, grew = _grow_closure(drawn, full)
+    columns = _bit_columns(tuple(grew), m)
+    if all(columns) and len(set(columns)) == m:
+        return SetFamily(m, tuple(sorted(closed)))
+    quotient, _ = separating_quotient(SetFamily(m, tuple(sorted(grew))))
+    return SetFamily(quotient.universe_size, tuple(closure_of_masks(quotient.members)))
 
 
 @dataclass

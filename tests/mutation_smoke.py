@@ -1,13 +1,13 @@
 """Mutation smoke test for a group of functions: the threshold verdict and
 its calculus, the canonical NDJSON line decoder, the exhaustive search,
-the test that generator mode applies at its leaves, the corpus battery,
-the chain and transversal verifiers with the counting audit, or the chain
-and transversal builders.
+the test that generator mode applies at its leaves, the seeded random
+family, the corpus battery, the chain and transversal verifiers with the
+counting audit, or the chain and transversal builders.
 
 Run from the repository root; pytest does not collect this file:
 
     python3 tests/mutation_smoke.py \
-        [bounds|ndjson|enumerate|generators|battery|verifiers|builders]
+        [bounds|ndjson|enumerate|generators|random|battery|verifiers|builders]
 
 A group is a module, the functions mutated in it and the test files or
 pytest node ids run against each mutant (GROUPS; bounds by default).
@@ -57,6 +57,9 @@ GROUPS = {
                        ("tests/test_search.py", "tests/test_kernels.py"), 75),
     "generators": Group(Path("src/ucsets/search.py"), ("_tied_relabelings", "_orderly"),
                         ("tests/test_search.py", "tests/test_kernels.py"), 75),
+    "random": Group(Path("src/ucsets/search.py"), ("random_family",),
+                    ("tests/test_kernels.py::test_random_family_matches_closure_then_quotient",
+                     "tests/test_search.py::TestRandomFamily"), 15),
     "battery": Group(Path("src/ucsets/search.py"), ("_verify_batch",),
                      ("tests/test_search.py", "tests/test_sharding.py",
                       "tests/test_cli.py::TestVerify",
@@ -109,7 +112,7 @@ EQUIVALENT = {
         _SCALE,
     "_enumerate_exhaustive: 1 -> 2 at col 25 of `masks = range(full + 1)`":
         "the extra mask 2^m holds no element below m, so cols is unchanged, "
-        "and the search never reads its steps",
+        "and the search never reads its steps or its squeeze entries",
     "verify_chain_witness: 1 -> 2 at col 32 of `m_sets_fit = len(ms) == m + 1`":
         "a right length makes the walk run, and the length check names a length of m + 2",
     "verify_chain_witness: 0 -> -1 at col 13 of `higher = 0`": _ALWAYS,

@@ -7,7 +7,11 @@ below are the direct definitions; property tests check that both agree on
 random families with up to 8 elements, union-closed or not, and the
 exhaustive streams are compared with a scan over every subfamily code for
 m <= 4 and with an extension search over tuples of masks for m <= 4 and
-the first 20 000 families at m = 5.  Generator mode keeps one family of
+the first 20 000 families at m = 5; both compress a leaf that leaves
+elements uncovered by drop_unused_elements, the reference for the table
+the search renumbers such a leaf through.  A seeded random family decides its separating quotient from the draws
+that grew its closure; closing every draw and taking the quotient of the
+closure is its reference.  Generator mode keeps one family of
 that stream per isomorphism class; its reference closes every small set
 of masks and names each class by its least relabeling over all m!
 element permutations.  Member masks are unpacked and written a byte at a
@@ -30,6 +34,7 @@ faults, in one process and in forked batches.
 import copy
 import itertools
 import json
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 
@@ -48,7 +53,9 @@ from ucsets import (
     is_separating,
     is_union_closed,
     make_family,
+    random_family,
     separating_quotient,
+    splitmix64,
     union_closure,
 )
 from ucsets import bounds, search
@@ -429,6 +436,15 @@ def naive_quotient(f):
     return SetFamily(len(classes), tuple(members)), tuple(map(tuple, classes))
 
 
+def naive_random_family(m, generators, seed):
+    """The two-pass composition: close all the draws, then take the
+    separating quotient of the closure.  Returns it with its partition."""
+    full = (1 << m) - 1
+    nonzero = filter(None, (v & full for v in splitmix64(seed)))
+    draws = [next(nonzero) for _ in range(generators)]
+    return separating_quotient(SetFamily(m, tuple(closure_of_masks(draws))))
+
+
 @lru_cache(maxsize=None)
 def naive_exhaustive(m):
     """Every subfamily code of P([m]) in increasing order, kept when all
@@ -778,6 +794,27 @@ def test_consecutive_families_keep_their_own_profiles():
 @given(families())
 def test_separating_quotient_matches_member_rebuild(f):
     assert separating_quotient(f) == naive_quotient(f)
+
+
+# (m, seeds) of the random_family reference sample, each m with every
+# generator count 0..12; m = 64 is the capacity edge.
+RANDOM_SAMPLE = [*((m, range(50)) for m in range(1, 13)), (64, range(4))]
+
+
+def test_random_family_matches_closure_then_quotient():
+    # random_family decides the quotient from the draws that grew the
+    # closure; the sample reaches its as-is closure, its projection with
+    # merged classes and with dropped elements, and both at once.
+    kinds = Counter()
+    for m, seeds in RANDOM_SAMPLE:
+        for g in range(13):
+            for seed in seeds:
+                expected, classes = naive_random_family(m, g, seed)
+                assert random_family(m, g, seed) == expected, (m, g, seed)
+                merged = len(classes) < sum(map(len, classes))
+                dropped = sum(map(len, classes)) < m
+                kinds[merged, dropped] += 1
+    assert set(kinds) == {(False, False), (True, False), (False, True), (True, True)}
 
 
 @pytest.mark.parametrize("family_filter", sorted(NAIVE_FILTERS))
