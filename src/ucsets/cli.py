@@ -14,7 +14,7 @@ import argparse
 import contextlib
 import itertools
 import sys
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .bounds import applicability, bound_report
 from .errors import (
@@ -58,11 +58,10 @@ from .witnesses import counting_audit, falgas_ravry_chain, minimal_transversal
 
 
 def _open_source(path: str):
-    """The input file, or stdin for "-"; a file's leading UTF-8 byte-order
-    mark is dropped."""
+    """The input file, or stdin for "-"."""
     if path == "-":
         return contextlib.nullcontext(sys.stdin)
-    return open(path, "r", encoding="utf-8-sig")
+    return open(path, "r", encoding="utf-8")
 
 
 def _warn(message: str) -> None:
@@ -121,7 +120,7 @@ def _read_families(path: str) -> Iterator[SetFamily | _Line]:
     with _open_source(path) as fh:
         head = ""
         for raw in fh:
-            head += raw
+            head += raw if head else raw.removeprefix("\ufeff")  # a leading byte-order mark
             if head.strip():
                 break
         if not head.lstrip().startswith("{"):
@@ -340,51 +339,80 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return _emit_report(args.format, doc, _bounds_lines(doc))
 
 
-# The options that only one generated source reads, and their defaults.
-# verify leaves out every option not given, to refuse one its source ignores.
-_RANDOM_DEFAULTS = {"generators": 10, "seed": 0, "count": 1}
-_ENUMERATION_DEFAULTS = {"mode": "exhaustive", "filter": "separating", "max_generators": None}
+def _count(text: str) -> int:
+    """argparse type for counts and sizes: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
-def _corpus(args: argparse.Namespace) -> Iterator[SetFamily]:
-    """The generated families the options name: seeded random ones, or an
-    enumeration."""
-    opts = {**_ENUMERATION_DEFAULTS, **_RANDOM_DEFAULTS, **vars(args)}
-    if opts.get("random"):
-        return (random_family(opts["m"], opts["generators"], opts["seed"] + i)
-                for i in range(opts["count"]))
-    return enumerate_union_closed(opts["m"], opts["mode"],
-                                  family_filter=opts["filter"],
-                                  max_generators=opts["max_generators"])
+class _Source(NamedTuple):
+    label: str
+    options: dict[str, dict[str, Any]]
+    build: Callable[..., Iterable[SetFamily]]
+
+
+# Each generated source: the name verify gives it in a refusal, the options
+# only it reads, by dest, with their argparse keywords (verify suppresses the
+# defaults), and the builder of its families from m and those options.
+_SOURCES = {
+    "enumerate": _Source("--m without --random", {
+        "mode": {"choices": ("exhaustive", "generators"), "default": "exhaustive"},
+        "filter": {"choices": FILTERS, "default": "separating"},
+        "max_generators": {"type": _count, "default": None, "help":
+                           "generator mode: at most this many join-irreducible members"},
+    }, lambda m, mode, filter, max_generators: enumerate_union_closed(
+        m, mode, family_filter=filter, max_generators=max_generators)),
+    "random": _Source("--random", {
+        "generators": {"type": int, "default": 10},
+        "seed": {"type": int, "default": 0},
+        "count": {"type": _count, "default": 1,
+                  "help": "this many families, seeds seed..seed+count-1"},
+    }, lambda m, generators, seed, count: (
+        random_family(m, generators, seed + i) for i in range(count))),
+}
+
+
+def _option(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _corpus(source: str, args: argparse.Namespace) -> Iterable[SetFamily]:
+    """A generated source's families; an option args lacks takes its default."""
+    _, options, build = _SOURCES[source]
+    return build(args.m, **{dest: getattr(args, dest, kw["default"])
+                            for dest, kw in options.items()})
 
 
 def _verify_families(args: argparse.Namespace) -> Iterable[SetFamily | _Line]:
-    """The --input or generated families; refuses the options they ignore."""
+    """The --input, --random or enumerated families; refuses each option
+    given that their source does not read."""
     given = vars(args)
     if "input" in given:
-        source, unread = "--input", ("m", "random", *_ENUMERATION_DEFAULTS, *_RANDOM_DEFAULTS)
+        source, label, reads = None, "--input", ()
     elif "m" not in given:
         raise DomainError("verify needs --input PATH or --m M")
-    elif "random" in given:
-        source, unread = "--random", _ENUMERATION_DEFAULTS
     else:
-        source, unread = "--m without --random", _RANDOM_DEFAULTS
-    for name in unread:
-        if name in given:
-            raise DomainError(f"--{name.replace('_', '-')} does not apply to verify {source}")
-    if "input" in given:
-        return _read_families(args.input)
-    return _corpus(args)
+        source = "random" if "random" in given else "enumerate"
+        label, reads = _SOURCES[source].label, ("m", "random", *_SOURCES[source].options)
+    for dest in ("m", "random", *(d for s in _SOURCES.values() for d in s.options)):
+        if dest in given and dest not in reads:
+            raise DomainError(f"{_option(dest)} does not apply to verify {label}")
+    return _read_families(args.input) if source is None else _corpus(source, args)
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    for fam in _corpus(args):
+    for fam in _corpus("enumerate", args):
         print(family_to_ndjson(fam) if args.format == "json" else family_label(fam))
     return 0
 
 
 def cmd_random(args: argparse.Namespace) -> int:
-    for i, fam in enumerate(_corpus(args)):
+    for i, fam in enumerate(_corpus("random", args)):
         if args.format == "json":
             print(family_to_ndjson(fam))
         else:
@@ -414,92 +442,64 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _emit_report(args.format, doc, _corpus_lines(doc), 0 if doc["ok"] else 3)
 
 
-def _count(text: str) -> int:
-    """argparse type for counts and sizes: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ucsets",
         description="Analyze, transform, and verify union-closed set families.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "json"), default="text",
-                       help="output format (default: text)")
-
-    def add_random(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--generators", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--count", type=_count,
-                       help="this many families, seeds seed..seed+count-1")
-
-    def add_enumeration(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--mode", choices=("exhaustive", "generators"))
-        p.add_argument("--filter", choices=FILTERS)
-        p.add_argument("--max-generators", type=_count,
-                       help="generator mode: at most this many join-irreducible members")
+    def add_source(p: argparse.ArgumentParser, source: str, **override: Any) -> None:
+        for dest, kw in _SOURCES[source].options.items():
+            p.add_argument(_option(dest), **{**kw, **override})
 
     p = sub.add_parser("analyze", help="basic structure, frequencies, verdict")
     p.add_argument("path", help="family file, or - for stdin")
-    add_format(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("closure", help="smallest union-closed superfamily")
     p.add_argument("path")
-    add_format(p)
     p.set_defaults(func=cmd_closure)
 
     p = sub.add_parser("quotient", help="merge elements with identical columns")
     p.add_argument("path")
-    add_format(p)
     p.set_defaults(func=cmd_quotient)
 
     p = sub.add_parser("witness", help="chain, transversal, or counting audit")
     p.add_argument("path")
     p.add_argument("--which", choices=("chain", "transversal", "audit"),
                    default="chain")
-    add_format(p)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("bounds", help="threshold calculus for a universe size")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=_count, default=None,
                    help="member count; adds an applicability verdict")
-    add_format(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("enumerate", help="stream union-closed families")
     p.add_argument("--m", type=int, required=True)
-    add_enumeration(p)
-    add_format(p)
-    p.set_defaults(func=cmd_enumerate, random=False, **_ENUMERATION_DEFAULTS)
+    add_source(p, "enumerate")
+    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("random", help="seeded random separating families")
     p.add_argument("--m", type=int, required=True)
-    add_random(p)
-    add_format(p)
-    p.set_defaults(func=cmd_random, random=True, **_RANDOM_DEFAULTS)
+    add_source(p, "random")
+    p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("verify", help="run the verification battery",
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--input",
                    help="family file, JSON document or NDJSON corpus; - for stdin")
     p.add_argument("--m", type=int)
-    add_enumeration(p)
+    add_source(p, "enumerate", default=argparse.SUPPRESS)
     p.add_argument("--random", action="store_true",
                    help="verify seeded random families instead of enumerating")
-    add_random(p)
-    add_format(p)
+    add_source(p, "random", default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
+    for p in sub.choices.values():  # last in each subcommand's help
+        p.add_argument("--format", choices=("text", "json"), default="text",
+                       help="output format (default: text)")
     return parser
 
 

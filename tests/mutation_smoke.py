@@ -2,12 +2,13 @@
 its calculus, the canonical NDJSON line decoder, the exhaustive search,
 the test that generator mode applies at its leaves, the seeded random
 family, the corpus battery, the chain and transversal verifiers with the
-counting audit, or the chain and transversal builders.
+counting audit, the chain and transversal builders, or the CLI's corpus
+sources and its refusal of the options a source does not read.
 
 Run from the repository root; pytest does not collect this file:
 
     python3 tests/mutation_smoke.py \
-        [bounds|ndjson|enumerate|generators|random|battery|verifiers|builders]
+        [bounds|ndjson|enumerate|generators|random|battery|verifiers|builders|sources]
 
 A group is a module, the functions mutated in it and the test files or
 pytest node ids run against each mutant (GROUPS; bounds by default).
@@ -75,6 +76,9 @@ GROUPS = {
                       ("falgas_ravry_chain", "minimal_transversal"),
                       ("tests/test_witnesses.py", "tests/test_kernels.py",
                        "tests/test_acceptance.py"), 100),
+    "sources": Group(Path("src/ucsets/cli.py"), ("_verify_families", "_corpus"),
+                     ("tests/test_cli.py::TestVerify", "tests/test_cli.py::TestEnumerate",
+                      "tests/test_cli.py::TestRandom"), 10),
 }
 # A mutant that grows a list without end fails with MemoryError at this
 # cap instead of taking the machine's memory.

@@ -360,6 +360,10 @@ class TestRandom:
         assert code == 0
         assert "\n\n" in out  # blank line between the two family blocks
 
+    def test_default_options(self, capsys):
+        assert run(capsys, "random", "--m", "8") == run(
+            capsys, "random", "--m", "8", "--generators", "10", "--seed", "0", "--count", "1")
+
 
 # sha256 of corpus bytes.  The first three are the corpus pins of the
 # benchmark (bench/run.py, seed 7); the m = 64 corpus is its two banded
@@ -593,17 +597,34 @@ class TestVerify:
         assert code == 2
         assert "--input" in err
 
-    @pytest.mark.parametrize("argv, option", [
+    # One case for each pair of a source and an option it does not read,
+    # given alone or at its default, after the cases with several options.
+    @pytest.mark.parametrize("argv, option, source", [
         (["--random", "--m", "8", "--count", "2", "--mode", "generators",
-          "--filter", "all"], "--mode"),
-        (["--input", "CORPUS", "--m", "3", "--random", "--count", "9"], "--m"),
-        (["--m", "3", "--seed", "5", "--count", "9"], "--seed"),
-        (["--m", "3", "--seed", "0"], "--seed"),
-        (["--random", "--m", "8", "--max-generators", "1"], "--max-generators"),
+          "--filter", "all"], "--mode", "--random"),
+        (["--input", "CORPUS", "--m", "3", "--random", "--count", "9"], "--m", "--input"),
+        (["--m", "3", "--seed", "5", "--count", "9"], "--seed", "--m without --random"),
+        (["--m", "3", "--seed", "0"], "--seed", "--m without --random"),
+        (["--random", "--m", "8", "--max-generators", "1"], "--max-generators", "--random"),
+        *((["--input", "CORPUS", option, *value], option, "--input")
+          for option, value in [("--m", ["3"]), ("--random", []),
+                                ("--mode", ["exhaustive"]), ("--filter", ["all"]),
+                                ("--max-generators", ["2"]), ("--generators", ["10"]),
+                                ("--seed", ["0"]), ("--count", ["1"])]),
+        *((["--random", "--m", "8", option, value], option, "--random")
+          for option, value in [("--mode", "exhaustive"), ("--filter", "separating"),
+                                ("--max-generators", "0")]),
+        *((["--m", "3", option, value], option, "--m without --random")
+          for option, value in [("--generators", "7"), ("--seed", "0"), ("--count", "1")]),
     ], ids=["random-mode", "input-m", "enumeration-seed", "enumeration-default-seed",
-            "random-max-generators"])
+            "random-max-generators",
+            *(f"input+{option}" for option in ("m", "random", "mode", "filter",
+                                               "max-generators", "generators", "seed",
+                                               "count")),
+            *(f"random+{option}" for option in ("mode", "filter", "max-generators")),
+            *(f"m+{option}" for option in ("generators", "seed", "count"))])
     def test_refuses_options_its_source_does_not_read(self, capsys, monkeypatch,
-                                                      tmp_path, argv, option):
+                                                      tmp_path, argv, option, source):
         def unbuilt(*args, **kwargs):
             raise AssertionError("a family was built")
 
@@ -614,7 +635,33 @@ class TestVerify:
         argv = [str(p) if arg == "CORPUS" else arg for arg in argv]
         code, out, err = run(capsys, "verify", *argv)
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: {option} does not apply to verify ")
+        assert err == f"error: {option} does not apply to verify {source}\n"
+
+    @pytest.mark.parametrize("generate, options", [
+        (["enumerate", "--m", "3"], []),
+        (["enumerate", "--m", "3"],
+         ["--mode", "generators", "--filter", "validated", "--max-generators", "2"]),
+        (["random", "--m", "8"], []),
+        (["random", "--m", "8"], ["--generators", "7", "--seed", "5", "--count", "4"]),
+    ], ids=["enumerate-defaults", "enumerate-options", "random-defaults", "random-options"])
+    def test_a_source_reads_as_its_subcommand_writes(self, capsys, monkeypatch,
+                                                     generate, options):
+        # The report alone counts families, so the families are compared too.
+        seen = []
+
+        def recording(corpus):
+            families = [f.decode() if isinstance(f, cli._Line) else f for f in corpus]
+            seen.append([family.family_label(f) for f in families])
+            return search.corpus_verify(families)
+
+        monkeypatch.setattr(cli, "corpus_verify", recording)
+        _, corpus, _ = run(capsys, *generate, *options, "--format", "json")
+        monkeypatch.setattr("sys.stdin", io.StringIO(corpus))
+        piped = run(capsys, "verify", "--input", "-", "--format", "json")
+        source = ["--random"] if generate[0] == "random" else []
+        direct = run(capsys, "verify", *source, *generate[1:], *options, "--format", "json")
+        assert piped == direct and piped[0] == 0 and piped[2] == ""
+        assert seen[0] == seen[1] and len(seen[0]) == json.loads(piped[1])["total_families"]
 
     def test_every_failure_line(self, capsys, monkeypatch, tmp_path):
         # Broken builders make one family raise every kind of failure line.
@@ -708,17 +755,26 @@ class TestReader:
         assert (code, out) == (1, "")
         assert "corpus" in err
 
-    @pytest.mark.parametrize("command, content", [
-        (["verify", "--input"], '{"members":[[0],[0,1]],"universe_size":2}\n'),
-        (["analyze"], TRI_TEXT),
-    ], ids=["verify-ndjson", "analyze-text"])
-    def test_a_leading_byte_order_mark_is_dropped(self, capsys, tmp_path, command,
-                                                  content):
+    @pytest.mark.parametrize("command, content, stdin", [
+        (["verify", "--input"], '{"members":[[0],[0,1]],"universe_size":2}\n', False),
+        (["analyze"], TRI_TEXT, False),
+        (["verify", "--input"], '{"members":[[0],[0,1]],"universe_size":2}\n', True),
+        (["analyze"], TRI_TEXT, True),
+        # "\ufeff\n".strip() is not empty: the mark goes before the blank-line scan
+        (["verify", "--input"], '\n{"members":[[0],[0,1]],"universe_size":2}\n', False),
+        (["analyze"], "\n" + TRI_TEXT, True),
+    ], ids=["verify-ndjson", "analyze-text", "verify-ndjson-stdin", "analyze-text-stdin",
+            "verify-blank-line-after-mark", "analyze-blank-line-after-mark-stdin"])
+    def test_a_leading_byte_order_mark_is_dropped(self, capsys, monkeypatch, tmp_path,
+                                                  command, content, stdin):
         plain, marked = tmp_path / "plain", tmp_path / "marked"
         plain.write_text(content, encoding="utf-8")
         marked.write_text("\ufeff" + content, encoding="utf-8")
         expected = run(capsys, *command, str(plain))
         assert expected[0] == 0
+        if stdin:
+            monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + content))
+            marked = "-"
         assert run(capsys, *command, str(marked)) == expected
 
     def test_bad_first_line_stops_reading(self, capsys, monkeypatch):
