@@ -118,7 +118,7 @@ class _derived:
         return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SetFamily:
     """A family of subsets of {0, ..., universe_size-1}, one mask per member.
 
@@ -131,24 +131,31 @@ class SetFamily:
     universe_size: int
     members: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.universe_size <= MAX_UNIVERSE:
-            raise CapacityError(
-                f"universe size {self.universe_size} outside 0..{MAX_UNIVERSE}")
-        full = (1 << self.universe_size) - 1
+    def __init__(self, universe_size: int, members: tuple[int, ...]) -> None:
+        # One comparison and one OR per member: masks ascending from -1 are
+        # distinct and non-negative, and they all lie inside the universe
+        # when their union does.  A family that fails here, or raises
+        # TypeError, is scanned again member by member, which raises the
+        # error of its first faulty member.
         prev = -1
         cov = 0
-        for mask in self.members:
-            if mask <= prev:
-                raise ValueError("members must be distinct masks in ascending order")
-            if mask & ~full:
-                raise ValueError(f"member {mask:#x} is not a subset of the universe")
-            prev = mask
-            cov |= mask
-        # Plain attributes, not fields, so equality, hashing and repr
+        fits = False
+        try:
+            for mask in members:
+                if mask <= prev:
+                    break
+                prev = mask
+                cov |= mask
+            else:
+                fits = 0 <= universe_size <= MAX_UNIVERSE and not cov >> universe_size
+        except TypeError:
+            pass
+        if not fits:
+            cov = _checked_union(universe_size, members)
+        # Plain attributes besides the fields, so equality, hashing and repr
         # ignore them; set here, they cost less than a lazy attribute.
-        object.__setattr__(self, "covered_mask", cov)
-        object.__setattr__(self, "n", len(self.members))
+        self.__dict__.update(universe_size=universe_size, members=members,
+                             covered_mask=cov, n=len(members))
 
     @property
     def universe_mask(self) -> int:
@@ -192,18 +199,48 @@ class SetFamily:
         """Per rank r in 1..m, the union of the members omitting the element
         order[r-1]; entry 0 is the covered elements.
 
-        The members omitting x cover y iff y's column is not inside x's.
+        With outside the index mask of the members omitting x, the union
+        is the largest of them, members[outside.bit_length() - 1], and
+        each other covered element whose column meets outside.  In a
+        union-closed family that member is the union itself, and every
+        other element's column misses outside.
         """
         columns = self.columns
-        out = [self.covered_mask]
+        members = self.members
+        everyone = (1 << self.n) - 1
+        covered = self.covered_mask
+        out = [covered]
         for x in self.order:
-            outside = ~columns[x]
-            union = 0
-            for y, col in enumerate(columns):
-                if col & outside:
-                    union |= BITS[y]
+            outside = everyone & ~columns[x]
+            union = members[outside.bit_length() - 1] if outside else 0
+            rest = covered & ~union
+            while rest:
+                low = rest & -rest
+                if columns[low.bit_length() - 1] & outside:
+                    union |= low
+                rest ^= low
             out.append(union)
         return tuple(out)
+
+
+def _checked_union(universe_size: int, members: tuple[int, ...]) -> int:
+    """The union of the members, checked one member at a time: raises for
+    a universe size outside 0..MAX_UNIVERSE, then for the first member that
+    is not above the one before it or not inside the universe."""
+    if not 0 <= universe_size <= MAX_UNIVERSE:
+        raise CapacityError(
+            f"universe size {universe_size} outside 0..{MAX_UNIVERSE}")
+    full = (1 << universe_size) - 1
+    prev = -1
+    cov = 0
+    for mask in members:
+        if mask <= prev:
+            raise ValueError("members must be distinct masks in ascending order")
+        if mask & ~full:
+            raise ValueError(f"member {mask:#x} is not a subset of the universe")
+        prev = mask
+        cov |= mask
+    return cov
 
 
 def make_family(sets: Iterable[Iterable[int]]) -> SetFamily:
@@ -359,25 +396,32 @@ def _bit_columns(members: tuple[int, ...], universe_size: int) -> tuple[int, ...
     return tuple(columns)
 
 
+@lru_cache(maxsize=1)
+def _byte_member_texts() -> tuple[str, ...]:
+    """Table [b]: elements_text(b) for each mask b below 256, the text of
+    _byte_text()[0][b] without its trailing comma."""
+    return tuple(text[:-1] for text in _byte_text()[0])
+
+
 def _member_texts(f: SetFamily) -> list[str]:
     """elements_text of every member, in member order, without a Python
     loop over the members.
 
-    The members are packed as in _bit_columns, and byte plane k maps
-    through the text table of ids 8k..8k+7.  Zipping the planes gives each
-    member its fragments, which concatenate to its ids with one trailing
-    comma to strip.  Only the planes up to the highest id any member holds
-    are read; below id 8 the masks index the first table directly.
+    Below id 8 each member's text is one lookup in _byte_member_texts.
+    Otherwise the members are packed as in _bit_columns, and byte plane k
+    maps through the text table of ids 8k..8k+7.  Zipping the planes gives
+    each member its fragments, which concatenate to its ids with one
+    trailing comma to strip.  Only the planes up to the highest id any
+    member holds are read.
     """
     members = f.members
-    tables = _byte_text()
     if f.covered_mask <= 0xFF:
-        texts = map(tables[0].__getitem__, members)
-    else:
-        packed = struct.pack(f"<{len(members)}Q", *members)
-        planes = tables[:(f.covered_mask.bit_length() + 7) // 8]
-        texts = map("".join, zip(*[map(table.__getitem__, packed[k::8])
-                                   for k, table in enumerate(planes)]))
+        return list(map(_byte_member_texts().__getitem__, members))
+    tables = _byte_text()
+    packed = struct.pack(f"<{len(members)}Q", *members)
+    planes = tables[:(f.covered_mask.bit_length() + 7) // 8]
+    texts = map("".join, zip(*[map(table.__getitem__, packed[k::8])
+                               for k, table in enumerate(planes)]))
     return list(map(str.rstrip, texts, repeat(",")))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain
 from operator import or_
 from typing import Any
@@ -25,6 +25,7 @@ from .errors import CapacityError, DomainError, FamilyParseError, UnfinishedJSON
 from .family import (
     MAX_UNIVERSE,
     SetFamily,
+    _byte_member_texts,
     _member_texts,
     elements_of,
     elements_text,
@@ -122,35 +123,52 @@ _ID_TEXT_BIT = {"": 0, **{str(x): 1 << x for x in range(MAX_UNIVERSE)}}.__getite
 _SIZE_TEXT = {str(m): m for m in range(MAX_UNIVERSE + 1)}.get
 
 
+@lru_cache(maxsize=1)
+def _byte_member_masks() -> dict[str, int]:
+    """Each mask below 256 by its text as the writer spells it."""
+    return {text: mask for mask, text in enumerate(_byte_member_texts())}
+
+
 def family_from_ndjson(line: str) -> SetFamily | None:
     """The family of a line in family_to_ndjson's exact form, else None.
 
-    The members text is split on "],[" and then on ",", and each mask is
-    the sum of its ids' bits, looked up by their text; no id goes through
-    int().  The id count is the comma count plus one, less the first member
-    when it is empty, and it equals the masks' total popcount exactly when
-    every id is distinct within its member and no id text is empty.  Any
-    other line (spaces, another key order, an unknown id, a repeated id or
-    member, members out of order) gives None, and the caller decodes it
-    with decode_json and family_from_json_dict, which name the fault.
+    The members text is split on "],[".  Over at most 8 elements each row
+    is looked up whole in the table of the writer's 256 member texts, so
+    its ids are distinct and in the writer's spelling.  A line with a row
+    not in that table, or over more elements, has its rows
+    split on "," and each mask is the sum of its ids' bits, looked up by
+    their text; no id goes through int().  The id count is then the comma
+    count plus one, less the first member when it is empty, and it equals
+    the masks' total popcount exactly when every id is distinct within its
+    member and no id text is empty.  Any other line (spaces, another key
+    order, an unknown id, a repeated id or member, members out of order)
+    gives None, and the caller decodes it with decode_json and
+    family_from_json_dict, which name the fault.
     """
     head, _, tail = line.rpartition('],"universe_size":')
     m = _SIZE_TEXT(tail[:-1]) if tail[-1:] == "}" else None
     if m is None or not head.startswith('{"members":['):
         return None
-    masks: list[int] = []
+    masks: list[int] | None = []
     if head != '{"members":[':  # "[ids],[ids],..." follows
         if head[12] != "[" or head[-1] != "]":
             return None
         # One slice of the members text: each copy of it would add the
         # line's length to the peak memory of the decode.
         rows = head[13:-1].split("],[")
-        try:
-            masks = [sum(map(_ID_TEXT_BIT, row.split(","))) for row in rows]
-        except KeyError:
-            return None
-        if head.count(",") + (rows[0] != "") != sum(map(int.bit_count, masks)):
-            return None
+        masks = None
+        if m <= 8:
+            try:
+                masks = list(map(_byte_member_masks().__getitem__, rows))
+            except KeyError:  # a row in another spelling, such as "1,0"
+                pass
+        if masks is None:
+            try:
+                masks = [sum(map(_ID_TEXT_BIT, row.split(","))) for row in rows]
+            except KeyError:
+                return None
+            if head.count(",") + (rows[0] != "") != sum(map(int.bit_count, masks)):
+                return None
     try:
         return SetFamily(m, tuple(masks))
     except ValueError:  # members out of order, repeated or past the universe

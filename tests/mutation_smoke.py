@@ -1,5 +1,7 @@
 """Mutation smoke test for a group of functions: the threshold verdict and
-its calculus, the canonical NDJSON line decoder, the exhaustive search,
+its calculus, the family kernels (validation, m-sets, member texts, the
+union and separation checks, the witness elements and the closure loop),
+the canonical NDJSON line decoder, the exhaustive search,
 the test that generator mode applies at its leaves, the seeded random
 family, the corpus battery, the chain and transversal verifiers with the
 counting audit, the chain and transversal builders, or the CLI's corpus
@@ -8,10 +10,11 @@ sources and its refusal of the options a source does not read.
 Run from the repository root; pytest does not collect this file:
 
     python3 tests/mutation_smoke.py \
-        [bounds|ndjson|enumerate|generators|random|battery|verifiers|builders|sources]
+        [bounds|family|ndjson|enumerate|generators|random|battery|verifiers|builders|sources]
 
-A group is a module, the functions mutated in it and the test files or
-pytest node ids run against each mutant (GROUPS; bounds by default).
+A group is a module, the functions mutated in it (a method as
+Class.method) and the test files or pytest node ids run against each
+mutant (GROUPS; bounds by default).
 Each mutant changes one thing in one of the functions: < and <=, > and
 >=, == and !=, is and is not swap, + and - swap, and and or swap, & and
 | swap, a not is dropped, or an integer constant moves by one.  The
@@ -52,6 +55,12 @@ GROUPS = {
     "bounds": Group(Path("src/ucsets/bounds.py"),
                     ("verdict_for", "_theorem_gap", "bound_report"),
                     ("tests/test_bounds.py", "tests/test_acceptance.py"), 30),
+    "family": Group(Path("src/ucsets/family.py"),
+                    ("SetFamily.__init__", "_checked_union", "SetFamily.m_sets",
+                     "_byte_member_texts", "_member_texts", "find_union_gap", "is_separating",
+                     "frankl_witnesses", "_grow_closure"),
+                    ("tests/test_family.py", "tests/test_formats.py", "tests/test_kernels.py"),
+                    90),
     "ndjson": Group(Path("src/ucsets/formats.py"), ("family_from_ndjson",),
                     ("tests/test_formats.py", "tests/test_fuzz.py"), 30),
     "enumerate": Group(Path("src/ucsets/search.py"), ("_enumerate_exhaustive",),
@@ -100,7 +109,29 @@ _MORE = "the fit test fails wherever the original one fails, so the walk only ru
 _COUNT = ("at most 2^k - 1 distinct non-empty keys lie inside u_hat, so the count "
           "never matches while the other clauses hold, and the walk runs")
 _RANKS = "zip stops at the end of order, so the rank map is unchanged"
+_ANNOTATION = "the annotation of a local variable is never evaluated"
+# SetFamily.__init__ hands the checked scan only members that its one-pass
+# loop refused, and on int masks the scan then always raises.
+_RAISES = "the checked scan raises on every int input it gets, so its union is never stored"
+# The member texts read one byte plane per 8 ids; a plane of zero bytes
+# adds the empty text to every member.
+_PLANES = "the extra planes hold only zero bytes, whose text is empty"
+_BYTE = "a family over ids below 8 that misses the table reads the same texts from one plane"
 EQUIVALENT = {
+    "SetFamily.__init__: 1 -> 2 at col 16 of `prev = -1`":
+        "a negative member passed over makes the union negative, which fails the "
+        "universe test, so the checked scan still raises",
+    "_checked_union: 0 -> -1 at col 10 of `cov = 0`": _RAISES,
+    "_checked_union: 0 -> 1 at col 10 of `cov = 0`": _RAISES,
+    "_checked_union: | -> & at col 8 of `cov |= mask`": _RAISES,
+    "_member_texts: <= -> < at col 7 of `if f.covered_mask <= 0xFF:`": _BYTE,
+    "_member_texts: 255 -> 254 at col 25 of `if f.covered_mask <= 0xFF:`": _BYTE,
+    "_member_texts: 7 -> 8 at col 52 of "
+    "`planes = tables[:(f.covered_mask.bit_length() + 7) // 8]`": _PLANES,
+    "_member_texts: 8 -> 7 at col 58 of "
+    "`planes = tables[:(f.covered_mask.bit_length() + 7) // 8]`": _PLANES,
+    "find_union_gap: 1 -> 0 at col 29 of `for b in members[i + 1:]:`":
+        "the union of a member with itself is that member, never missing",
     "_theorem_gap: 1 -> 2 at col 35 of `if m == 1 << lg and lg & (lg - 1) == 0:`":
         "lg & (lg - 2) == 0 picks the same powers of two for every lg >= 2",
     "_theorem_gap: 10 -> 9 at col 33 of `ctx.prec = len(str(m)) + 10`": _PRECISION,
@@ -174,8 +205,8 @@ EQUIVALENT = {
         "which has the same bit_length",
     "minimal_transversal: 1 -> 2 at col 37 of `later = [0] * (len(candidates) + 1)`":
         "later is read only up to index len(candidates), so the extra 0 is never read",
-    "_verify_batch: | -> & at col 11 of `error: Exception | None = None`":
-        "the annotation of a local variable is never evaluated",
+    "_verify_batch: | -> & at col 11 of `error: Exception | None = None`": _ANNOTATION,
+    "family_from_ndjson: | -> & at col 11 of `masks: list[int] | None = []`": _ANNOTATION,
     'counting_audit: 0 -> -1 at col 47 of `"frequency_cap": max(u_counts, default=0) <= m + c,`':
         "the default is read only when no id of u_hat lies in the universe, and m + c, "
         "the largest frequency or 0 when there is no element, is at least 0 > -1",
@@ -238,8 +269,13 @@ def _mutations(node: ast.AST) -> Iterator[tuple[str, Mutation | None]]:
 
 
 def _function_nodes(tree: ast.Module, name: str) -> list[ast.AST]:
-    """The nodes of one function's body, in source order."""
-    (func,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    """The nodes of one function's body, in source order; Class.method
+    names a method."""
+    scope: ast.Module | ast.ClassDef = tree
+    *classes, name = name.split(".")
+    for owner in classes:
+        (scope,) = (n for n in scope.body if isinstance(n, ast.ClassDef) and n.name == owner)
+    (func,) = (n for n in scope.body if isinstance(n, ast.FunctionDef) and n.name == name)
     nodes = [n for stmt in func.body for n in ast.walk(stmt) if hasattr(n, "lineno")]
     return sorted(nodes, key=lambda n: (n.lineno, n.col_offset))
 

@@ -1,4 +1,7 @@
 import dataclasses
+import re
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -96,6 +99,50 @@ def test_set_family_rejects_unsorted_members():
 def test_set_family_rejects_member_outside_universe():
     with pytest.raises(ValueError):
         SetFamily(1, (0b10,))
+
+
+def test_valid_families_skip_the_checked_scan(monkeypatch):
+    # The one-pass loop decides every valid family alone, at both ends of
+    # the universe range and with the empty member first.
+    calls = []
+    real = family._checked_union
+    monkeypatch.setattr(family, "_checked_union",
+                        lambda *args: calls.append(args) or real(*args))
+    for m, members in [(0, ()), (0, (0,)), (3, (0, 1, 6)), (64, (0, 1 << 63, (1 << 64) - 1))]:
+        f = SetFamily(m, members)
+        assert (f.n, f.covered_mask) == (len(members), reduce(or_, members, 0))
+    assert calls == []
+    with pytest.raises(ValueError):
+        SetFamily(1, (0b10,))
+    assert calls == [(1, (0b10,))]
+
+
+@pytest.mark.parametrize("m, members", [
+    (2, (0.5,)), (2.0, (1,)), (2, ("a",)), (None, ()), (2, (1, 0.5)), (2, (1, None)),
+])
+def test_malformed_arguments_raise_as_the_checked_scan(m, members):
+    with pytest.raises((TypeError, ValueError)) as expected:
+        family._checked_union(m, members)
+    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+        SetFamily(m, members)
+
+
+def test_frozen_dataclass_behaviour():
+    f = SetFamily(3, (0b001, 0b010))
+    g = dataclasses.replace(f, members=(0b001, 0b010, 0b011))
+    assert g == SetFamily(3, (1, 2, 3)) and (g.n, g.covered_mask) == (3, 0b011)
+    assert dataclasses.replace(f, universe_size=2).universe_size == 2
+    with pytest.raises(ValueError, match="not a subset of the universe"):
+        dataclasses.replace(f, universe_size=1)
+    with pytest.raises(CapacityError):
+        dataclasses.replace(f, universe_size=65)
+    for name in ("universe_size", "members", "n", "covered_mask"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(f, name)
+    assert (f.universe_size, f.members, f.n, f.covered_mask) == (3, (1, 2), 2, 0b011)
+    assert SetFamily(universe_size=3, members=(1, 2)) == f
 
 
 def test_family_from_masks_padding_gate():

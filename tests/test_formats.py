@@ -491,6 +491,9 @@ class TestCanonicalLines:
         '{"members":[[0],[1],[0,1]],"universe_size":3}',
         '{"members":[[9],[10,63]],"universe_size":64}',
         '{"members":[[1,0]],"universe_size":2}',  # the mask of [0,1]
+        '{"members":[[1,0]],"universe_size":8}',
+        '{"members":[[],[0],[2,1,0],[7]],"universe_size":8}',
+        '{"members":[[0],[8]],"universe_size":9}',
     ])
     def test_writer_form_is_read(self, line):
         assert family_from_ndjson(line) == _reference(line) is not None
@@ -530,6 +533,45 @@ class TestCanonicalLines:
         '{"members":[0]],"universe_size":1}',
         '{"members":[[0],"universe_size":1}',
         '{"members":[[0]]],"universe_size":1}',
+        '{"members":[[0,0]],"universe_size":8}',
+        '{"members":[[07]],"universe_size":8}',
+        '{"members":[[8]],"universe_size":8}',
+        '{"members":[[0],[0]],"universe_size":8}',
+        '{"members":[[1],[0]],"universe_size":8}',
+        '{"members":[[0],[]],"universe_size":8}',
+        '{"members":[[],[]],"universe_size":8}',
+        '{"members":[[0,]],"universe_size":8}',
+        '{"members":[[0],[1],[2]],"universe_size":2}',
     ])
     def test_any_other_line_is_left_to_json(self, line):
         assert family_from_ndjson(line) is None
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_every_byte_sized_member_reads_back(self, m):
+        f = SetFamily(m, tuple(range(1 << m)))
+        line = family_to_ndjson(f)
+        assert line == json.dumps(family_to_json_dict(f), sort_keys=True, separators=(",", ":"))
+        assert family_from_ndjson(line) == f
+
+    def test_byte_sized_lines_skip_the_per_id_path(self, benchmark_lines, monkeypatch):
+        ids = []
+        real = formats._ID_TEXT_BIT
+        monkeypatch.setattr(formats, "_ID_TEXT_BIT", lambda text: ids.append(text) or real(text))
+        lines = benchmark_lines["enumerate --m 4"]
+        assert [family_from_ndjson(line) for line in lines] == [
+            family_from_json_dict(json.loads(line)) for line in lines]
+        assert ids == []
+        assert family_from_ndjson('{"members":[[1,0]],"universe_size":8}') is not None
+        assert ids == ["1", "0"]
+
+    def test_wider_lines_skip_the_member_table(self, benchmark_lines, monkeypatch):
+        calls = []
+        real = formats._byte_member_masks
+        monkeypatch.setattr(formats, "_byte_member_masks", lambda: calls.append(1) or real())
+        for command in BENCHMARK_CORPORA[1:]:
+            lines = benchmark_lines[" ".join(command)]
+            assert all(family_from_ndjson(line) is not None for line in lines)
+        assert family_from_ndjson('{"members":[[0],[1]],"universe_size":9}') is not None
+        assert calls == []
+        assert family_from_ndjson('{"members":[[0]],"universe_size":8}') is not None
+        assert calls == [1]

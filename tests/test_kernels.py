@@ -1,6 +1,8 @@
 """Fast family kernels against naive reference versions.
 
-The package derives frequencies, separation, m-sets and witnesses from
+A family is validated in one pass; a per-member scan is its reference,
+which must raise the same error for the same first faulty member.  The
+package derives frequencies, separation, m-sets and witnesses from
 bit-sliced columns, checks union-closure through join-irreducibles and
 builds the exhaustive corpus by a search over subfamily codes.  The loops
 below are the direct definitions; property tests check that both agree on
@@ -39,7 +41,7 @@ from dataclasses import replace
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ucsets import (
@@ -60,7 +62,7 @@ from ucsets import (
 )
 from ucsets import bounds, search
 from ucsets.cli import _Line
-from ucsets.errors import ContradictionError, FamilyParseError
+from ucsets.errors import CapacityError, ContradictionError, FamilyParseError
 from ucsets.family import (
     _member_texts,
     closure_of_masks,
@@ -169,6 +171,21 @@ def naive_m_sets(f):
                 u |= mask
         out.append(u)
     return tuple(out)
+
+
+def naive_family_fault(m, members):
+    """(error type, message) for the first fault a per-member scan meets
+    in SetFamily(m, members), or None when there is none: a universe size
+    outside 0..64, else the first member that is negative or not above the
+    one before it, or that holds an id at or past m."""
+    if not 0 <= m <= 64:
+        return CapacityError, f"universe size {m} outside 0..64"
+    for i, mask in enumerate(members):
+        if mask < 0 or i > 0 and mask <= members[i - 1]:
+            return ValueError, "members must be distinct masks in ascending order"
+        if mask >> m:
+            return ValueError, f"member {mask:#x} is not a subset of the universe"
+    return None
 
 
 def naive_a_sets(f):
@@ -621,6 +638,31 @@ def families(draw, max_m=8):
 
 
 @st.composite
+def member_tuples(draw):
+    """(universe_size, members) for SetFamily: sizes 0..64 and now and
+    then -1 or 65, with ascending masks inside the universe and up to three
+    faults at drawn places: two members swapped, or a repeated, negative
+    or out-of-universe mask put in."""
+    m = draw(st.integers(-1, 65))
+    width = min(max(m, 0), 64)
+    members = sorted(draw(st.sets(st.integers(0, (1 << width) - 1), max_size=12)))
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["swap", "repeat", "negative", "outside"]))
+        at = draw(st.integers(0, len(members)))
+        if fault == "swap" and len(members) >= 2:
+            i = draw(st.integers(0, len(members) - 2))
+            members[i], members[i + 1] = members[i + 1], members[i]
+        elif fault == "repeat" and members:
+            members.insert(at, draw(st.sampled_from(members)))
+        elif fault == "negative":
+            members.insert(at, -draw(st.integers(1, 1 << 70)))
+        elif fault == "outside":
+            members.insert(at, draw(st.integers(0, (1 << width) - 1))
+                           | 1 << draw(st.integers(width, 70)))
+    return m, tuple(members)
+
+
+@st.composite
 def wide_families(draw):
     """Families over m <= 64 elements, not closed, unused ids allowed."""
     m = draw(st.integers(0, 64))
@@ -750,6 +792,35 @@ def test_m_sets_and_top_elements_match_member_loops(f):
     expected = naive_a_sets(f)
     assert a_sets(f) == expected
     assert max_index_elements(f) == sum(1 << x for x in expected)
+
+
+@pytest.mark.parametrize("f, expected", [
+    # The largest member omitting 2 is {1}, but {0} omits 2 as well.
+    (family_from_masks([0b001, 0b010], 3), (0b011, 0b011, 0b010, 0b001)),
+    (family_from_masks([0b0011, 0b0100, 0b1000], 4), (0b1111, 0b1100, 0b1100, 0b1011, 0b0111)),
+    (family_from_masks([], 2), (0, 0, 0)),
+    (family_from_masks([0b11], 2), (0b11, 0, 0)),
+])
+def test_m_sets_add_what_the_largest_omitting_member_misses(f, expected):
+    assert f.m_sets == naive_m_sets(f) == expected
+
+
+@SETTINGS
+@given(member_tuples())
+@example((3, (0, 0b1000)))  # the empty member, then one past the universe
+@example((64, (0, 1 << 64)))
+def test_family_validation_matches_member_scan(drawn):
+    m, members = drawn
+    fault = naive_family_fault(m, members)
+    if fault is None:
+        f = SetFamily(m, members)
+        assert (f.universe_size, f.members, f.n) == (m, members, len(members))
+        assert f.covered_mask == sum(1 << x for x in range(m)
+                                     if any(mask >> x & 1 for mask in members))
+    else:
+        with pytest.raises(fault[0]) as raised:
+            SetFamily(m, members)
+        assert (type(raised.value), str(raised.value)) == fault
 
 
 @SETTINGS
