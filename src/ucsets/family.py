@@ -71,9 +71,9 @@ def elements_of(mask: int) -> list[int]:
     The low 64 bits are unpacked a byte at a time, lowest byte first, from
     a table of the ids each byte value holds (Warren, Hacker's Delight,
     ch. 5), stopping once no set bit is left.  Higher bits, which no family
-    member has, are unpacked the same way 64 bits at a time, so every mask
-    gets the exact answer.  A negative mask, whose shifts never reach 0,
-    raises DomainError.
+    member has, are unpacked the same way, one 64-bit word at a time plus
+    the word's offset, so every mask gets the exact answer.  A negative
+    mask, whose shifts never reach 0, raises DomainError.
     """
     out: list[int] = []
     for ids in _byte_ids():
@@ -81,10 +81,13 @@ def elements_of(mask: int) -> list[int]:
             return out
         out += ids[mask & 0xFF]
         mask >>= 8
-    if mask:
+    offset = MAX_UNIVERSE
+    while mask:
         if mask < 0:
             raise DomainError("masks must be non-negative")
-        out += [x + MAX_UNIVERSE for x in elements_of(mask)]
+        out += [x + offset for x in elements_of(mask & 0xFFFF_FFFF_FFFF_FFFF)]
+        mask >>= MAX_UNIVERSE
+        offset += MAX_UNIVERSE
     return out
 
 
@@ -334,22 +337,23 @@ def find_union_gap(f: SetFamily) -> tuple[int, int] | None:
     return None
 
 
-def closure_of_masks(masks: Iterable[int], saturated: int = 0) -> list[int]:
+def closure_of_masks(masks: Iterable[int]) -> list[int]:
     """Union-closure of the given masks, sorted ascending.
 
     Incremental: if C is already union-closed, then C + g closes as
     C | {g} | {g|c for c in C}, so one pass over the generators suffices.
     Raises CapacityError before a fold could take the closure past
-    MAX_MEMBERS members.  When every mask is a non-empty subset of an
-    s-element set, saturated = 2^s - 1 stops reading masks once the closure
-    holds all of them, since no later mask could change it.
+    MAX_MEMBERS members.
     """
-    return sorted(_grow_closure(masks, saturated)[0])
+    return sorted(_grow_closure(masks)[0])
 
 
 def _grow_closure(masks: Iterable[int], saturated: int = 0) -> tuple[set[int], list[int]]:
     """closure_of_masks, unsorted, with the masks that grew it in the order
-    read: those not yet in the closure when read, at most one per member."""
+    read: those not yet in the closure when read, at most one per member.
+    When every mask is a non-empty subset of an s-element set, saturated =
+    2^s - 1 stops reading masks once the closure holds all of them, since
+    no later mask could change it."""
     closed: set[int] = set()
     grew: list[int] = []
     for g in masks:

@@ -308,10 +308,11 @@ def corpus_verify(corpus: Iterable[SetFamily | Undecoded]) -> CorpusReport:
     own lines and a decoding error is raised in its place in corpus order.
 
     The corpus is cut into batches of about BATCH_MEMBERS members, and each
-    batch runs the battery one stage at a time (_verify_batch).  Each full
-    batch is verified in a forked child process, at most one per CPU at a
-    time; the parent merges the partial reports in corpus order, so the
-    report is the one a family-by-family sweep gives.  With one CPU,
+    batch runs the battery one stage at a time; a batch that raises runs
+    again one family at a time to find its first exception (_verify_batch).
+    Each full batch is verified in a forked child process, at most one per
+    CPU at a time; the parent merges the partial reports in corpus order,
+    so the report is the one a family-by-family sweep gives.  With one CPU,
     without os.fork or while other threads run, the batches are verified
     one after another in this process, so that it holds one batch at a
     time; the last, partial batch always runs here.  Exceptions are raised
@@ -423,8 +424,27 @@ def _reap(running: deque[tuple[int, BinaryIO]]) -> None:
     running.clear()
 
 
-def _verify_batch(families: Iterable[SetFamily | Undecoded]) -> CorpusReport:
+def _verify_batch(families: list[SetFamily | Undecoded]) -> CorpusReport:
     """The battery over one batch, in this process, one stage at a time.
+
+    If a stage raises, the stages run again on one family at a time, in
+    batch order, and the first exception that comes out is raised.  Every
+    stage is a pure function of its family, so that is the exception a
+    family-by-family sweep raises.  When no family raises on its own, as
+    with a MemoryError that needs the whole batch, the batch's own
+    exception is raised.
+    """
+    try:
+        return _battery_stages(families)
+    except Exception as exc:
+        error = exc
+    for f in families:
+        _battery_stages([f])
+    raise error
+
+
+def _battery_stages(families: list[SetFamily | Undecoded]) -> CorpusReport:
+    """The battery, each stage a loop over the whole batch.
 
     The batch is decoded first, then four stages each run over the families
     that reached them: validation, the union-closed check, separation and
@@ -433,95 +453,67 @@ def _verify_batch(families: Iterable[SetFamily | Undecoded]) -> CorpusReport:
     whole batch before the next costs less than the battery family by
     family, most on small families, and the report is the same: each list
     is filled in family order, and a family's chain lines, found a stage
-    earlier, are reported just before its transversal lines.  An exception
-    cuts the batch at its family: the later stages run only on the families
-    before it, and the exception raised at the end is the one of the first
-    family that raised, as family by family.  Labels are rendered only for
-    the families that get reported: rendering a large family costs more
-    than checking it.
+    earlier, are reported just before its transversal lines.  Labels are
+    rendered only for the families that get reported: rendering a large
+    family costs more than checking it.
     """
-    # Each stage appends a family to the next stage's list once it is done
-    # with it, so a stage that raises leaves out its family and those after
-    # it, and the exception caught last belongs to the earliest family.
-    error: Exception | None = None
-    decoded: list[SetFamily] = []
-    try:
-        for f in families:
-            decoded.append(f if isinstance(f, SetFamily) else f.decode())
-    except Exception as exc:
-        error = exc
+    decoded = [f if isinstance(f, SetFamily) else f.decode() for f in families]
 
     rep = CorpusReport()
     separating: list[SetFamily] = []
-    try:
-        for f in decoded:
-            rep.total_families += 1
-            if not f.covers_universe:
-                missing = elements_of(f.universe_mask & ~f.covered_mask)
-                rep.rejections.append((family_label(f),
-                                       f"not validated: element ids {missing} occur in no member"))
-                continue
-            gap = find_union_gap(f)
-            if gap is not None:
-                rep.rejections.append((family_label(f),
-                                       f"not union-closed: the union of {set_label(gap[0])} "
-                                       f"and {set_label(gap[1])} is missing"))
-                continue
-            rep.union_closed_count += 1
-            if is_separating(f):
-                rep.separating_count += 1
-                separating.append(f)
-    except Exception as exc:
-        error = exc
+    for f in decoded:
+        rep.total_families += 1
+        if not f.covers_universe:
+            missing = elements_of(f.universe_mask & ~f.covered_mask)
+            rep.rejections.append((family_label(f),
+                                   f"not validated: element ids {missing} occur in no member"))
+            continue
+        gap = find_union_gap(f)
+        if gap is not None:
+            rep.rejections.append((family_label(f),
+                                   f"not union-closed: the union of {set_label(gap[0])} "
+                                   f"and {set_label(gap[1])} is missing"))
+            continue
+        rep.union_closed_count += 1
+        if is_separating(f):
+            rep.separating_count += 1
+            separating.append(f)
 
     # The coverage alarm needs a family without a witness element, so only
     # such a family asks applicability for it in the last stage.  A
     # validated family with m >= 1 has a member, so n >= 1 needs no test.
     witnessless: list[bool] = []
-    try:
-        for f in separating:
-            lacks = f.universe_size >= 1 and not frankl_witnesses(f)
-            if lacks:
-                rep.frankl_violations.append(family_label(f))
-            witnessless.append(lacks)
-    except Exception as exc:
-        error = exc
+    for f in separating:
+        lacks = f.universe_size >= 1 and not frankl_witnesses(f)
+        if lacks:
+            rep.frankl_violations.append(family_label(f))
+        witnessless.append(lacks)
 
-    chain_issues: list[list[str]] = []
-    try:
-        for f in separating[:len(witnessless)]:
-            issues = verify_chain_witness(f, falgas_ravry_chain(f)) if f.n >= 1 else []
-            chain_issues.append(issues)
-    except Exception as exc:
-        error = exc
+    chain_issues = [verify_chain_witness(f, falgas_ravry_chain(f)) if f.n >= 1 else []
+                    for f in separating]
 
-    try:
-        for f, lacks, issues in zip(separating, witnessless, chain_issues):
-            for issue in issues:
-                rep.invariant_failures.append((family_label(f), "chain: " + issue))
+    for f, lacks, issues in zip(separating, witnessless, chain_issues):
+        for issue in issues:
+            rep.invariant_failures.append((family_label(f), "chain: " + issue))
 
-            tr = minimal_transversal(f)
-            for issue in verify_transversal(f, tr):
-                rep.invariant_failures.append((family_label(f), "transversal: " + issue))
+        tr = minimal_transversal(f)
+        for issue in verify_transversal(f, tr):
+            rep.invariant_failures.append((family_label(f), "transversal: " + issue))
 
-            audit = counting_audit(f, tr)
-            for name, passed in audit.bullets_ok.items():
-                if not passed:
-                    rep.audit_failures.append((family_label(f), name))
-            if not audit.inequality_holds:
-                rep.audit_failures.append((family_label(f), "inequality"))
+        audit = counting_audit(f, tr)
+        for name, passed in audit.bullets_ok.items():
+            if not passed:
+                rep.audit_failures.append((family_label(f), name))
+        if not audit.inequality_holds:
+            rep.audit_failures.append((family_label(f), "inequality"))
 
-            if 1 <= f.n <= 2 * f.universe_size:
-                if 2 * f.freq[f.order[-1]] < f.n:
-                    rep.invariant_failures.append((
-                        family_label(f),
-                        "lemma: top element below half frequency despite n <= 2m"))
+        if 1 <= f.n <= 2 * f.universe_size:
+            if 2 * f.freq[f.order[-1]] < f.n:
+                rep.invariant_failures.append((
+                    family_label(f),
+                    "lemma: top element below half frequency despite n <= 2m"))
 
-            alarm = lacks and applicability(f).alarm
-            if alarm:
-                rep.invariant_failures.append((family_label(f), "applicability: " + alarm))
-    except Exception as exc:
-        error = exc
-    if error is not None:
-        raise error
+        alarm = lacks and applicability(f).alarm
+        if alarm:
+            rep.invariant_failures.append((family_label(f), "applicability: " + alarm))
     return rep

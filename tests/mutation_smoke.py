@@ -25,7 +25,9 @@ seed 0 and no example database, so a run gives each mutant the same
 outcome as the last.  A mutant that no test fails survives, unless
 EQUIVALENT names it; a mutant that runs past its group's timeout is
 killed.  The script prints one line per mutant and exits 1 when a mutant
-survives that EQUIVALENT does not name.
+survives that EQUIVALENT does not name.  Before any test runs, it exits 2
+when two mutants of the group share a description or when an EQUIVALENT
+key for one of the group's functions describes no mutant.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ GROUPS = {
     "random": Group(Path("src/ucsets/search.py"), ("random_family",),
                     ("tests/test_kernels.py::test_random_family_matches_closure_then_quotient",
                      "tests/test_search.py::TestRandomFamily"), 15),
-    "battery": Group(Path("src/ucsets/search.py"), ("_verify_batch",),
+    "battery": Group(Path("src/ucsets/search.py"), ("_verify_batch", "_battery_stages"),
                      ("tests/test_search.py", "tests/test_sharding.py",
                       "tests/test_cli.py::TestVerify",
                       "tests/test_kernels.py::test_staged_battery_matches_family_by_family_sweep"),
@@ -197,6 +199,8 @@ EQUIVALENT = {
     "verify_transversal: != -> == at col 11 of `if ms[r] & higher != higher:`":
         "the mutated test holds at the top rank, where higher is 0, so the walk always runs",
     "verify_transversal: 1 -> 2 at col 44 of `rank = dict(zip(order, range(1, m + 1)))`": _RANKS,
+    "verify_transversal: 1 -> 2 at col 44 of `rank = dict(zip(order, range(1, m + 1)))` (#2)":
+        _RANKS,
     "verify_transversal: & -> | at col 46 of "
     "`if not (a_sets_fit and m_sets_fit and not tilde & ~ms[0]):`": _ALWAYS,
     "falgas_ravry_chain: & -> | at col 56 of "
@@ -205,7 +209,6 @@ EQUIVALENT = {
         "which has the same bit_length",
     "minimal_transversal: 1 -> 2 at col 37 of `later = [0] * (len(candidates) + 1)`":
         "later is read only up to index len(candidates), so the extra 0 is never read",
-    "_verify_batch: | -> & at col 11 of `error: Exception | None = None`": _ANNOTATION,
     "family_from_ndjson: | -> & at col 11 of `masks: list[int] | None = []`": _ANNOTATION,
     'counting_audit: 0 -> -1 at col 47 of `"frequency_cap": max(u_counts, default=0) <= m + c,`':
         "the default is read only when no id of u_hat lies in the universe, and m + c, "
@@ -282,8 +285,12 @@ def _function_nodes(tree: ast.Module, name: str) -> list[ast.AST]:
 
 def mutants(source: str, functions: tuple[str, ...]) -> Iterator[tuple[int, str, str]]:
     """(line, description, mutated module source) for every mutant of the
-    functions."""
+    functions.  A description names the function, the change, its column
+    and its line; when an earlier mutant has that description already, as
+    the two operators of a chained comparison or two identical lines do,
+    the second gets " (#2)" appended, the third " (#3)", and so on."""
     tree = ast.parse(source)
+    seen: dict[str, int] = {}
     for name in functions:
         for index, node in enumerate(_function_nodes(tree, name)):
             for what, mutate in _mutations(node):
@@ -294,8 +301,11 @@ def mutants(source: str, functions: tuple[str, ...]) -> Iterator[tuple[int, str,
                 else:
                     mutate(target)
                 line = source.splitlines()[node.lineno - 1].strip()
-                yield (node.lineno, f"{name}: {what} at col {node.col_offset} of `{line}`",
-                       ast.unparse(mutant))
+                what = f"{name}: {what} at col {node.col_offset} of `{line}`"
+                seen[what] = count = seen.get(what, 0) + 1
+                if count > 1:
+                    what += f" (#{count})"
+                yield node.lineno, what, ast.unparse(mutant)
 
 
 def _cap_memory() -> None:
@@ -321,11 +331,28 @@ def run_tests(copy_root: Path, group: Group) -> str:
     return "survived" if done.returncode == 0 else "killed"
 
 
+def naming_fault(names: list[str], functions: tuple[str, ...]) -> str | None:
+    """Why the group's mutant names cannot be checked against EQUIVALENT:
+    a name given twice, or a key for one of the functions that names no
+    mutant, so that it explains nothing or a mutant it was not written for."""
+    if len(set(names)) != len(names):
+        return f"two mutants are named {next(n for n in names if names.count(n) > 1)}"
+    live = set(names)
+    stale = [key for key in EQUIVALENT
+             if key.partition(": ")[0] in functions and key not in live]
+    return f"EQUIVALENT names no mutant: {stale[0]}" if stale else None
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description="Mutation smoke over one group of functions.")
     ap.add_argument("group", nargs="?", choices=sorted(GROUPS), default="bounds")
     group = GROUPS[ap.parse_args(argv).group]
     source = (ROOT / group.module).read_text()
+    found = list(mutants(source, group.functions))
+    fault = naming_fault([what for _, what, _ in found], group.functions)
+    if fault:
+        print(fault, file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         copy_root = Path(tmp)
         for part in ("src", "tests"):
@@ -339,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
             print("the tests fail on the unmutated module", file=sys.stderr)
             return 2
         unexplained = []
-        for lineno, what, mutated in mutants(source, group.functions):
+        for lineno, what, mutated in found:
             module.write_text(mutated)
             outcome, why = run_tests(copy_root, group), ""
             if outcome == "survived" and what in EQUIVALENT:

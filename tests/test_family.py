@@ -42,13 +42,24 @@ def test_mask_helpers_round_trip():
     assert elements_of(0) == []
 
 
-@pytest.mark.parametrize("mask", [-1, -256, -(1 << 70)], ids=["-1", "-256", "-2^70"])
+@pytest.mark.parametrize("mask", [-1, -256, -(1 << 70), -(1 << 100_000)],
+                         ids=["-1", "-256", "-2^70", "-2^100000"])
 @pytest.mark.parametrize("unpack", [elements_of, family.elements_text, family.set_label],
                          ids=["elements_of", "elements_text", "set_label"])
 def test_negative_masks_are_a_domain_error(unpack, mask):
     # Shifting a negative mask never reaches 0, so the unpacking must stop.
     with pytest.raises(DomainError, match="masks must be non-negative"):
         unpack(mask)
+
+
+@pytest.mark.parametrize(("mask", "ids"), [(1 << 100_000, [100_000]),
+                                           ((1 << 70_000) - 1, list(range(70_000)))],
+                         ids=["2^100000", "2^70000-1"])
+def test_masks_of_many_words_unpack_exactly(mask, ids):
+    # One 64-bit word after another: a nested call per word past the first
+    # would pass the recursion limit long before these masks end.
+    assert elements_of(mask) == ids
+    assert family.elements_text(mask) == ",".join(map(str, ids))
 
 
 def test_mask_of_takes_only_ints():

@@ -1,6 +1,6 @@
 """Independent oracles for the sweeps: pinned audit statistics, the audit's
-slack split term by term, and two proven cases of the union-closed
-conjecture.
+slack split term by term, the audit of every admissible transversal, and
+two proven cases of the union-closed conjecture.
 
 The two theorems are checked by counting memberships over f.members
 directly, never through SetFamily.freq or SetFamily.columns, so every hit
@@ -11,6 +11,7 @@ from collections import Counter
 from itertools import combinations
 
 from ucsets import counting_audit, enumerate_union_closed, frankl_witnesses, minimal_transversal
+from ucsets.witnesses import TransversalReport, max_index_elements, verify_transversal
 
 
 def _audit_statistics(families):
@@ -98,6 +99,69 @@ def test_audit_slack_terms_exhaustive_m1_to_m4(separating_corpora):
 def test_audit_slack_terms_random_m16(random_corpus):
     slacks = _slacks(random_corpus[:300])
     assert min(slack for slack, _ in slacks) == 1
+
+
+def _admissible_transversals(f):
+    """Every inclusion-minimal transversal inside the top-element set, each
+    with the pattern family minimal_transversal would build for it.
+
+    A transversal meets every non-empty member, and no proper subset of an
+    inclusion-minimal one does; dropping any one element decides that.  The
+    singleton witness of x is the smallest member whose trace on u_hat is
+    {x}, and P_b is the union of the witnesses of b's elements.
+    """
+    tops = [x for x in range(f.universe_size) if max_index_elements(f) >> x & 1]
+    # hits[s]: the indices of the members meeting the tops chosen by s.
+    hits = [0] * (1 << len(tops))
+    for s in range(1, len(hits)):
+        low = (s & -s).bit_length() - 1
+        hits[s] = hits[s & (s - 1)] | sum(1 << i for i, a in enumerate(f.members)
+                                          if a >> tops[low] & 1)
+    nonempty = sum(1 << i for i, a in enumerate(f.members) if a)
+    out = []
+    for s, hit in enumerate(hits):
+        if hit != nonempty or any(hits[s ^ (1 << i)] == nonempty
+                                  for i in range(len(tops)) if s >> i & 1):
+            continue
+        u_hat = sum(1 << tops[i] for i in range(len(tops)) if s >> i & 1)
+        witness = {x: min(a for a in f.members if a & u_hat == 1 << x)
+                   for x in range(f.universe_size) if u_hat >> x & 1}
+        patterns = {b: _union(w for x, w in witness.items() if b >> x & 1)
+                    for b in range(1, u_hat + 1) if not b & ~u_hat}
+        out.append(TransversalReport(u_hat=u_hat, pb_family=patterns))
+    return out
+
+
+def _audit_every_transversal(families):
+    """Audit every admissible transversal of each family, and require every
+    check to hold.  Returns the number of audits, the number of families
+    whose transversals differ in k, and the number where the greedy
+    transversal's slack rhs - n is not the least."""
+    audits = k_varies = greedy_looser = 0
+    for f in families:
+        greedy = minimal_transversal(f).u_hat
+        slack = {}
+        for tr in _admissible_transversals(f):
+            assert verify_transversal(f, tr) == [], (f, tr)
+            audit = counting_audit(f, tr)
+            assert all(audit.bullets_ok.values()) and audit.inequality_holds, (f, tr)
+            slack[tr.u_hat] = audit.rhs - f.n
+        assert greedy in slack
+        audits += len(slack)
+        k_varies += len({u_hat.bit_count() for u_hat in slack}) > 1
+        greedy_looser += slack[greedy] > min(slack.values())
+    return audits, k_varies, greedy_looser
+
+
+def test_every_admissible_transversal_passes_the_audit_exhaustive_m4(separating_corpora):
+    families = [f for m in range(5) for f in separating_corpora[m] if f.covered_mask]
+    assert len(families) == 4508
+    assert _audit_every_transversal(families) == (4542, 0, 0)
+
+
+def test_every_admissible_transversal_passes_the_audit_random_m16(random_corpus):
+    # Seeds 42..341 of random_family(16, 10, .).
+    assert _audit_every_transversal(random_corpus[:300]) == (340, 6, 1)
 
 
 def _count(f, x):

@@ -223,6 +223,25 @@ def test_the_first_family_to_raise_wins_whatever_its_stage(monkeypatch, forked):
     assert_no_children()
 
 
+def test_a_batch_error_no_family_repeats_is_raised(monkeypatch):
+    # The third separation test of the batch raises, and none after it
+    # does, so replaying the families one at a time raises nothing: the
+    # batch's own exception is the one raised, as for a MemoryError that
+    # only the whole batch runs into.
+    families = [f for f in enumerate_union_closed(3) if f.n >= 1][:5]
+    calls = []
+
+    def third_raises(f):
+        calls.append(f)
+        if len(calls) == 3:
+            raise MemoryError("planted on the third call")
+        return is_separating(f)
+    monkeypatch.setattr(search, "is_separating", third_raises)
+    with pytest.raises(MemoryError, match="planted on the third call"):
+        search._verify_batch(families)
+    assert calls == families[:3] + families
+
+
 # Random families at m = 13 and 16: theorem-band, lemma and not-covered.
 GAP_FAMILIES = [(13, 6, seed) for seed in (4, 19, 26)] + [(16, 10, seed) for seed in range(3)]
 
