@@ -3,8 +3,8 @@
 One executable, eight subcommands: analyze, closure, quotient, witness,
 bounds, enumerate, random, verify.  Families are read from a file path or
 "-" for stdin, in the text form, as one JSON document or as NDJSON, one
-family per line; the first non-blank line decides which.  Only verify
---input takes more than one family.  Exit codes: 0 success, 1 I/O or parse
+family per line (formats reads each); the first non-blank line decides
+which.  Only verify --input takes more than one family.  Exit codes: 0 success, 1 I/O or parse
 error, 2 precondition or domain violation, 3 verification failures.
 """
 
@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import itertools
 import sys
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .bounds import applicability, bound_report
 from .errors import (
@@ -39,11 +40,11 @@ from .family import (
     union_closure,
 )
 from .formats import (
+    _Line,
+    _one_object,
     chain_to_json,
     corpus_to_json,
     decode_json,
-    family_from_json_dict,
-    family_from_ndjson,
     family_to_json_dict,
     family_to_ndjson,
     family_to_text,
@@ -57,47 +58,26 @@ from .search import FILTERS, corpus_verify, enumerate_union_closed, random_famil
 from .witnesses import counting_audit, falgas_ravry_chain, minimal_transversal
 
 
-def _open_source(path: str):
-    """The input file, or stdin for "-"."""
-    if path == "-":
-        return contextlib.nullcontext(sys.stdin)
-    return open(path, "r", encoding="utf-8")
+@contextlib.contextmanager
+def _open_source(path: str) -> Iterator[TextIO]:
+    """The input file, or stdin for "-", as UTF-8 whatever the locale.  A
+    byte that is not UTF-8 reads as a lone surrogate, which no element id
+    or JSON token holds, so the parse refuses its line."""
+    if path != "-":
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            yield fh
+    elif not hasattr(sys.stdin, "buffer"):  # a text-only stdin, such as an io.StringIO
+        yield sys.stdin
+    else:
+        fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="surrogateescape")
+        try:
+            yield fh
+        finally:
+            fh.detach()  # a wrapper closed or collected would close sys.stdin
 
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
-
-
-class _Line(NamedTuple):
-    """An NDJSON corpus line, read but not yet decoded (search.Undecoded)."""
-
-    lineno: int
-    text: str
-
-    @property
-    def n(self) -> int:
-        """The member count: one "[" opens the members array and one opens
-        each member, which is exact on every well-formed family line."""
-        return self.text.count("[") - 1
-
-    def decode(self) -> SetFamily:
-        """The line's family: a line in the writer's form is read from its
-        text, any other line by json and family_from_json_dict."""
-        fam = family_from_ndjson(self.text)
-        if fam is not None:
-            return fam
-        doc = decode_json(self.text, self.lineno)
-        try:
-            return family_from_json_dict(doc)
-        except FamilyParseError as exc:
-            raise FamilyParseError(str(exc), line=self.lineno) from None
-
-
-def _one_object(line: str) -> bool:
-    """Whether the line opens with "{", closes with "}" and holds no other
-    brace.  Its decoding then cannot fail at its end: a "}" inside a string
-    leaves the string unterminated, which fails at its opening quote."""
-    return line[0] == "{" and line[-1] == "}" and line.count("{") == 1 == line.count("}")
 
 
 def _read_families(path: str) -> Iterator[SetFamily | _Line]:
@@ -112,10 +92,8 @@ def _read_families(path: str) -> Iterator[SetFamily | _Line]:
     indented output of closure --format json.  Any other failure is an
     error on that line.
 
-    NDJSON lines are yielded undecoded, as _Line entries that corpus_verify
-    weighs by their "[" count and decodes in the batch that verifies them.
-    A first line that passes _one_object is NDJSON whatever it holds; any
-    other first line is decoded here only to tell a document from a corpus.
+    NDJSON lines are yielded undecoded (formats._Line); only a first line
+    that fails _one_object is decoded here, to tell a document from a corpus.
     """
     with _open_source(path) as fh:
         head = ""

@@ -5,21 +5,20 @@ ids separated by commas or whitespace, a lone "-" for the empty set, "#"
 comments, blank lines ignored.  JSON: {"universe_size": m, "members":
 [[ids], ...]}.  Serialization always emits members in canonical ascending
 mask order with element ids sorted, so output is bit-identical across
-platforms; NDJSON corpus lines come from family_to_ndjson alone, and
-family_from_ndjson reads lines of that exact form back.  Reports
-serialize with their field names intact; masks become sorted id arrays,
-map keys become strings, and real values are rounded to 12 significant
-digits before encoding.
+platforms.  The NDJSON corpus line is defined here alone: its writer and
+reader, _one_object, which spots it, and _Line, which carries it
+undecoded.  Reports serialize with their field names intact; masks become
+sorted id arrays, map keys become strings, and real values are rounded to
+12 significant digits before encoding.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import fields
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain
-from operator import or_
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import CapacityError, DomainError, FamilyParseError, UnfinishedJSONError
 from .family import (
@@ -50,13 +49,12 @@ def parse_members_text(text: str) -> list[int]:
     """Parse the text format into raw member masks, one per member line.
 
     Duplicates are preserved in file order so callers can warn about them;
-    build a family with make-family semantics via parse_family_text.  A
-    line's ids are converted and ORed by builtins; only a line that fails
-    goes through _checked_mask, which names its first bad id.
+    build a family with make-family semantics via parse_family_text.  Ids
+    are read one at a time, so an error names the line and its first bad id.
     """
     masks: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if line == "-":
@@ -64,19 +62,10 @@ def parse_members_text(text: str) -> list[int]:
             continue
         tokens = line.replace(",", " ").split()
         try:
-            masks.append(reduce(or_, map(_id_bit, map(int, tokens)), 0))
-        except (ValueError, KeyError):  # not an int, or no id in 0..63
-            masks.append(_checked_mask(tokens, lineno))
+            masks.append(mask_of(_element_id(token, lineno) for token in tokens))
+        except (DomainError, CapacityError) as exc:
+            raise FamilyParseError(str(exc), line=lineno) from None
     return masks
-
-
-def _checked_mask(tokens: list[str], lineno: int) -> int:
-    """The mask of one line's id tokens, one id at a time; raises
-    FamilyParseError naming the first bad id and the line."""
-    try:
-        return mask_of(_element_id(token, lineno) for token in tokens)
-    except (DomainError, CapacityError) as exc:
-        raise FamilyParseError(str(exc), line=lineno) from None
 
 
 def _element_id(token: str, lineno: int) -> int:
@@ -173,6 +162,38 @@ def family_from_ndjson(line: str) -> SetFamily | None:
         return SetFamily(m, tuple(masks))
     except ValueError:  # members out of order, repeated or past the universe
         return None
+
+
+class _Line(NamedTuple):
+    """An NDJSON corpus line, read but not yet decoded (search.Undecoded)."""
+
+    lineno: int
+    text: str
+
+    @property
+    def n(self) -> int:
+        """The member count: one "[" opens the members array and one opens
+        each member, which is exact on every well-formed family line."""
+        return self.text.count("[") - 1
+
+    def decode(self) -> SetFamily:
+        """The line's family: a line in the writer's form is read from its
+        text, any other line by json and family_from_json_dict."""
+        fam = family_from_ndjson(self.text)
+        if fam is not None:
+            return fam
+        doc = decode_json(self.text, self.lineno)
+        try:
+            return family_from_json_dict(doc)
+        except FamilyParseError as exc:
+            raise FamilyParseError(str(exc), line=self.lineno) from None
+
+
+def _one_object(line: str) -> bool:
+    """Whether the line opens with "{", closes with "}" and holds no other
+    brace.  Its decoding then cannot fail at its end: a "}" inside a string
+    leaves the string unterminated, which fails at its opening quote."""
+    return line[0] == "{" and line[-1] == "}" and line.count("{") == 1 == line.count("}")
 
 
 # The bit of each element id; a KeyError is an id out of range.

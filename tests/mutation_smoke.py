@@ -4,13 +4,15 @@ union and separation checks, the witness elements and the closure loop),
 the canonical NDJSON line decoder, the exhaustive search,
 the test that generator mode applies at its leaves, the seeded random
 family, the corpus battery, the chain and transversal verifiers with the
-counting audit, the chain and transversal builders, or the CLI's corpus
-sources and its refusal of the options a source does not read.
+counting audit, the chain and transversal builders, the CLI's corpus
+sources and its refusal of the options a source does not read, or the
+readers of the text form, of JSON family documents and of NDJSON lines.
 
 Run from the repository root; pytest does not collect this file:
 
     python3 tests/mutation_smoke.py \
-        [bounds|family|ndjson|enumerate|generators|random|battery|verifiers|builders|sources]
+        [bounds|family|ndjson|enumerate|generators|random|battery|verifiers|builders|sources|
+         readers]
 
 A group is a module, the functions mutated in it (a method as
 Class.method) and the test files or pytest node ids run against each
@@ -23,7 +25,8 @@ tests/, and the group's tests run against it with -x, one pytest process
 at a time, its address space capped at MEMORY_CAP.  Hypothesis runs with
 seed 0 and no example database, so a run gives each mutant the same
 outcome as the last.  A mutant that no test fails survives, unless
-EQUIVALENT names it; a mutant that runs past its group's timeout is
+EQUIVALENT names it; a mutant whose tests run past TIMEOUT_FACTOR times
+the unmutated module's run, timed just before on the same machine, is
 killed.  The script prints one line per mutant and exits 1 when a mutant
 survives that EQUIVALENT does not name.  Before any test runs, it exits 2
 when two mutants of the group share a description or when an EQUIVALENT
@@ -40,6 +43,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -50,50 +54,60 @@ class Group(NamedTuple):
     module: Path
     functions: tuple[str, ...]
     tests: tuple[str, ...]
-    timeout_s: int  # about five times a full run of the group's tests
 
 
 GROUPS = {
     "bounds": Group(Path("src/ucsets/bounds.py"),
                     ("verdict_for", "_theorem_gap", "bound_report"),
-                    ("tests/test_bounds.py", "tests/test_acceptance.py"), 30),
+                    ("tests/test_bounds.py", "tests/test_acceptance.py")),
     "family": Group(Path("src/ucsets/family.py"),
                     ("SetFamily.__init__", "_checked_union", "SetFamily.m_sets",
                      "_byte_member_texts", "_member_texts", "find_union_gap", "is_separating",
                      "frankl_witnesses", "_grow_closure"),
-                    ("tests/test_family.py", "tests/test_formats.py", "tests/test_kernels.py"),
-                    90),
+                    ("tests/test_family.py", "tests/test_formats.py", "tests/test_kernels.py")),
     "ndjson": Group(Path("src/ucsets/formats.py"), ("family_from_ndjson",),
-                    ("tests/test_formats.py", "tests/test_fuzz.py"), 30),
+                    ("tests/test_formats.py", "tests/test_fuzz.py")),
     "enumerate": Group(Path("src/ucsets/search.py"), ("_enumerate_exhaustive",),
-                       ("tests/test_search.py", "tests/test_kernels.py"), 75),
+                       ("tests/test_search.py", "tests/test_kernels.py")),
     "generators": Group(Path("src/ucsets/search.py"), ("_tied_relabelings", "_orderly"),
-                        ("tests/test_search.py", "tests/test_kernels.py"), 75),
+                        ("tests/test_search.py", "tests/test_kernels.py")),
     "random": Group(Path("src/ucsets/search.py"), ("random_family",),
                     ("tests/test_kernels.py::test_random_family_matches_closure_then_quotient",
-                     "tests/test_search.py::TestRandomFamily"), 15),
+                     "tests/test_search.py::TestRandomFamily")),
     "battery": Group(Path("src/ucsets/search.py"), ("_verify_batch", "_battery_stages"),
                      ("tests/test_search.py", "tests/test_sharding.py",
                       "tests/test_cli.py::TestVerify",
-                      "tests/test_kernels.py::test_staged_battery_matches_family_by_family_sweep"),
-                     80),
+                      "tests/test_kernels.py::test_staged_battery_matches_family_by_family_sweep")),
     "verifiers": Group(Path("src/ucsets/witnesses.py"),
                        ("verify_chain_witness", "verify_transversal", "_u_columns",
                         "counting_audit"),
                        ("tests/test_witnesses.py",
                         "tests/test_kernels.py::test_verifiers_and_audit_match_member_loops",
-                        "tests/test_acceptance.py"), 40),
+                        "tests/test_acceptance.py")),
     "builders": Group(Path("src/ucsets/witnesses.py"),
                       ("falgas_ravry_chain", "minimal_transversal"),
                       ("tests/test_witnesses.py", "tests/test_kernels.py",
-                       "tests/test_acceptance.py"), 100),
+                       "tests/test_acceptance.py")),
     "sources": Group(Path("src/ucsets/cli.py"), ("_verify_families", "_corpus"),
                      ("tests/test_cli.py::TestVerify", "tests/test_cli.py::TestEnumerate",
-                      "tests/test_cli.py::TestRandom"), 10),
+                      "tests/test_cli.py::TestRandom")),
+    "readers": Group(Path("src/ucsets/formats.py"),
+                     ("parse_members_text", "_element_id", "_Line.n", "_Line.decode",
+                      "_one_object", "family_from_json_dict", "_fast_masks", "_checked_masks",
+                      "decode_json"),
+                     ("tests/test_formats.py", "tests/test_fuzz.py",
+                      "tests/test_kernels.py::test_reader_matches_per_id_reference",
+                      "tests/test_kernels.py::test_text_reader_matches_per_token_reference",
+                      "tests/test_kernels.py::test_reader_matches_per_id_reference_on_edge_documents",
+                      "tests/test_cli.py::TestReader", "tests/test_sharding.py")),
 }
 # A mutant that grows a list without end fails with MemoryError at this
 # cap instead of taking the machine's memory.
 MEMORY_CAP = 1 << 30
+# A mutant's test run is cut, and the mutant counted as killed, at this
+# many times the unmutated module's run, so the limit follows the machine
+# and its load.
+TIMEOUT_FACTOR = 5
 
 # Survivors that no test can kill, by description, with the reason.
 _PRECISION = "the precision doubles until the floor is settled"
@@ -313,7 +327,7 @@ def _cap_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
-def run_tests(copy_root: Path, group: Group) -> str:
+def run_tests(copy_root: Path, group: Group, timeout_s: float | None = None) -> str:
     """'killed', 'survived' or 'timeout' for the module now in copy_root."""
     # No bytecode is cached: a .pyc checks only the source's size and its
     # mtime in seconds, which two mutants written in one second can share.
@@ -325,7 +339,7 @@ def run_tests(copy_root: Path, group: Group) -> str:
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
              "--hypothesis-seed=0", *group.tests],
             cwd=copy_root, env=env, preexec_fn=_cap_memory,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=group.timeout_s)
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=timeout_s)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "survived" if done.returncode == 0 else "killed"
@@ -362,13 +376,17 @@ def main(argv: list[str] | None = None) -> int:
         module = copy_root / group.module
         # The unparsed original must pass, or every mutant would be killed.
         module.write_text(ast.unparse(ast.parse(source)))
+        start = time.perf_counter()
         if run_tests(copy_root, group) != "survived":
             print("the tests fail on the unmutated module", file=sys.stderr)
             return 2
+        timeout_s = TIMEOUT_FACTOR * (time.perf_counter() - start)
+        print(f"unmutated run: {timeout_s / TIMEOUT_FACTOR:.1f} s; "
+              f"each mutant gets {timeout_s:.1f} s", flush=True)
         unexplained = []
         for lineno, what, mutated in found:
             module.write_text(mutated)
-            outcome, why = run_tests(copy_root, group), ""
+            outcome, why = run_tests(copy_root, group, timeout_s), ""
             if outcome == "survived" and what in EQUIVALENT:
                 outcome, why = "explained", f" ({EQUIVALENT[what]})"
             elif outcome == "survived":

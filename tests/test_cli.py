@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in-process via main(argv)."""
 
+import gc
 import hashlib
 import io
 import itertools
@@ -10,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ucsets import bounds, cli, family, search, witnesses
+from ucsets import bounds, cli, family, formats, search, witnesses
 from ucsets.cli import main
 from ucsets.formats import load_schema
 
@@ -650,7 +651,7 @@ class TestVerify:
         seen = []
 
         def recording(corpus):
-            families = [f.decode() if isinstance(f, cli._Line) else f for f in corpus]
+            families = [f.decode() if isinstance(f, formats._Line) else f for f in corpus]
             seen.append([family.family_label(f) for f in families])
             return search.corpus_verify(families)
 
@@ -791,6 +792,29 @@ class TestReader:
         assert (code, out) == (1, "")
         assert err.startswith("error: line 3: invalid JSON: Extra data")
 
+    @pytest.mark.parametrize("content, error", [
+        (b"0\n1\n\xff\n", "line 3: invalid element id '\\udcff'"),
+        (b"0\n0,1 # caf\xc3\xa9\n1,\xe9\n", "line 3: invalid element id '\\udce9'"),
+        (b'{"members":[[0]],"universe_size":1}\n\n{"members":[[\xff]],"universe_size":1}\n',
+         "line 3: invalid JSON: Expecting value"),
+        ("0\n0,1\n".encode("utf-16"), "line 1: invalid element id "),
+    ], ids=["text", "text-after-utf-8", "ndjson", "utf-16"])
+    @pytest.mark.parametrize("source", ["file", "strict-stdin"])
+    def test_a_byte_that_is_not_utf8_is_a_parse_error_on_its_line(
+            self, capsys, monkeypatch, tmp_path, content, error, source):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        if source == "strict-stdin":  # as under a UTF-8 locale
+            stdin = io.TextIOWrapper(io.BytesIO(content), encoding="utf-8", errors="strict")
+            monkeypatch.setattr("sys.stdin", stdin)
+            path = "-"
+        code, out, err = run(capsys, "verify", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {error}") and "Traceback" not in err
+        if source == "strict-stdin":
+            gc.collect()  # a reading wrapper left to the collector closes its buffer
+            assert not stdin.closed and stdin.errors == "strict"
+
     def test_ndjson_family_errors_name_their_line(self, capsys, tmp_path):
         p = tmp_path / "corpus.ndjson"
         p.write_text('{"members":[[0]],"universe_size":1}\n\n'
@@ -846,8 +870,8 @@ class TestReader:
         p = tmp_path / "corpus.ndjson"
         p.write_text(ndjson)
         built = []
-        real = cli.family_from_ndjson
-        monkeypatch.setattr(cli, "family_from_ndjson",
+        real = formats.family_from_ndjson
+        monkeypatch.setattr(formats, "family_from_ndjson",
                             lambda line: built.append(line) or real(line))
         code, _, err = run(capsys, "analyze", str(p))
         assert code == 1 and "corpus" in err

@@ -29,10 +29,11 @@ from ucsets import (
     to_json,
 )
 from ucsets import cli, formats, search
-from ucsets.cli import _one_object, main
+from ucsets.cli import main
 from ucsets.errors import UnfinishedJSONError
 from ucsets.formats import (
     M_SETS_DEFINITION,
+    _one_object,
     chain_to_json,
     corpus_to_json,
     decode_json,
@@ -432,9 +433,10 @@ class TestCorpusDecoding:
         # One process, so the lines are decoded where the spy sees them.
         monkeypatch.setattr(search, "_worker_count", lambda: 1)
         calls = []
-        real = cli.decode_json
-        monkeypatch.setattr(cli, "decode_json",
-                            lambda *args: calls.append(args) or real(*args))
+        real = formats.decode_json
+        for module in (cli, formats):
+            monkeypatch.setattr(module, "decode_json",
+                                lambda *args: calls.append(args) or real(*args))
         assert main(command + ["--format", "json"]) == 0
         p = tmp_path / "corpus.ndjson"
         p.write_text(capsys.readouterr().out)

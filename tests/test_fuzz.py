@@ -11,7 +11,7 @@ import json
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ucsets import FamilyParseError, SetFamily, cli, elements_of
+from ucsets import FamilyParseError, SetFamily, elements_of, formats
 from ucsets.cli import main
 from ucsets.formats import (
     decode_json,
@@ -174,5 +174,5 @@ def test_verify_input_reads_lines_as_the_json_reader_does(tmp_path, capsys, monk
 
     fast = verify()
     with monkeypatch.context() as mp:
-        mp.setattr(cli, "family_from_ndjson", lambda line: None)
+        mp.setattr(formats, "family_from_ndjson", lambda line: None)
         assert verify() == fast

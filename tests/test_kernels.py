@@ -61,7 +61,6 @@ from ucsets import (
     union_closure,
 )
 from ucsets import bounds, search
-from ucsets.cli import _Line
 from ucsets.errors import CapacityError, ContradictionError, FamilyParseError
 from ucsets.family import (
     _member_texts,
@@ -77,6 +76,7 @@ from ucsets.family import (
     set_label,
 )
 from ucsets.formats import (
+    _Line,
     family_from_json_dict,
     family_to_json_dict,
     family_to_ndjson,

@@ -25,9 +25,9 @@ from ucsets import (
     random_family,
 )
 from ucsets import bounds, search
-from ucsets.cli import _Line, main
+from ucsets.cli import main
 from ucsets.errors import FamilyParseError, UnfinishedJSONError
-from ucsets.formats import corpus_to_json, family_to_ndjson, to_json
+from ucsets.formats import _Line, corpus_to_json, family_to_ndjson, to_json
 from ucsets.search import CorpusReport
 
 
@@ -444,6 +444,25 @@ def test_a_malformed_line_fails_as_in_one_process(where, capsys, monkeypatch, fo
     assert_no_children()
     in_child = any(line.lineno == at + 1 for batch in forked for line in batch)
     assert in_child == (where != "tail")
+
+
+def test_a_byte_that_is_not_utf8_fails_on_its_line_in_a_child(capsys, monkeypatch, forked,
+                                                             m3_corpus):
+    path, families = m3_corpus
+    lines = path.read_bytes().splitlines(keepends=True)
+    at = batch_starts(families, BUDGET)[1] + 1
+    lines.insert(at, b'{"members":[[0],[\xff]],"universe_size":1}\n')
+    path.write_bytes(b"".join(lines))
+    argv = ["verify", "--input", str(path)]
+    inline(monkeypatch)
+    assert main(argv) == 1
+    serial = capsys.readouterr()
+    assert serial == ("", f"error: line {at + 1}: invalid JSON: Expecting value\n")
+    shard(monkeypatch, BUDGET, workers=2)
+    assert main(argv) == 1
+    assert capsys.readouterr() == serial
+    assert_no_children()
+    assert any(line.lineno == at + 1 for batch in forked for line in batch)
 
 
 @pytest.mark.parametrize("text, error", [
